@@ -26,6 +26,7 @@ from fractions import Fraction
 from . import families as fam
 from . import relations as rel
 from . import limits as lim
+from .laurent import NonzeroRemainder
 from .report import build_report, dump_report, summary_lines
 
 
@@ -90,7 +91,7 @@ def _run_qdiff_derive(fd, args):
         ref = [(q ** (-n) - 1) * (1 - a * b * c * d * q ** (n - 1))
                for n in range(fd.n_max + 1)]
         return [rel.check_qdiff_recovery(fd, ref)]
-    qd = rel.derive_second_order_qdiff(fd)
+    qd = fd.qdiff
     entries = [rel.ResidualEntry(n, True) for n in range(len(qd.lambdas))]
     return [rel.VerificationReport("qdiff-derive", fd.family,
                                    fd.spec.sorted_params(), entries, "pass")]
@@ -153,9 +154,9 @@ IDENTITIES = {
     "coeff-match": (ALL, _run_coeff_match),
     "eigen": (ALL, lambda fd, a: [rel.check_eigen(fd, range(0, a.n_max + 1))]),
     "gamma-lambda": (ALL, lambda fd, a: [rel.check_gamma_lambda(fd, range(0, a.n_max + 1))]),
-    "commutator": (ALL, lambda fd, a: [rel.check_commutator(fd.spec, a.degree_cap)]),
+    "commutator": (ALL, lambda fd, a: [rel.check_commutator(fd, a.degree_cap)]),
     "d-from-l": ((fam.AW, fam.JACOBI, "continuous-q-jacobi", fam.CQU),
-                 lambda fd, a: [rel.check_d_from_l(fd.spec, a.degree_cap)]),
+                 lambda fd, a: [rel.check_d_from_l(fd, a.degree_cap)]),
     "string": ((fam.JACOBI,),
                lambda fd, a: [rel.check_string_jacobi(fd.spec, a.degree_cap)]),
     "skew-l": (ALL, lambda fd, a: [rel.check_skew_l(fd, _basis_deg(a))]),
@@ -209,7 +210,34 @@ def coerced_config(path: str) -> dict:
 # subcommands
 # ----------------------------------------------------------------------
 
+#: what a checker raises when the algebra it relies on breaks down; each
+#: becomes a failing report for its (identity, point), not a lost batch
+CHECK_ERRORS = (rel.NoSolution, rel.VerificationFailure, NonzeroRemainder,
+                fam.ExpansionError)
+
+
+def _check_ranges(args) -> None:
+    for flag, value, least in (("--n-max", args.n_max, 1), ("--samples", args.samples, 1),
+                               ("--degree-cap", args.degree_cap, 0)):
+        if value < least:
+            raise ValueError(f"{flag} must be at least {least}, got {value}")
+
+
+def _run_identity(ident: str, fd, args) -> list:
+    _, runner = IDENTITIES[ident]
+    try:
+        return runner(fd, args)
+    except CHECK_ERRORS as exc:
+        text = f"{type(exc).__name__}: {exc}"
+        point = ",".join(f"{k}={v}" for k, v in fd.spec.sorted_params().items())
+        print(f"error: {ident} on {fd.family} at {point}: {text}", file=sys.stderr)
+        return [rel.VerificationReport(ident, fd.family, fd.spec.sorted_params(),
+                                       [rel.ResidualEntry(None, False)], "fail",
+                                       {"error": text})]
+
+
 def run_verify(args) -> int:
+    _check_ranges(args)
     families = list(ALL) if args.family == "all" else [args.family]
     reports = []
     build_n = max(args.n_max + 1, 11)
@@ -224,15 +252,16 @@ def run_verify(args) -> int:
                                      n_max=build_n)
         for spec in specs:
             fd = fam.build_family(spec, build_n)
+            # a runner may report several identities (the eq42/eq41 chain);
+            # one already reported at this point is not run again
+            done = set()
             for ident in idents:
-                _, runner = IDENTITIES[ident]
-                got = runner(fd, args)
-                for rep in got:
-                    if rep.identity_id in (ident, "eq42", "eq41") or args.identity == "all":
+                if ident in done:
+                    continue
+                for rep in _run_identity(ident, fd, args):
+                    done.add(rep.identity_id)
+                    if rep.identity_id in idents:
                         reports.append(rep)
-    # the chain runner returns both eq42 and eq41; drop the one not asked for
-    if args.identity in ("eq41", "eq42"):
-        reports = [r for r in reports if r.identity_id == args.identity]
     seen = set()
     unique = []
     for r in reports:

@@ -12,6 +12,10 @@ degree up to a cap, the polynomial p_n together with
   lam_n   eigenvalue of the family's second-order operator, lam_0 = 0
   gamma_n slope of the skew operator, gamma_n = lam_{n+1} - lam_n
 
+Each FamilyData also owns the point's operators L and D and its derived
+second-order q-difference equation, built on first use and dropped with
+the FamilyData, so every check at one point shares them.
+
 Families whose literature data stops at the recurrence (big q-Jacobi
 beyond the hypergeometric sum, the middle recurrence coefficient of
 continuous q-Jacobi) source the missing numbers from exact expansion,
@@ -23,6 +27,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import prod
 from typing import Mapping, Sequence, Union
 
 from .laurent import SymLaurentPoly, XPoly, sym_to_x, x_to_sym, _frac
@@ -182,6 +188,10 @@ def validate_spec(spec: FamilySpec, n_max: int = 16) -> None:
         raise InadmissibleParameters("q must lie in (0,1)")
     if spec.family == AW:
         _validate_aw(spec.params, n_max)
+        # only the Askey-Wilson family itself reads B_0 from the closed
+        # form, which divides by 1 - abcd q^-2
+        if prod(spec.params[k] for k in "abcd") == q * q:
+            raise InadmissibleParameters("abcd = q^2 leaves B_0 undefined")
     elif spec.family in (CQJ49, CQJ09):
         _validate_aw(cqjacobi_aw_spec(spec, 49).params, n_max)
         _validate_aw(cqjacobi_aw_spec(spec, 9).params, n_max)
@@ -318,6 +328,30 @@ class FamilyData:
     @property
     def family(self) -> str:
         return self.spec.family
+
+    # The point's operators and derived equation: built on first use, kept
+    # in the instance dict, and so dropped with the FamilyData.  The
+    # modules that make them are imported here, as they import this one.
+
+    @cached_property
+    def L(self):
+        """The family's skew operator L (:func:`operators.family_L`)."""
+        from . import operators
+        return operators.family_L(self.spec)
+
+    @cached_property
+    def D(self):
+        """The family's second-order operator D; rebuilt from :attr:`L`
+        when the family has no explicit one (:func:`operators.family_D`)."""
+        from . import operators
+        return operators.family_D(self.spec, self.L)
+
+    @cached_property
+    def qdiff(self):
+        """The second-order q-difference equation derived from this data
+        (:func:`relations.derive_second_order_qdiff`)."""
+        from . import relations
+        return relations.derive_second_order_qdiff(self)
 
     def poly_native(self, f):
         """Coerce an XPoly into the family's native space if needed."""

@@ -23,6 +23,7 @@ immutable after construction and all operations are pure functions.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb, lcm
 from typing import Iterable, Union
 
 #: the coefficient field used everywhere in this package
@@ -421,39 +422,84 @@ class XPoly:
 
 
 # -- conversions between the x and z pictures ---------------------------
+#
+# Both directions are sums over two integer tables, each extended on first
+# use to the largest degree asked for (row k has k + 1 entries):
+#
+#   _X_POWERS[n][k]   2^n x^n = sum_j C(n, j) z^(n-2j), so the entry is
+#                     C(n, (n-k)/2) when n - k is even and 0 otherwise;
+#   _SYM_BASIS[k]     x-coefficients of z^k + z^-k = 2 T_k(x) for k >= 1
+#                     (row 0 is the constant 1), from the Chebyshev
+#                     recurrence 2T_{k+1} = 2x * 2T_k - 2T_{k-1}, 2T_0 = 2.
+#
+# A degree-k conversion is then O(k^2) integer products and k divisions.
+
+_X_POWERS: list = [(1,)]
+_SYM_BASIS: list = [(1,), (0, 2)]
+
+
+def _x_power_row(n: int) -> tuple:
+    while len(_X_POWERS) <= n:
+        m = len(_X_POWERS)
+        _X_POWERS.append(tuple(comb(m, (m - k) // 2) if (m - k) % 2 == 0 else 0
+                               for k in range(m + 1)))
+    return _X_POWERS[n]
+
+
+def _sym_basis_row(k: int) -> tuple:
+    while len(_SYM_BASIS) <= k:
+        t1 = _SYM_BASIS[-1]
+        t0 = _SYM_BASIS[-2] if len(_SYM_BASIS) > 2 else (2,)   # 2 T_0 = 2, not 1
+        row = [0] + [2 * c for c in t1]
+        for i, c in enumerate(t0):
+            row[i] -= c
+        _SYM_BASIS.append(tuple(row))
+    return _SYM_BASIS[k]
+
+
+def _combine(coeffs, rows) -> list:
+    """sum_k coeffs[k] * rows[k] for integer rows no longer than coeffs.
+
+    The sum runs over one common denominator, so each output coefficient
+    costs one gcd instead of one per term.
+    """
+    den = lcm(*(c.denominator for c in coeffs))
+    acc = [0] * len(coeffs)
+    for c, row in zip(coeffs, rows):
+        if c:
+            m = c.numerator * (den // c.denominator)
+            for i, v in enumerate(row):
+                if v:
+                    acc[i] += m * v
+    return [Fraction(a, den) for a in acc]
+
 
 def x_monomial_sym(n: int) -> SymLaurentPoly:
-    """x^n written as a symmetric Laurent polynomial, x = (z + 1/z)/2."""
-    return x_to_sym(XPoly((Fraction(0),) * n + (Fraction(1),)))
+    """x^n written as a symmetric Laurent polynomial, x = (z + 1/z)/2:
+    x^n = 2^-n sum_j C(n, j) z^(n-2j)."""
+    return SymLaurentPoly([Fraction(v, 1 << n) for v in _x_power_row(n)])
 
 
 def x_to_sym(p: XPoly) -> SymLaurentPoly:
-    """Substitute x = (z + 1/z)/2 into p."""
-    out = SymLaurentPoly()
-    power = SymLaurentPoly([Fraction(1)])
-    xs = SymLaurentPoly([Fraction(0), Fraction(1, 2)])
-    for i, c in enumerate(p.coeffs):
-        if i:
-            power = power * xs
-        if c:
-            out = out + power.scale(c)
-    return out
+    """Substitute x = (z + 1/z)/2 into p, using
+    x^n = 2^-n sum_j C(n, j) z^(n-2j) from a cached binomial table."""
+    if p.is_zero:
+        return SymLaurentPoly()
+    coeffs = [c / (1 << n) for n, c in enumerate(p.coeffs)]
+    rows = [_x_power_row(n) for n in range(len(coeffs))]
+    return SymLaurentPoly(_combine(coeffs, rows))
 
 
 def sym_to_x(f: SymLaurentPoly) -> XPoly:
     """Inverse of :func:`x_to_sym`: the unique p with p((z+1/z)/2) = f[z].
 
-    Works by eliminating the top coefficient against x^k, whose leading
-    symmetric coefficient is 2^-k.
+    Reads f[z] = c_0 + sum_k c_k (z^k + z^-k) through z^k + z^-k = 2 T_k(x),
+    with the integer Chebyshev coefficients taken from a cached table.
     """
-    rem = f
-    out = [Fraction(0)] * (len(f.c) or 1)
-    while not rem.is_zero:
-        k = rem.degree
-        ck = rem.c[k] * 2 ** k
-        out[k] = ck
-        rem = rem - x_monomial_sym(k).scale(ck)
-    return XPoly(out)
+    if f.is_zero:
+        return XPoly()
+    rows = [_sym_basis_row(k) for k in range(len(f.c))]
+    return XPoly(_combine(f.c, rows))
 
 
 def dilate(f: LaurentPoly, r: Rat) -> LaurentPoly:

@@ -5,8 +5,9 @@ the reconstruction of D from L.
 A :class:`PolyOperator` wraps an exact action together with its matrix
 columns in the graded monomial basis {1, x, x^2, ...} (for symmetric
 Laurent spaces the basis element x^j means ((z + 1/z)/2)^j).  Columns
-are computed lazily and cached; after construction an operator is
-immutable and freely shareable.
+and images are computed lazily and cached on the operator; what an
+operator computes never changes after construction, so it is freely
+shareable.
 """
 
 from __future__ import annotations
@@ -17,13 +18,22 @@ from typing import Callable, Union
 from .families import (FamilySpec, AW, JACOBI, CQJ49, CQJ09, CQU, BIGQ,
                        cqjacobi_aw_spec, cqultra_aw_spec)
 from .laurent import (LaurentPoly, SymLaurentPoly, XPoly, Z_MINUS_ZINV,
-                      sym_to_x, x_to_sym, _frac)
+                      sym_to_x, x_monomial_sym, _frac)
 
 Poly = Union[SymLaurentPoly, XPoly]
 
 
 class PolyOperator:
-    """A linear operator given by an exact action on one polynomial space."""
+    """A linear operator given by an exact action on one polynomial space.
+
+    Each operator memoizes what it computes: ``op(f)`` keeps the image of
+    every input f (polynomials are immutable and hashable), and
+    ``column(j)`` keeps the x-coordinates of the image of x^j.  Both caches
+    live exactly as long as the operator.  A family's own L and D belong
+    to its :class:`~qaskey.families.FamilyData`, so the checks at one
+    parameter point share their images, and both are dropped with the
+    point; operators built inside a check are dropped with the check.
+    """
 
     def __init__(self, action: Callable[[Poly], Poly], space: str,
                  degree_shift: int, name: str = ""):
@@ -32,19 +42,24 @@ class PolyOperator:
         self.degree_shift = degree_shift
         self.name = name
         self._columns: dict[int, tuple] = {}
+        self._images: dict = {}
 
     def __call__(self, f: Poly) -> Poly:
-        return self.action(f)
+        out = self._images.get(f)
+        if out is None:
+            out = self._images[f] = self.action(f)
+        return out
 
     def basis(self, j: int) -> Poly:
-        mono = XPoly((Fraction(0),) * j + (Fraction(1),))
-        return x_to_sym(mono) if self.space == "sym" else mono
+        if self.space == "sym":
+            return x_monomial_sym(j)
+        return XPoly((Fraction(0),) * j + (Fraction(1),))
 
     def column(self, j: int) -> tuple:
         """x-coordinates of the image of x^j (padded by the caller)."""
         col = self._columns.get(j)
         if col is None:
-            out = self.action(self.basis(j))
+            out = self(self.basis(j))
             if isinstance(out, SymLaurentPoly):
                 out = sym_to_x(out)
             col = out.coeffs
@@ -317,13 +332,14 @@ def family_L(spec: FamilySpec) -> PolyOperator:
             CQJ09: cqjacobi_L, CQU: cqultra_L, BIGQ: bigq_L}[spec.family](spec)
 
 
-def family_D(spec: FamilySpec) -> PolyOperator:
-    """The explicit symmetric operator, or its reconstruction from L."""
+def family_D(spec: FamilySpec, L: PolyOperator | None = None) -> PolyOperator:
+    """The explicit symmetric operator, or its reconstruction from L (the
+    given operator, else a fresh ``family_L(spec)``)."""
     table = {AW: aw_D, JACOBI: jacobi_D, CQJ49: cqjacobi_D,
              CQJ09: cqjacobi_D, CQU: cqultra_D}
     if has_explicit_D(spec):
         return table[spec.family](spec)
-    return d_from_l(family_L(spec))
+    return d_from_l(L if L is not None else family_L(spec))
 
 
 def has_explicit_D(spec: FamilySpec) -> bool:

@@ -96,6 +96,13 @@ def _p1(value: Fraction, perturb, slot: str) -> Fraction:
     return value + 1 if perturb == slot else value
 
 
+def _below(fd: FamilyData, n: int):
+    """p_{n-1}, read as the zero polynomial at n = 0 (the convention C_0 = 0)."""
+    if n < 0:
+        raise ValueError(f"degree {n} is negative")
+    return fd.polys[n - 1] if n else type(fd.polys[0])()
+
+
 def _xminusB(fd: FamilyData, n: int):
     """(x - B_n) p_n in the family's native space."""
     if fd.space == "sym":
@@ -109,12 +116,12 @@ def _xminusB(fd: FamilyData, n: int):
 # ----------------------------------------------------------------------
 
 def check_structure(fd: FamilyData, ns: Iterable[int], perturb=None) -> VerificationReport:
-    L = ops.family_L(fd.spec)
+    L = fd.L
     entries = []
     for n in ns:
         plus = _p1(fd.gamma[n] * fd.A[n], perturb, "plus")
         minus = _p1(-fd.gamma[n - 1] * fd.C[n], perturb, "minus")
-        resid = L(fd.polys[n]) - fd.polys[n + 1].scale(plus) - fd.polys[n - 1].scale(minus)
+        resid = L(fd.polys[n]) - fd.polys[n + 1].scale(plus) - _below(fd, n).scale(minus)
         entries.append(_entry(n, resid))
     return _close("eq28", fd, entries)
 
@@ -159,14 +166,14 @@ def _explicit_coeffs(fd: FamilyData, n: int):
 def check_explicit_structure(fd: FamilyData, ns: Iterable[int], perturb=None) -> VerificationReport:
     """The family's explicit structure relation with its closed-form
     right-hand coefficients (one residual entry per degree)."""
-    L = ops.family_L(fd.spec)
+    L = fd.L
     ident = None
     entries = []
     for n in ns:
         ident, plus, minus = _explicit_coeffs(fd, n)
         plus = _p1(plus, perturb, "plus")
         minus = _p1(minus, perturb, "minus")
-        resid = L(fd.polys[n]) - fd.polys[n + 1].scale(plus) - fd.polys[n - 1].scale(minus)
+        resid = L(fd.polys[n]) - fd.polys[n + 1].scale(plus) - _below(fd, n).scale(minus)
         entries.append(_entry(n, resid))
     return _close(ident or "eq28", fd, entries)
 
@@ -209,25 +216,25 @@ def check_structure_tilde(fd: FamilyData, ns: Iterable[int], perturb=None) -> Ve
     for n in ns:
         plus = _p1(cqjacobi_gamma_tilde(n, fd.spec) * fd.A[n], perturb, "plus")
         minus = _p1(-cqjacobi_gamma_tilde(n - 1, fd.spec) * fd.C[n], perturb, "minus")
-        resid = Lt(fd.polys[n]) - fd.polys[n + 1].scale(plus) - fd.polys[n - 1].scale(minus)
+        resid = Lt(fd.polys[n]) - fd.polys[n + 1].scale(plus) - _below(fd, n).scale(minus)
         entries.append(_entry(n, resid))
     return _close("eq59t", fd, entries)
 
 
 def check_lowering(fd: FamilyData, ns: Iterable[int], perturb=None) -> VerificationReport:
-    L = ops.family_L(fd.spec)
+    L = fd.L
     entries = []
     for n in ns:
         g, gm = fd.gamma[n], fd.gamma[n - 1]
         rhs = _p1(-(g + gm) * fd.C[n], perturb, "rhs")
         slope = _p1(g, perturb, "slope")
-        resid = _xminusB(fd, n).scale(-slope) + L(fd.polys[n]) - fd.polys[n - 1].scale(rhs)
+        resid = _xminusB(fd, n).scale(-slope) + L(fd.polys[n]) - _below(fd, n).scale(rhs)
         entries.append(_entry(n, resid))
     return _close("eq31", fd, entries)
 
 
 def check_raising(fd: FamilyData, ns: Iterable[int], perturb=None) -> VerificationReport:
-    L = ops.family_L(fd.spec)
+    L = fd.L
     entries = []
     for n in ns:
         g, gm = fd.gamma[n], fd.gamma[n - 1]
@@ -259,20 +266,20 @@ def _aw_raising_pieces(fd: FamilyData, n: int):
 
 def check_aw_lowering(fd: FamilyData, ns: Iterable[int], perturb=None) -> VerificationReport:
     """L p_n - (abcd q^n - q^-n)(z + 1/z - 2 B_n) p_n = <six factors> p_{n-1}."""
-    L = ops.family_L(fd.spec)
+    L = fd.L
     entries = []
     for n in ns:
         mult, rhs = _aw_lowering_pieces(fd, n)
         mult = _p1(mult, perturb, "mult")
         rhs = _p1(rhs, perturb, "rhs")
         resid = (L(fd.polys[n]) - _xminusB(fd, n).scale(2 * mult)
-                 - fd.polys[n - 1].scale(rhs))
+                 - _below(fd, n).scale(rhs))
         entries.append(_entry(n, resid))
     return _close("eq76", fd, entries)
 
 
 def check_aw_raising(fd: FamilyData, ns: Iterable[int], perturb=None) -> VerificationReport:
-    L = ops.family_L(fd.spec)
+    L = fd.L
     entries = []
     for n in ns:
         mult, rhs = _aw_raising_pieces(fd, n)
@@ -291,8 +298,8 @@ def check_bangerezako(fd: FamilyData, ns: Iterable[int], perturb=None) -> Verifi
     non-symmetric Laurent multiple of the eigen-residual, so the whole
     identity is checked in the full Laurent space.
     """
-    D = ops.family_D(fd.spec)
-    L = ops.family_L(fd.spec)
+    D = fd.D
+    L = fd.L
     q = fd.spec.q
     gz = (LaurentPoly(1, (Fraction(1),)) - LaurentPoly(-1, (q,))).scale((1 - 1 / q) / 2)
     entries = []
@@ -302,7 +309,7 @@ def check_bangerezako(fd: FamilyData, ns: Iterable[int], perturb=None) -> Verifi
         extra = gz * eigen.to_laurent()
         mult, rhs = _aw_lowering_pieces(fd, n)
         low = (L(fd.polys[n]) - _xminusB(fd, n).scale(2 * mult)
-               - fd.polys[n - 1].scale(rhs)).to_laurent() + extra
+               - _below(fd, n).scale(rhs)).to_laurent() + extra
         entries.append(_entry(n, low))
         mult, rhs = _aw_raising_pieces(fd, n)
         high = (L(fd.polys[n]) + _xminusB(fd, n).scale(2 * mult)
@@ -318,7 +325,7 @@ def check_bangerezako(fd: FamilyData, ns: Iterable[int], perturb=None) -> Verifi
 def check_bispectral(fd: FamilyData, ns: Iterable[int], perturb=None) -> VerificationReport:
     """[D, X] p_n against the sequence-side commutator
     A_n (lam_{n+1} - lam_n) p_{n+1} + C_n (lam_{n-1} - lam_n) p_{n-1}."""
-    D = ops.family_D(fd.spec)
+    D = fd.D
     X = ops.op_x(fd.space)
     entries = []
     for n in ns:
@@ -338,7 +345,7 @@ def residual_q_bispectral(fd: FamilyData, ns: Iterable[int], perturb=None) -> Ve
     exponent (build the Askey-Wilson point with q = s^2).
     """
     sq = fd.spec.qpow(Fraction(1, 2))
-    D = ops.family_D(fd.spec)
+    D = fd.D
     X = ops.op_x(fd.space)
     entries = []
     for n in ns:
@@ -414,7 +421,7 @@ def check_cqultra_relation(fd: FamilyData, ns: Iterable[int], which: str,
         if which == "eq51":
             num = (zm2 - LaurentPoly(0, (t,))) * up + (LaurentPoly(0, (t,)) - z2) * dn
             lhs = num.divide_exact(Z_MINUS_ZINV) + (zpz * Cn).scale(qin)
-            rhs = fd.polys[n - 1].to_laurent().scale(
+            rhs = _below(fd, n).to_laurent().scale(
                 _p1(qin - t * t * qn / q, perturb, "rhs"))
             entries.append(_entry(n, lhs - rhs))
         elif which == "eq52":
@@ -428,7 +435,7 @@ def check_cqultra_relation(fd: FamilyData, ns: Iterable[int], which: str,
             lhs = m1 * up + m1.invert_z() * dn
             rhs = (fd.polys[n + 1].to_laurent().scale(
                 _p1(qin * (1 - q ** (n + 1)), perturb, "rhs"))
-                - fd.polys[n - 1].to_laurent().scale(qin * (1 - t * t * q ** (n - 1))))
+                - _below(fd, n).to_laurent().scale(qin * (1 - t * t * q ** (n - 1))))
             entries.append(_entry(n, lhs - rhs))
         elif which == "eq55":
             a1 = one - tz2
@@ -437,7 +444,7 @@ def check_cqultra_relation(fd: FamilyData, ns: Iterable[int], which: str,
             lhs = num.divide_exact(Z_MINUS_ZINV)
             coef = _p1((qin + t * qn) / (1 - t * q ** n), perturb, "rhs")
             rhs = (fd.polys[n + 1].to_laurent().scale(coef * (1 - q ** (n + 1)))
-                   + fd.polys[n - 1].to_laurent().scale(coef * (1 - t * t * q ** (n - 1))))
+                   + _below(fd, n).to_laurent().scale(coef * (1 - t * t * q ** (n - 1))))
             entries.append(_entry(n, lhs - rhs))
         elif which == "qdiff2":
             a1 = (one - tz2) * (one - zm2)
@@ -463,7 +470,7 @@ def check_cqultra_combination(fd: FamilyData, ns: Iterable[int], perturb=None) -
     q = fd.spec.q
     u, v = (p - 1) / 2, -(p + 1) / 2
     u = _p1(u, perturb, "u")
-    L = ops.cqultra_L(fd.spec)
+    L = fd.L
     entries = []
     printed_ok = True
     for n in ns:
@@ -499,7 +506,7 @@ def check_cqultra_combination(fd: FamilyData, ns: Iterable[int], perturb=None) -
 def check_cqultra_nonskew(fd: FamilyData, max_deg: int, perturb=None) -> VerificationReport:
     """The eq53 operator is *not* skew symmetric; this check passes only
     when the skew residual is nonzero (entry.zero encodes "passed")."""
-    op = ops.cqultra_L(fd.spec) if perturb == "op" else ops.cqultra_nonskew_op(fd.spec)
+    op = fd.L if perturb == "op" else ops.cqultra_nonskew_op(fd.spec)
     res = skew_symmetry_residual(op, fd, max_deg)
     entries = [ResidualEntry(max_deg, res != 0)]
     return _close("eq53-nonskew", fd, entries, skew_residual=str(res))
@@ -510,7 +517,7 @@ def check_cqultra_nonskew(fd: FamilyData, max_deg: int, perturb=None) -> Verific
 # ----------------------------------------------------------------------
 
 def check_eigen(fd: FamilyData, ns: Iterable[int], perturb=None) -> VerificationReport:
-    D = ops.family_D(fd.spec)
+    D = fd.D
     entries = []
     for n in ns:
         lam = _p1(fd.lam[n], perturb, "lambda")
@@ -526,26 +533,26 @@ def check_gamma_lambda(fd: FamilyData, ns: Iterable[int], perturb=None) -> Verif
     return _close("gamma-lambda", fd, entries)
 
 
-def check_commutator(spec: FamilySpec, max_deg: int, perturb=None) -> VerificationReport:
-    """[D, X] = L, column by column up to the degree cap."""
-    D = ops.family_D(spec)
+def check_commutator(fd: FamilyData, max_deg: int, perturb=None) -> VerificationReport:
+    """[D, X] = L, column by column up to the degree cap, for the point's
+    own operators."""
+    D = fd.D
     if perturb == "normalization":
         inner_D = D
         D = ops.PolyOperator(lambda f: inner_D(f).scale(2), inner_D.space, 0, "2D")
     comm = ops.commutator(D, ops.op_x(D.space))
-    L = ops.family_L(spec)
+    L = fd.L
     entries = []
     for j in range(max_deg + 1):
         entries.append(_entry(j, XPoly(comm.column(j)) - XPoly(L.column(j))))
-    return _close("commutator", spec, entries)
+    return _close("commutator", fd, entries)
 
 
-def check_d_from_l(spec: FamilySpec, max_deg: int, perturb=None) -> VerificationReport:
-    """D rebuilt from L differs from the explicit D by a scalar multiple
-    of the identity (the scalar is lam_0 of the explicit D, here 0)."""
-    L = ops.family_L(spec)
-    D2 = ops.d_from_l(L)
-    D1 = ops.family_D(spec)
+def check_d_from_l(fd: FamilyData, max_deg: int, perturb=None) -> VerificationReport:
+    """D rebuilt from the point's L differs from the point's D by a scalar
+    multiple of the identity (the scalar is lam_0 of the explicit D, here 0)."""
+    D2 = ops.d_from_l(fd.L)
+    D1 = fd.D
     if perturb == "normalization":
         base = D1
         D1 = ops.PolyOperator(lambda f: base(f).scale(2), base.space, 0, "2D")
@@ -559,7 +566,7 @@ def check_d_from_l(spec: FamilySpec, max_deg: int, perturb=None) -> Verification
         if const is None:
             const = cj
         entries.append(_entry(j, cj - const))
-    return _close("d-from-l", spec, entries, identity_multiple=str(const))
+    return _close("d-from-l", fd, entries, identity_multiple=str(const))
 
 
 def check_string_jacobi(spec: FamilySpec, max_deg: int, perturb=None) -> VerificationReport:
@@ -579,7 +586,7 @@ def check_string_jacobi(spec: FamilySpec, max_deg: int, perturb=None) -> Verific
 
 
 def check_skew_l(fd: FamilyData, max_deg: int, perturb=None) -> VerificationReport:
-    op = ops.family_L(fd.spec)
+    op = fd.L
     if perturb == "op":
         base = op
         op = ops.PolyOperator(lambda f: base(f) + f, base.space, base.degree_shift, "L+1")
@@ -588,9 +595,9 @@ def check_skew_l(fd: FamilyData, max_deg: int, perturb=None) -> VerificationRepo
 
 
 def check_sym_d(fd: FamilyData, max_deg: int, perturb=None) -> VerificationReport:
-    op = ops.family_D(fd.spec)
+    op = fd.D
     if perturb == "op":
-        D, L = op, ops.family_L(fd.spec)
+        D, L = op, fd.L
         op = ops.PolyOperator(lambda f: D(f) + L(f), D.space, 1, "D+L")
     res = symmetry_residual(op, fd, max_deg)
     return _close("sym-d", fd, [_entry(max_deg, res)])
@@ -599,7 +606,7 @@ def check_sym_d(fd: FamilyData, max_deg: int, perturb=None) -> VerificationRepor
 def check_sym_x(fd: FamilyData, max_deg: int, perturb=None) -> VerificationReport:
     op = ops.op_x(fd.space)
     if perturb == "op":
-        X, L = op, ops.family_L(fd.spec)
+        X, L = op, fd.L
         op = ops.PolyOperator(lambda f: X(f) + L(f), X.space, 1, "X+L")
     res = symmetry_residual(op, fd, max_deg)
     return _close("sym-x", fd, [_entry(max_deg, res)])
@@ -662,7 +669,7 @@ def check_classic_jacobi_structure(fd: FamilyData, ns: Iterable[int],
         plus = _p1(plus, perturb, "plus")
         lhs = one_minus_x2 * fd.polys[n].derivative()
         rhs = (fd.polys[n + 1].scale(plus) + fd.polys[n].scale(mid)
-               + fd.polys[n - 1].scale(minus))
+               + _below(fd, n).scale(minus))
         entries.append(_entry(n, lhs - rhs))
     return _close("eq02", fd, entries)
 
@@ -916,8 +923,9 @@ def _eigen_rays(basis, nA, nE):
 def check_qdiff_recovery(fd: FamilyData, reference_lambdas, perturb=None) -> VerificationReport:
     """Some derived equation's eigenvalues must be proportional to the
     reference ones (degenerate points may carry extra equations; the
-    reference one has to be among them)."""
-    qd = derive_second_order_qdiff(fd)
+    reference one has to be among them).  Uses the point's derived
+    equation, :attr:`FamilyData.qdiff`."""
+    qd = fd.qdiff
     ref1 = reference_lambdas[1]
     best = None
     for cand in (qd,) + qd.alternates:
@@ -938,11 +946,12 @@ def reduce_bigq_chain(fd: FamilyData, ns: Iterable[int], perturb=None) -> tuple:
     the (x-1)(bx+c) D_q form, eliminating p_n(x/q) with the derived
     q-difference equation and then x p_n with the recurrence.
 
-    Returns (eq42 report, eq41 report).
+    Returns (eq42 report, eq41 report).  Uses the point's derived
+    equation, :attr:`FamilyData.qdiff`.
     """
     spec = fd.spec
     a, b, c, q = (spec.params[k] for k in "abcq")
-    qd = derive_second_order_qdiff(fd)
+    qd = fd.qdiff
     G = XPoly([1, b / c - 1, -b / c])                    # (1-x)(1+ b x / c)
     M = XPoly([1, 1 / (c * q) - 1 / (a * q), -1 / (a * c * q * q)])
     J = qd.C * G + M * qd.A
@@ -966,14 +975,14 @@ def reduce_bigq_chain(fd: FamilyData, ns: Iterable[int], perturb=None) -> tuple:
         lhs = shape * q_derivative(fd.polys[n], q)
         rhs42 = (fd.polys[n + 1].scale(_p1(alpha_n, perturb, "alpha"))
                  + (XPoly([beta, delta]) * fd.polys[n])
-                 + fd.polys[n - 1].scale(gamma_n))
+                 + _below(fd, n).scale(gamma_n))
         entries42.append(_entry(n, lhs - rhs42))
         at = alpha_n + delta * fd.A[n]
         bt = beta + delta * fd.B[n]
         ct = gamma_n + delta * fd.C[n]
         at = _p1(at, perturb, "a-tilde")
         rhs41 = (fd.polys[n + 1].scale(at) + fd.polys[n].scale(bt)
-                 + fd.polys[n - 1].scale(ct))
+                 + _below(fd, n).scale(ct))
         entries41.append(_entry(n, lhs - rhs41))
     return (_close("eq42", fd, entries42), _close("eq41", fd, entries41))
 

@@ -82,9 +82,9 @@ class TestCriterion3OperatorMatrices:
         reports = []
         for family, fds in grids.items():
             for fd in fds:
-                reports.append(rel.check_commutator(fd.spec, self.DEG))
+                reports.append(rel.check_commutator(fd, self.DEG))
                 if family != fam.BIGQ:
-                    rep = rel.check_d_from_l(fd.spec, self.DEG)
+                    rep = rel.check_d_from_l(fd, self.DEG)
                     reports.append(rep)
                     assert rep.notes["identity_multiple"] == "0"
         for fd in grids[fam.JACOBI]:
@@ -227,8 +227,8 @@ class TestCriterion9NegativeControls:
             "eq71": lambda s: rel.check_bispectral(aw, one, perturb=s),
             "eigen": lambda s: rel.check_eigen(cqu, one, perturb=s),
             "gamma-lambda": lambda s: rel.check_gamma_lambda(bigq, one, perturb=s),
-            "commutator": lambda s: rel.check_commutator(aw.spec, 4, perturb=s),
-            "d-from-l": lambda s: rel.check_d_from_l(aw.spec, 4, perturb=s),
+            "commutator": lambda s: rel.check_commutator(aw, 4, perturb=s),
+            "d-from-l": lambda s: rel.check_d_from_l(aw, 4, perturb=s),
             "string": lambda s: rel.check_string_jacobi(jac.spec, 4, perturb=s),
             "sklyanin": lambda s: rel.check_sklyanin(aw.spec, F(2), 4, perturb=s),
             "eq02": lambda s: rel.check_classic_jacobi_structure(jac, one, perturb=s),

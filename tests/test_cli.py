@@ -1,8 +1,10 @@
+import hashlib
 import json
 
 import pytest
 
 from qaskey import cli
+from qaskey import relations as rel
 
 
 def run(argv):
@@ -84,6 +86,40 @@ class TestVerify:
         assert run(["verify", "--family", "askey-wilson", "--identity", "eq18",
                     "--params", "a=1/3"]) == 2
 
+    @pytest.mark.parametrize("flag,value", [("--n-max", "0"), ("--n-max", "-3"),
+                                            ("--samples", "0"), ("--degree-cap", "-1")])
+    def test_empty_range_rejected(self, flag, value, capsys):
+        assert run(["verify", "--family", "jacobi", "--identity", "eq26",
+                    flag, value]) == 2
+        assert flag in capsys.readouterr().err
+
+    def test_abcd_equal_q_squared_rejected(self, capsys):
+        # abcd = (1/6)^2 = q^2: the closed form of B_0 would divide by zero
+        assert run(["verify", "--params", "a=-1/2,b=-1/3,c=-1/2,d=-1/3,q=1/6"]) == 2
+        assert "error: abcd = q^2" in capsys.readouterr().err
+
+    def test_raising_checker_is_a_recorded_failure(self, tmp_path, capsys):
+        # two of a, b, c, d are sqrt(q) and -sqrt(q): the derivation raises NoSolution
+        rep = tmp_path / "r.json"
+        code = run(["verify", "--family", "askey-wilson", "--identity", "qdiff-derive",
+                    "--params", "a=-4/5,b=-1/2,c=-1/2,d=1/2,q=1/4",
+                    "--no-timestamp", "--report", str(rep)])
+        assert code == 1
+        rows = json.loads(rep.read_text())["results"]
+        assert [(r["identity_id"], r["status"]) for r in rows] == [("qdiff-derive", "fail")]
+        assert "NoSolution" in capsys.readouterr().err
+
+    def test_bigq_chain_and_derivation_run_once_per_point(self, tmp_path, monkeypatch):
+        calls = []
+        for name in ("derive_second_order_qdiff", "reduce_bigq_chain"):
+            real = getattr(rel, name)
+            monkeypatch.setattr(rel, name,
+                                lambda *a, _r=real, _n=name: calls.append(_n) or _r(*a))
+        assert run(["verify", "--family", "big-q-jacobi", "--identity", "all",
+                    "--samples", "2", "--n-max", "4", "--no-timestamp",
+                    "--report", str(tmp_path / "r.json")]) == 0
+        assert sorted(calls) == ["derive_second_order_qdiff"] * 2 + ["reduce_bigq_chain"] * 2
+
 
 class TestConfig:
     def test_config_file_defaults_and_override(self, tmp_path):
@@ -154,3 +190,17 @@ class TestFullGridSmoke:
                          "gamma-lambda", "commutator", "d-from-l", "string",
                          "skew-l", "sym-d", "sym-x", "orthogonality", "dual-path"):
             assert expected in idents, expected
+
+
+class TestReportBytes:
+    # sha256 of the report of every identity on one point per family at
+    # seed 1.  Exactness means a faster path must leave these bytes alone;
+    # the digest changes only together with a CHANGES.md entry that says
+    # why the report changed.
+    DIGEST = "303bdcb47b7bdc07311a9febca7ed4bf6af0fa698a198ec882d08546d532eaa1"
+
+    def test_full_grid_digest(self, tmp_path):
+        rep = tmp_path / "all.json"
+        assert run(["verify", "--family", "all", "--identity", "all", "--samples", "1",
+                    "--seed", "1", "--no-timestamp", "--report", str(rep)]) == 0
+        assert hashlib.sha256(rep.read_bytes()).hexdigest() == self.DIGEST

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qaskey.laurent import (LaurentPoly, NonzeroRemainder, SymLaurentPoly,
                             XPoly, Z_MINUS_ZINV, sym_to_x, x_monomial_sym,
@@ -182,3 +183,38 @@ class TestXPoly:
         assert x_monomial_sym(0) == SymLaurentPoly([1])
         # x^2 = ((z+1/z)/2)^2 = (z^2 + 2 + z^-2)/4
         assert x_monomial_sym(2) == SymLaurentPoly([F(1, 2), 0, F(1, 4)])
+
+
+# Direct evaluation at rational z uses neither conversion table, so it is
+# an oracle for both: x = (z + 1/z)/2 links the two pictures pointwise.
+_Z = (F(2), F(-3), F(1, 3), F(5, 7), F(-11, 4))
+_COEFFS = st.lists(st.fractions(min_value=-50, max_value=50, max_denominator=30),
+                   max_size=41)
+
+
+class TestConversionOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(_COEFFS)
+    def test_x_to_sym_pointwise(self, cs):
+        p = XPoly(cs)
+        f = x_to_sym(p)
+        for z in _Z:
+            assert f(z) == p((z + 1 / z) / 2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_COEFFS)
+    def test_sym_to_x_pointwise(self, cs):
+        f = SymLaurentPoly(cs)
+        p = sym_to_x(f)
+        for z in _Z:
+            assert p((z + 1 / z) / 2) == f(z)
+
+    def test_every_table_row_to_degree_40(self):
+        for n in range(41):
+            mono = XPoly([0] * n + [1])
+            basis = SymLaurentPoly([0] * n + [1]) if n else SymLaurentPoly([1])
+            for z in _Z:
+                x = (z + 1 / z) / 2
+                assert x_monomial_sym(n)(z) == x ** n
+                assert x_to_sym(mono)(z) == x ** n
+                assert sym_to_x(basis)(x) == (z ** n + z ** -n if n else 1)

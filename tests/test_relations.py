@@ -27,6 +27,71 @@ def leg_fd():
     return fam.build_family(JAC0, 8)
 
 
+def _cqu_relation(which):
+    return lambda fd, ns: rel.check_cqultra_relation(fd, ns, which)
+
+
+#: every structure, lowering and raising checker, with the one family it
+#: is specific to (None: all five)
+N0_CHECKS = {
+    "eq28": (rel.check_structure, None),
+    "explicit": (rel.check_explicit_structure, None),
+    "eq31": (rel.check_lowering, None),
+    "eq32": (rel.check_raising, None),
+    "eq59t": (rel.check_structure_tilde, fam.CQJ49),
+    "eq76": (rel.check_aw_lowering, fam.AW),
+    "eq77": (rel.check_aw_raising, fam.AW),
+    "bangerezako": (rel.check_bangerezako, fam.AW),
+    "eq02": (rel.check_classic_jacobi_structure, fam.JACOBI),
+    **{w: (_cqu_relation(w), fam.CQU) for w in ("eq51", "eq52", "eq53", "eq55", "qdiff2")},
+    "combo54": (rel.check_cqultra_combination, fam.CQU),
+    "eq42": (lambda fd, ns: rel.reduce_bigq_chain(fd, ns)[0], fam.BIGQ),
+    "eq41": (lambda fd, ns: rel.reduce_bigq_chain(fd, ns)[1], fam.BIGQ),
+}
+FAMILIES = (fam.AW, fam.JACOBI, fam.CQJ49, fam.CQU, fam.BIGQ)
+
+
+@pytest.fixture(scope="module")
+def first_points():
+    """The first sampled point of each family at seed 1."""
+    specs = [fam.sample_specs(f, 1, seed=1, n_max=8)[0] for f in fam.CLI_FAMILIES]
+    return {s.family: fam.build_family(s, 8) for s in specs}
+
+
+@pytest.mark.parametrize("key,family", [(k, f) for k, (_, only) in N0_CHECKS.items()
+                                        for f in FAMILIES if only in (None, f)])
+def test_degree_zero_reads_no_p_minus_1(first_points, key, family):
+    # p_{-1} is the zero polynomial (C_0 = 0), never polys[-1], the top one
+    check, _ = N0_CHECKS[key]
+    assert check(first_points[family], [0]).passed
+
+
+class TestPointOperators:
+    def test_checks_share_the_points_operators(self, monkeypatch):
+        from qaskey import operators as ops
+        built = []
+        for name in ("family_L", "family_D"):
+            real = getattr(ops, name)
+            monkeypatch.setattr(ops, name, lambda *a, _r=real, _n=name: built.append(_n) or _r(*a))
+        fd = fam.build_family(AW, 6)
+        applied = {"L": [], "D": []}
+        for key in applied:
+            op = getattr(fd, key)
+            op.action = lambda f, _a=op.action, _k=key: applied[_k].append(f) or _a(f)
+        ns = range(0, 5)
+        for check in (rel.check_structure, rel.check_explicit_structure, rel.check_lowering,
+                      rel.check_raising, rel.check_aw_lowering, rel.check_aw_raising,
+                      rel.check_bangerezako, rel.check_bispectral, rel.check_eigen):
+            assert check(fd, ns).passed, check.__name__
+        for check in (rel.check_commutator, rel.check_d_from_l, rel.check_skew_l,
+                      rel.check_sym_d):
+            assert check(fd, 4).passed, check.__name__
+        assert built == ["family_L", "family_D"]
+        for key, inputs in applied.items():
+            assert all(inputs.count(fd.polys[n]) == 1 for n in ns), key
+            assert len(set(inputs)) == len(inputs), key
+
+
 class TestStructure:
     def test_generic_all_families(self, fds):
         for fd in fds.values():
@@ -138,7 +203,7 @@ class TestCqUltraWeb:
         for rep in rel.check_cqultra_web(fd, range(1, 8)):
             assert rep.passed, rep.identity_id
         assert rel.check_eigen(fd, range(0, 8)).passed
-        assert rel.check_commutator(spec, 8).passed
+        assert rel.check_commutator(fd, 8).passed
         assert rel.check_skew_l(fd, 6).passed
 
     def test_combination_exact_constants(self, fds):
@@ -170,14 +235,16 @@ class TestSpectral:
         for fd in fds.values():
             assert rel.check_gamma_lambda(fd, range(0, 7)).passed, fd.family
 
-    def test_commutator_matrix(self):
-        for spec in (AW, JAC, CQJ, CQU, BIGQ):
-            assert rel.check_commutator(spec, 8).passed, spec.family
+    def test_commutator_matrix(self, fds):
+        for fd in fds.values():
+            assert rel.check_commutator(fd, 8).passed, fd.family
 
-    def test_d_from_l(self):
-        for spec in (AW, JAC, CQJ, CQU):
-            rep = rel.check_d_from_l(spec, 8)
-            assert rep.passed, spec.family
+    def test_d_from_l(self, fds):
+        for fd in fds.values():
+            if fd.family == fam.BIGQ:
+                continue
+            rep = rel.check_d_from_l(fd, 8)
+            assert rep.passed, fd.family
             assert rep.notes["identity_multiple"] == "0"
 
     def test_string(self):
@@ -291,8 +358,8 @@ class TestNegativeControls:
             assert not rep.passed, which
 
     def test_operator_checkers(self, fds):
-        assert not rel.check_commutator(AW, 4, perturb="normalization").passed
-        assert not rel.check_d_from_l(AW, 4, perturb="normalization").passed
+        assert not rel.check_commutator(fds[fam.AW], 4, perturb="normalization").passed
+        assert not rel.check_d_from_l(fds[fam.AW], 4, perturb="normalization").passed
         assert not rel.check_string_jacobi(JAC, 4, perturb="shape").passed
         assert not rel.check_sklyanin(AW, F(2), 4, perturb="shift").passed
         aw = fds[fam.AW]
