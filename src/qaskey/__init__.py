@@ -3,9 +3,8 @@ relations, and skew-symmetric operator identities for five orthogonal
 polynomial families in the q-Askey scheme, plus numeric harnesses for
 the two limit transitions connecting them."""
 
-from .laurent import (ExactScalar, LaurentPoly, NonzeroRemainder,
-                      SymLaurentPoly, XPoly, dilate, divide_exact,
-                      sym_to_x, x_to_sym)
+from .laurent import (LaurentPoly, NonzeroRemainder, SymLaurentPoly, XPoly,
+                      divide_exact, sym_to_x, x_to_sym)
 from .qcalc import (central_q_derivative, divided_q_difference,
                     q_derivative, q_pochhammer)
 from .families import (FamilyData, FamilySpec, InadmissibleParameters,

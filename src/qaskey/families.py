@@ -31,7 +31,7 @@ from functools import cached_property
 from math import prod
 from typing import Mapping, Sequence, Union
 
-from .laurent import SymLaurentPoly, XPoly, sym_to_x, x_to_sym, _frac
+from .laurent import SymLaurentPoly, XPoly, sym_to_x, _combine, _frac, _ints, _lcd
 from .qcalc import q_pochhammer, q_pochhammer_multi
 
 Rat = Union[int, Fraction]
@@ -236,9 +236,10 @@ def _aw_phi43(n: int, a: Fraction, b: Fraction, c: Fraction, d: Fraction,
               q: Fraction) -> SymLaurentPoly:
     """(ab,ac,ad;q)_n a^-n 4phi3(q^-n, q^(n-1)abcd, az, a/z; ab,ac,ad; q,q)."""
     abcd = a * b * c * d
-    out = SymLaurentPoly([Fraction(1)])
     term = SymLaurentPoly([Fraction(1)])   # (az;q)_k (a/z;q)_k
     r = Fraction(1)
+    # sum_k r_k term_k, each term read as integers over its own denominator
+    rs, rows = [r], [[1]]
     qinvn = q ** (-n)
     for k in range(1, n + 1):
         j = k - 1
@@ -246,9 +247,11 @@ def _aw_phi43(n: int, a: Fraction, b: Fraction, c: Fraction, d: Fraction,
         r /= (1 - a * b * q ** j) * (1 - a * c * q ** j) * (1 - a * d * q ** j) * (1 - q ** k)
         aj = a * q ** j
         term = term * SymLaurentPoly([1 + aj * aj, -aj])
-        out = out + term.scale(r)
+        den = _lcd(term.c)
+        rs.append(r / den)
+        rows.append(_ints(term.c, den))
     pref = q_pochhammer_multi((a * b, a * c, a * d), q, n) * a ** (-n)
-    return out.scale(pref)
+    return SymLaurentPoly(_combine(rs, rows)).scale(pref)
 
 
 def aw_polynomial(n: int, spec: FamilySpec) -> SymLaurentPoly:
@@ -259,17 +262,20 @@ def aw_polynomial(n: int, spec: FamilySpec) -> SymLaurentPoly:
 def bigq_polynomial(n: int, spec: FamilySpec) -> XPoly:
     """3phi2(q^-n, abq^(n+1), x; aq, -cq; q, q), a degree-n polynomial in x."""
     a, b, c, q = (spec.params[k] for k in "abcq")
-    out = XPoly([Fraction(1)])
     term = XPoly([Fraction(1)])            # (x;q)_k
     r = Fraction(1)
+    # sum_k r_k term_k, each term read as integers over its own denominator
+    rs, rows = [r], [[1]]
     qinvn = q ** (-n)
     for k in range(1, n + 1):
         j = k - 1
         r *= (1 - qinvn * q ** j) * (1 - a * b * q ** (n + 1 + j)) * q
         r /= (1 - a * q ** k) * (1 + c * q ** k) * (1 - q ** k)
         term = term * XPoly([1, -q ** j])
-        out = out + term.scale(r)
-    return out
+        den = _lcd(term.coeffs)
+        rs.append(r / den)
+        rows.append(_ints(term.coeffs, den))
+    return XPoly(_combine(rs, rows))
 
 
 def cqjacobi_polynomial(n: int, spec: FamilySpec, embedding: int = 49) -> SymLaurentPoly:
@@ -352,12 +358,6 @@ class FamilyData:
         (:func:`relations.derive_second_order_qdiff`)."""
         from . import relations
         return relations.derive_second_order_qdiff(self)
-
-    def poly_native(self, f):
-        """Coerce an XPoly into the family's native space if needed."""
-        if self.space == "sym" and isinstance(f, XPoly):
-            return x_to_sym(f)
-        return f
 
     def expand(self, f) -> list:
         """Coefficients of f in the family basis, by leading-term elimination."""
@@ -659,11 +659,6 @@ def recurrence_from_expansion(fd: FamilyData, n: int):
 
 def norms(fd: FamilyData, n: int) -> Fraction:
     return fd.h[n]
-
-
-def aw_norm_closed(spec: FamilySpec, n: int) -> Fraction:
-    a, b, c, d, q = (spec.params[k] for k in "abcdq")
-    return _aw_h(n, a, b, c, d, q)
 
 
 # ----------------------------------------------------------------------

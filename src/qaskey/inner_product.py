@@ -9,9 +9,10 @@ skew-symmetry of operators can be certified without any integration.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
 from .families import FamilyData
-from .laurent import XPoly, x_to_sym
+from .laurent import XPoly, x_to_sym, _ints, _lcd
 from .operators import PolyOperator
 
 
@@ -31,15 +32,28 @@ def _basis(fd: FamilyData, j: int):
 
 
 def _pairing_table(op: PolyOperator, fd: FamilyData, max_deg: int):
-    """inner(op e_i, e_j) for monomials e_i, e_j up to max_deg."""
-    cols = [fd.expand(op(_basis(fd, i))) for i in range(max_deg + 1)]
-    basis = [fd.expand(_basis(fd, j)) for j in range(max_deg + 1)]
-    table = {}
+    """inner(op e_i, e_j) for monomials e_i, e_j up to max_deg.
+
+    Each expansion is read as integer numerators over its own common
+    denominator, with the norms h folded into the op e_i side, so every
+    entry is one integer dot product and one Fraction.
+    """
+    dh = _lcd(fd.h)
+    h = _ints(fd.h, dh)
+    cols = []
     for i in range(max_deg + 1):
-        for j in range(max_deg + 1):
-            table[i, j] = sum(
-                (a * b * h for a, b, h in zip(cols[i], basis[j], fd.h)),
-                Fraction(0))
+        c = fd.expand(op(_basis(fd, i)))
+        den = _lcd(c)
+        cols.append(([a * w for a, w in zip(_ints(c, den), h)], den * dh))
+    basis = []
+    for j in range(max_deg + 1):
+        b = fd.expand(_basis(fd, j))
+        den = _lcd(b)
+        basis.append((_ints(b, den), den))
+    table = {}
+    for i, (a, da) in enumerate(cols):
+        for j, (b, db) in enumerate(basis):
+            table[i, j] = Fraction(sum(map(mul, a, b)), da * db)
     return table
 
 

@@ -18,16 +18,20 @@ Three immutable polynomial flavours share the coefficient field
 The zero polynomial is always the empty coefficient tuple, so
 structural equality is mathematical equality.  All values are
 immutable after construction and all operations are pure functions.
+
+Ring operations (sums, products, exact division) run in one small
+integer kernel: each reads its inputs as integer numerators over one
+least common denominator, computes in plain ``int`` arithmetic, and
+builds one normalized ``Fraction`` per output coefficient.  Results are
+exactly those of coefficient-wise ``Fraction`` arithmetic, at one gcd
+per output coefficient instead of one or more per term.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, lcm
-from typing import Iterable, Union
-
-#: the coefficient field used everywhere in this package
-ExactScalar = Fraction
+from math import comb, gcd, lcm
+from typing import Iterable, Sequence, Union
 
 Rat = Union[int, Fraction]
 
@@ -38,6 +42,111 @@ class NonzeroRemainder(ArithmeticError):
 
 def _frac(v: Rat) -> Fraction:
     return v if isinstance(v, Fraction) else Fraction(v)
+
+
+# -- the integer kernel -------------------------------------------------
+#
+# A coefficient sequence enters as integer numerators over its least
+# common denominator (_lcd, _ints) and leaves as one normalized Fraction
+# per entry (_fracs).  Everything in between is int arithmetic.
+
+def _lcd(*seqs: Sequence[Rat]) -> int:
+    """Least common denominator of every entry of the given sequences."""
+    den = 1
+    for seq in seqs:
+        for c in seq:
+            den = lcm(den, c.denominator)
+    return den
+
+
+def _ints(seq: Sequence[Rat], den: int) -> list:
+    """Numerators of seq over den, a common multiple of its denominators."""
+    return [c.numerator * (den // c.denominator) for c in seq]
+
+
+def _fracs(nums: Sequence[int], den: int) -> list:
+    return [Fraction(v, den) for v in nums]
+
+
+def _convolve(a: Sequence[int], b: Sequence[int]) -> list:
+    """Coefficients of the product of two nonempty integer polynomials."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for k, y in enumerate(b, i):
+                out[k] += x * y
+    return out
+
+
+def _mul(a: Sequence[Rat], b: Sequence[Rat]) -> list:
+    """Product of two nonempty coefficient sequences."""
+    da, db = _lcd(a), _lcd(b)
+    return _fracs(_convolve(_ints(a, da), _ints(b, db)), da * db)
+
+
+def _sym_mul(a: Sequence[Rat], b: Sequence[Rat]) -> list:
+    """Product in the basis 1, z^k + z^-k (see :class:`SymLaurentPoly`).
+
+    With a_k = a_-k, the z^m coefficient (m >= 0) of the product is the
+    convolution of the halves plus the terms pairing z^-s in one factor
+    with z^(m+s) in the other (s >= 1).  Those are the entries of the
+    convolution of the reversed tail a[:0:-1] with the tail b[1:], at lag
+    m and -m, so lag 0 counts twice.
+    """
+    da, db = _lcd(a), _lcd(b)
+    na, nb = _ints(a, da), _ints(b, db)
+    out = _convolve(na, nb)
+    if len(na) > 1 and len(nb) > 1:
+        cross = _convolve(na[:0:-1], nb[1:])
+        mid = len(na) - 2                  # the index of lag 0
+        for lag, v in enumerate(cross, -mid):
+            out[abs(lag)] += v
+        out[0] += cross[mid]
+    return _fracs(out, da * db)
+
+
+def _add(a: Sequence[Rat], b: Sequence[Rat], a_at: int = 0, b_at: int = 0,
+         sign: int = 1) -> list:
+    """a + sign * b, entry i of a (of b) landing at index a_at + i (b_at + i)."""
+    den = _lcd(a, b)
+    out = [0] * max(a_at + len(a), b_at + len(b))
+    for k, v in enumerate(_ints(a, den), a_at):
+        out[k] = v
+    for k, v in enumerate(_ints(b, den), b_at):
+        out[k] += v if sign > 0 else -v
+    return _fracs(out, den)
+
+
+def _divide(f: Sequence[Rat], g: Sequence[Rat]) -> list | None:
+    """q with f = g*q as ordinary polynomials, or None when g does not divide f.
+
+    g is first written as (content / den) * gp with gp primitive.  A
+    primitive divisor of an integer polynomial leaves an integer quotient
+    (Gauss's lemma), so when g divides f every elimination step divides
+    exactly by gp's leading coefficient; when it does not, some entry of
+    the remainder stays nonzero.
+    """
+    df, dg = _lcd(f), _lcd(g)
+    rem, gp = _ints(f, df), _ints(g, dg)
+    content = 0
+    for v in gp:
+        content = gcd(content, v)
+    gp = [v // content for v in gp]
+    dn = len(gp) - 1
+    lead = gp[dn]
+    if len(rem) - 1 < dn:
+        return None
+    quot = [0] * (len(rem) - dn)
+    for top in range(len(rem) - 1, dn - 1, -1):
+        c = rem[top]
+        if c:
+            t = quot[top - dn] = c // lead
+            for k, v in enumerate(gp, top - dn):
+                rem[k] -= t * v
+    if any(rem):
+        return None
+    # with f = F / df and g = content * gp / dg: f / g = (F / gp) * dg / (df * content)
+    return _fracs([v * dg for v in quot], df * content)
 
 
 class LaurentPoly:
@@ -105,36 +214,28 @@ class LaurentPoly:
 
     # -- ring operations -----------------------------------------------
 
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        if self.is_zero:
-            return other
+    def _plus(self, other: "LaurentPoly", sign: int) -> "LaurentPoly":
         if other.is_zero:
             return self
+        if self.is_zero:
+            return other if sign > 0 else -other
         lo = min(self.lo, other.lo)
-        hi = max(self.hi, other.hi)
-        cs = [Fraction(0)] * (hi - lo + 1)
-        for i, c in enumerate(self.coeffs):
-            cs[self.lo + i - lo] += c
-        for i, c in enumerate(other.coeffs):
-            cs[other.lo + i - lo] += c
-        return LaurentPoly(lo, cs)
+        return LaurentPoly(lo, _add(self.coeffs, other.coeffs,
+                                    self.lo - lo, other.lo - lo, sign))
+
+    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
+        return self._plus(other, 1)
 
     def __neg__(self) -> "LaurentPoly":
         return LaurentPoly(self.lo, [-c for c in self.coeffs])
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         if self.is_zero or other.is_zero:
             return LaurentPoly()
-        cs = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        cs[i + j] += a * b
-        return LaurentPoly(self.lo + other.lo, cs)
+        return LaurentPoly(self.lo + other.lo, _mul(self.coeffs, other.coeffs))
 
     def scale(self, r: Rat) -> "LaurentPoly":
         r = _frac(r)
@@ -169,21 +270,8 @@ class LaurentPoly:
             return LaurentPoly()
         # reduce to ordinary polynomial division; the normalized
         # representations both have nonzero constant term after the shift
-        rem = list(self.coeffs)
-        div = g.coeffs
-        dn = len(div) - 1
-        if len(rem) - 1 < dn:
-            raise NonzeroRemainder(f"{self!r} not divisible by {g!r}")
-        quot = [Fraction(0)] * (len(rem) - dn)
-        for top in range(len(rem) - 1, dn - 1, -1):
-            c = rem[top]
-            if c == 0:
-                continue
-            f = c / div[dn]
-            quot[top - dn] = f
-            for j in range(dn + 1):
-                rem[top - dn + j] -= f * div[j]
-        if any(rem):
+        quot = _divide(self.coeffs, g.coeffs)
+        if quot is None:
             raise NonzeroRemainder(f"{self!r} not divisible by {g!r}")
         return LaurentPoly(self.lo - g.lo, quot)
 
@@ -272,24 +360,18 @@ class SymLaurentPoly:
         return LaurentPoly(-n, cs)
 
     def __add__(self, other: "SymLaurentPoly") -> "SymLaurentPoly":
-        a, b = self.c, other.c
-        if len(a) < len(b):
-            a, b = b, a
-        cs = list(a)
-        for i, v in enumerate(b):
-            cs[i] += v
-        return SymLaurentPoly(cs)
+        return SymLaurentPoly(_add(self.c, other.c))
 
     def __neg__(self) -> "SymLaurentPoly":
         return SymLaurentPoly([-v for v in self.c])
 
     def __sub__(self, other: "SymLaurentPoly") -> "SymLaurentPoly":
-        return self + (-other)
+        return SymLaurentPoly(_add(self.c, other.c, sign=-1))
 
     def __mul__(self, other: "SymLaurentPoly") -> "SymLaurentPoly":
         if self.is_zero or other.is_zero:
             return SymLaurentPoly()
-        return (self.to_laurent() * other.to_laurent()).to_sym()
+        return SymLaurentPoly(_sym_mul(self.c, other.c))
 
     def scale(self, r: Rat) -> "SymLaurentPoly":
         r = _frac(r)
@@ -352,30 +434,18 @@ class XPoly:
             f"({c})*x^{i}" for i, c in enumerate(self.coeffs) if c) + ")"
 
     def __add__(self, other: "XPoly") -> "XPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        cs = list(a)
-        for i, v in enumerate(b):
-            cs[i] += v
-        return XPoly(cs)
+        return XPoly(_add(self.coeffs, other.coeffs))
 
     def __neg__(self) -> "XPoly":
         return XPoly([-v for v in self.coeffs])
 
     def __sub__(self, other: "XPoly") -> "XPoly":
-        return self + (-other)
+        return XPoly(_add(self.coeffs, other.coeffs, sign=-1))
 
     def __mul__(self, other: "XPoly") -> "XPoly":
         if self.is_zero or other.is_zero:
             return XPoly()
-        cs = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        cs[i + j] += a * b
-        return XPoly(cs)
+        return XPoly(_mul(self.coeffs, other.coeffs))
 
     def scale(self, r: Rat) -> "XPoly":
         r = _frac(r)
@@ -461,9 +531,10 @@ def _combine(coeffs, rows) -> list:
     """sum_k coeffs[k] * rows[k] for integer rows no longer than coeffs.
 
     The sum runs over one common denominator, so each output coefficient
-    costs one gcd instead of one per term.
+    costs one gcd instead of one per term.  A row of Fractions enters as
+    _ints(row, den) with its coefficient divided by den.
     """
-    den = lcm(*(c.denominator for c in coeffs))
+    den = _lcd(coeffs)
     acc = [0] * len(coeffs)
     for c, row in zip(coeffs, rows):
         if c:
@@ -471,7 +542,7 @@ def _combine(coeffs, rows) -> list:
             for i, v in enumerate(row):
                 if v:
                     acc[i] += m * v
-    return [Fraction(a, den) for a in acc]
+    return _fracs(acc, den)
 
 
 def x_monomial_sym(n: int) -> SymLaurentPoly:
@@ -500,10 +571,6 @@ def sym_to_x(f: SymLaurentPoly) -> XPoly:
         return XPoly()
     rows = [_sym_basis_row(k) for k in range(len(f.c))]
     return XPoly(_combine(f.c, rows))
-
-
-def dilate(f: LaurentPoly, r: Rat) -> LaurentPoly:
-    return f.dilate(r)
 
 
 def divide_exact(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:

@@ -180,9 +180,16 @@ def check_explicit_structure(fd: FamilyData, ns: Iterable[int], perturb=None) ->
 
 def check_coefficient_match(fd: FamilyData, ns: Iterable[int], perturb=None) -> VerificationReport:
     """Every closed-form right-hand coefficient equals the generic
-    gamma/A/B/C combination it abbreviates."""
+    gamma/A/B/C combination it abbreviates.
+
+    The minus coefficient multiplies p_{n-1} and is compared with
+    gamma_{n-1} C_n, so the domain is n >= 1; any other n raises
+    ValueError.
+    """
     entries = []
     for n in ns:
+        if n < 1:
+            raise ValueError(f"coeff-match is defined for n >= 1, got n = {n}")
         _, plus, minus = _explicit_coeffs(fd, n)
         plus = _p1(plus, perturb, "plus")
         entries.append(_entry(n, plus - fd.gamma[n] * fd.A[n]))
@@ -994,11 +1001,6 @@ def check_cqultra_web(fd: FamilyData, ns: Iterable[int]) -> list:
            for which in ("eq51", "eq52", "eq53", "eq55", "qdiff2")]
     out.append(check_cqultra_combination(fd, ns))
     return out
-
-
-#: contract-surface aliases
-check_bangerezako_variant = check_bangerezako
-reduce_bigq_to_eq41 = reduce_bigq_chain
 
 
 #: mutation slots exercised by the negative-control tests

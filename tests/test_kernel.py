@@ -1,0 +1,176 @@
+"""The integer kernel of ``qaskey.laurent`` against naive Fraction loops.
+
+Every reference below works coefficient by coefficient in ``Fraction``
+arithmetic, as the engine did before its ring operations moved to
+integer numerators over a common denominator; the two must agree
+exactly, including on which divisions leave a remainder.
+"""
+
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import assume, given, strategies as st
+
+from qaskey.inner_product import _basis, _pairing_table
+from qaskey.laurent import LaurentPoly, NonzeroRemainder, SymLaurentPoly, XPoly
+
+
+# -- naive references -----------------------------------------------------
+
+def _terms(f):
+    """exponent -> coefficient of a LaurentPoly or XPoly."""
+    lo = f.lo if isinstance(f, LaurentPoly) else 0
+    return {lo + i: c for i, c in enumerate(f.coeffs)}
+
+
+def _from_terms(d, cls):
+    if cls is XPoly:
+        return XPoly([d.get(k, F(0)) for k in range(max(d, default=-1) + 1)])
+    if not d:
+        return LaurentPoly()
+    return LaurentPoly(min(d), [d.get(k, F(0)) for k in range(min(d), max(d) + 1)])
+
+
+def ref_add(f, g, sign=1):
+    d = _terms(f)
+    for k, c in _terms(g).items():
+        d[k] = d.get(k, F(0)) + sign * c
+    return _from_terms(d, type(f))
+
+
+def ref_mul(f, g):
+    d = {}
+    for i, a in _terms(f).items():
+        for j, b in _terms(g).items():
+            d[i + j] = d.get(i + j, F(0)) + a * b
+    return _from_terms(d, type(f))
+
+
+def ref_sym_add(f, g, sign=1):
+    n = max(len(f.c), len(g.c))
+    return SymLaurentPoly([f.coeff(k) + sign * g.coeff(k) for k in range(n)])
+
+
+def ref_sym_mul(f, g):
+    if f.is_zero or g.is_zero:
+        return SymLaurentPoly()
+    return ref_mul(f.to_laurent(), g.to_laurent()).to_sym()
+
+
+def ref_divide(f, g):
+    """Long division over the rationals, one Fraction step at a time."""
+    if f.is_zero:
+        return LaurentPoly()
+    rem, div = list(f.coeffs), g.coeffs
+    dn = len(div) - 1
+    if len(rem) - 1 < dn:
+        raise NonzeroRemainder
+    quot = [F(0)] * (len(rem) - dn)
+    for top in range(len(rem) - 1, dn - 1, -1):
+        c = rem[top] / div[dn]
+        quot[top - dn] = c
+        for j in range(dn + 1):
+            rem[top - dn + j] -= c * div[j]
+    if any(rem):
+        raise NonzeroRemainder
+    return LaurentPoly(f.lo - g.lo, quot)
+
+
+# -- strategies -------------------------------------------------------------
+
+# ints and Fractions, small and large, zero included; a list may start or
+# end with zeros, so constructors normalize it
+_COEFF = st.one_of(
+    st.integers(-12, 12),
+    st.builds(F, st.integers(-60, 60), st.integers(1, 36)),
+    st.builds(F, st.integers(-10 ** 30, 10 ** 30), st.integers(1, 10 ** 12)),
+)
+_COEFFS = st.lists(_COEFF, max_size=9)
+_LAURENT = st.builds(LaurentPoly, st.integers(-7, 7), _COEFFS)
+_SYM = st.builds(SymLaurentPoly, _COEFFS)
+_XPOLY = st.builds(XPoly, _COEFFS)
+# a leading coefficient whose numerator is neither 1 nor -1
+_LEAD = st.builds(F, st.integers(2, 40).flatmap(lambda n: st.sampled_from((n, -n))),
+                  st.integers(1, 30)).filter(lambda v: abs(v.numerator) != 1)
+
+
+@st.composite
+def _divisor(draw):
+    """At least two terms, the top one with a numerator other than +-1."""
+    lo = draw(st.integers(-4, 4))
+    body = [draw(_COEFF.filter(bool))] + draw(st.lists(_COEFF, max_size=4))
+    return LaurentPoly(lo, body + [draw(_LEAD)])
+
+
+class TestRingOperations:
+    @given(_LAURENT, _LAURENT)
+    def test_laurent(self, f, g):
+        assert f + g == ref_add(f, g)
+        assert f - g == ref_add(f, g, -1)
+        assert f * g == ref_mul(f, g)
+
+    @given(_XPOLY, _XPOLY)
+    def test_xpoly(self, f, g):
+        assert f + g == ref_add(f, g)
+        assert f - g == ref_add(f, g, -1)
+        assert f * g == ref_mul(f, g)
+
+    @given(_SYM, _SYM)
+    def test_sym(self, f, g):
+        assert f + g == ref_sym_add(f, g)
+        assert f - g == ref_sym_add(f, g, -1)
+        assert f * g == ref_sym_mul(f, g)
+
+    @given(_SYM, _SYM)
+    def test_sym_product_is_the_laurent_round_trip(self, f, g):
+        prod = f * g
+        assert prod.to_laurent() == f.to_laurent() * g.to_laurent()
+        assert all(isinstance(c, F) for c in prod.c)
+
+    def test_operands_of_unequal_length(self):
+        f = SymLaurentPoly([F(1, 3), F(-2, 5), 0, F(7, 4)])
+        g = SymLaurentPoly([F(5, 6), F(1, 9)])
+        for a, b in ((f, g), (g, f)):
+            assert a * b == ref_sym_mul(a, b)
+
+
+class TestDivision:
+    @given(_LAURENT, _divisor())
+    def test_divides_its_product(self, h, g):
+        assert (g * h).divide_exact(g) == h
+
+    @given(_LAURENT, _divisor())
+    def test_agrees_with_long_division(self, f, g):
+        try:
+            want = ref_divide(f, g)
+        except NonzeroRemainder:
+            with pytest.raises(NonzeroRemainder):
+                f.divide_exact(g)
+        else:
+            assert f.divide_exact(g) == want
+
+    @given(_LAURENT, _divisor())
+    def test_remainder_raises(self, h, g):
+        # g is no monomial, so it does not divide g*h + z^m
+        assume(not h.is_zero)
+        f = g * h + LaurentPoly((g * h).lo, (1,))
+        with pytest.raises(NonzeroRemainder):
+            f.divide_exact(g)
+
+    @given(_XPOLY, _divisor())
+    def test_xpoly_divides_its_product(self, h, g):
+        gx = XPoly(g.coeffs)
+        assert (gx * h).divide_exact(gx) == h
+
+
+def test_pairing_table_is_the_naive_triple_sum(first_points):
+    max_deg = 5
+    for fd in first_points.values():
+        op = fd.L
+        cols = [fd.expand(op(_basis(fd, i))) for i in range(max_deg + 1)]
+        basis = [fd.expand(_basis(fd, j)) for j in range(max_deg + 1)]
+        table = _pairing_table(op, fd, max_deg)
+        for i in range(max_deg + 1):
+            for j in range(max_deg + 1):
+                want = sum((a * b * h for a, b, h in zip(cols[i], basis[j], fd.h)), F(0))
+                assert table[i, j] == want, (fd.family, i, j)

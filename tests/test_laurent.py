@@ -193,7 +193,7 @@ _COEFFS = st.lists(st.fractions(min_value=-50, max_value=50, max_denominator=30)
 
 
 class TestConversionOracle:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(_COEFFS)
     def test_x_to_sym_pointwise(self, cs):
         p = XPoly(cs)
@@ -201,7 +201,7 @@ class TestConversionOracle:
         for z in _Z:
             assert f(z) == p((z + 1 / z) / 2)
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(_COEFFS)
     def test_sym_to_x_pointwise(self, cs):
         f = SymLaurentPoly(cs)

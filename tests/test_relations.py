@@ -51,19 +51,21 @@ N0_CHECKS = {
 FAMILIES = (fam.AW, fam.JACOBI, fam.CQJ49, fam.CQU, fam.BIGQ)
 
 
-@pytest.fixture(scope="module")
-def first_points():
-    """The first sampled point of each family at seed 1."""
-    specs = [fam.sample_specs(f, 1, seed=1, n_max=8)[0] for f in fam.CLI_FAMILIES]
-    return {s.family: fam.build_family(s, 8) for s in specs}
-
-
 @pytest.mark.parametrize("key,family", [(k, f) for k, (_, only) in N0_CHECKS.items()
                                         for f in FAMILIES if only in (None, f)])
 def test_degree_zero_reads_no_p_minus_1(first_points, key, family):
     # p_{-1} is the zero polynomial (C_0 = 0), never polys[-1], the top one
     check, _ = N0_CHECKS[key]
     assert check(first_points[family], [0]).passed
+
+
+@pytest.mark.parametrize("family", (fam.AW, fam.JACOBI, fam.CQU))
+def test_coefficient_match_rejects_degree_zero(first_points, family):
+    # at n = 0 the minus comparison would read gamma[-1], the top slope
+    fd = first_points[family]
+    with pytest.raises(ValueError, match="n >= 1"):
+        rel.check_coefficient_match(fd, [0])
+    assert rel.check_coefficient_match(fd, [1]).passed
 
 
 class TestPointOperators:
