@@ -69,8 +69,6 @@ def spec_from_params(family: str, params: dict) -> fam.FamilySpec:
 # ----------------------------------------------------------------------
 
 ALL = (fam.AW, fam.JACOBI, "continuous-q-jacobi", fam.CQU, fam.BIGQ)
-EXPLICIT_ID = {fam.AW: "eq18", fam.JACOBI: "eq26",
-               "continuous-q-jacobi": "eq59", fam.CQU: "eq54", fam.BIGQ: "eq40"}
 
 
 def _ns(args):

@@ -302,10 +302,6 @@ def cqultra_polynomial(n: int, spec: FamilySpec) -> SymLaurentPoly:
     return raw.scale(pref)
 
 
-def jacobi_polynomial(n: int, spec: FamilySpec) -> XPoly:
-    return build_family(spec, n).polys[n]
-
-
 # ----------------------------------------------------------------------
 # family data
 # ----------------------------------------------------------------------
@@ -422,22 +418,6 @@ def _norms_recursive(A, C, n_hi) -> tuple:
 
 
 # -- per-family coefficient formulas -------------------------------------
-
-def aw_coefficients(n: int, spec: FamilySpec):
-    """(A_n, B_n, C_n, h_n, lam_n, gamma_n) from the closed Askey-Wilson forms."""
-    a, b, c, d, q = (spec.params[k] for k in "abcdq")
-    abcd = a * b * c * d
-    kn = _aw_k(n, abcd, q)
-    A = kn / _aw_k(n + 1, abcd, q)
-    B = _aw_B(n, a, b, c, d, q)
-    if n >= 1:
-        C = (_aw_k(n - 1, abcd, q) / kn) * (_aw_h(n, a, b, c, d, q) /
-                                            _aw_h(n - 1, a, b, c, d, q))
-    else:
-        C = Fraction(0)
-    return (A, B, C, _aw_h(n, a, b, c, d, q), _aw_lam(n, abcd, q),
-            _aw_gamma(n, abcd, q))
-
 
 def _aw_k(n, abcd, q):
     return Fraction(2) ** n * q_pochhammer(abcd * q ** (n - 1), q, n)

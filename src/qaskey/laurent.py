@@ -19,12 +19,15 @@ The zero polynomial is always the empty coefficient tuple, so
 structural equality is mathematical equality.  All values are
 immutable after construction and all operations are pure functions.
 
-Ring operations (sums, products, exact division) run in one small
-integer kernel: each reads its inputs as integer numerators over one
-least common denominator, computes in plain ``int`` arithmetic, and
-builds one normalized ``Fraction`` per output coefficient.  Results are
-exactly those of coefficient-wise ``Fraction`` arithmetic, at one gcd
-per output coefficient instead of one or more per term.
+Ring operations (sums, products, exact division) and dilations
+(z -> r z, x -> r x) run in one small integer kernel: each reads its
+inputs as integer numerators over one least common denominator,
+computes in plain ``int`` arithmetic, and builds one normalized
+``Fraction`` per output coefficient.  A dilation by r = p/s is one
+integer row n_i p^i s^(H-i) from running powers over one denominator,
+not a ``Fraction`` power per coefficient.  Results are exactly those of
+coefficient-wise ``Fraction`` arithmetic, at one gcd per output
+coefficient instead of one or more per term.
 """
 
 from __future__ import annotations
@@ -114,6 +117,38 @@ def _add(a: Sequence[Rat], b: Sequence[Rat], a_at: int = 0, b_at: int = 0,
         out[k] = v
     for k, v in enumerate(_ints(b, den), b_at):
         out[k] += v if sign > 0 else -v
+    return _fracs(out, den)
+
+
+def _scale_powers(cs: Sequence[Rat], r: Fraction, lo: int) -> list:
+    """c_i * r^(lo + i) for each entry c_i of cs, r = p/s.
+
+    With H = len(cs) - 1 and n_i the numerators of cs over den, this is
+    n_i p^i s^(H-i) * p^lo / (den s^(lo+H)): one integer row from running
+    powers, with the factor p^lo / s^(lo+H) split into one numerator
+    multiplier (the start of the running power of p) and one denominator.
+    """
+    if not cs:
+        return []
+    p, s = r.numerator, r.denominator
+    den = _lcd(cs)
+    nums = _ints(cs, den)
+    h = len(cs) - 1
+    hi = lo + h
+    pp = 1
+    if lo >= 0:
+        pp = p ** lo
+    else:
+        den *= p ** -lo
+    if hi >= 0:
+        den *= s ** hi
+    else:
+        pp *= s ** -hi
+    out, sp = [], s ** h
+    for v in nums:
+        out.append(v * pp * sp)
+        pp *= p
+        sp //= s
     return _fracs(out, den)
 
 
@@ -254,7 +289,7 @@ class LaurentPoly:
         r = _frac(r)
         if r == 0:
             raise ZeroDivisionError("dilation factor must be nonzero")
-        return LaurentPoly(self.lo, [c * r ** (self.lo + i) for i, c in enumerate(self.coeffs)])
+        return LaurentPoly(self.lo, _scale_powers(self.coeffs, r, self.lo))
 
     def invert_z(self) -> "LaurentPoly":
         """Substitute z -> 1/z."""
@@ -461,8 +496,7 @@ class XPoly:
 
     def compose_scale(self, r: Rat) -> "XPoly":
         """Substitute x -> r*x."""
-        r = _frac(r)
-        return XPoly([c * r ** i for i, c in enumerate(self.coeffs)])
+        return XPoly(_scale_powers(self.coeffs, _frac(r), 0))
 
     def derivative(self) -> "XPoly":
         return XPoly([i * c for i, c in enumerate(self.coeffs)][1:])

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 from typing import Iterable
 
 from . import operators as ops
@@ -38,7 +39,7 @@ from .families import (AW, BIGQ, CQJ09, CQJ49, CQU, JACOBI, FamilyData,
                        _polys_from_recurrence, cqjacobi_polynomial)
 from .inner_product import skew_symmetry_residual, symmetry_residual
 from .laurent import (LaurentPoly, NonzeroRemainder, SymLaurentPoly, XPoly,
-                      Z_MINUS_ZINV)
+                      Z_MINUS_ZINV, _ints, _lcd)
 
 
 class NoSolution(RuntimeError):
@@ -702,21 +703,37 @@ class DerivedQDiff:
 
 
 def _nullspace(rows, width):
-    """Exact nullspace basis of the given linear system."""
-    mat = [list(r) for r in rows]
+    """Exact nullspace basis of the given linear system, fraction-free.
+
+    Each nonzero row is cleared to integers once (``_lcd``/``_ints``) and
+    eliminated Gauss-Jordan style in ``int``: a row becomes
+    (pv/g) row - (f/g) pivot_row with g = gcd(pv, f), divided by its
+    content so that it stays primitive.  Pivots are chosen as in Fraction
+    elimination (the first nonzero entry of the column at or below the
+    current row), and scaling a row changes neither its zero pattern nor
+    the reduced echelon form it stands for, so entry pc of the basis
+    vector for free column fc is -mat[r][fc] / mat[r][pc]: the basis is
+    exactly the one Fraction elimination gives, with one ``Fraction``
+    built per basis entry.
+    """
+    mat = [_ints(row, _lcd(row)) for row in rows if any(row)]
     pivots = []
     r = 0
     for col in range(width):
-        piv = next((i for i in range(r, len(mat)) if mat[i][col] != 0), None)
+        piv = next((i for i in range(r, len(mat)) if mat[i][col]), None)
         if piv is None:
             continue
         mat[r], mat[piv] = mat[piv], mat[r]
-        pv = mat[r][col]
-        mat[r] = [v / pv for v in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][col] != 0:
-                f = mat[i][col]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        prow = mat[r]
+        pv = prow[col]
+        for i, row in enumerate(mat):
+            f = row[col]
+            if f and i != r:
+                g = gcd(pv, f)
+                a, b = pv // g, f // g
+                row = [a * x - b * y for x, y in zip(row, prow)]
+                content = gcd(*row)
+                mat[i] = [x // content for x in row] if content > 1 else row
         pivots.append(col)
         r += 1
         if r == len(mat):
@@ -727,7 +744,7 @@ def _nullspace(rows, width):
         vec = [Fraction(0)] * width
         vec[fc] = Fraction(1)
         for ri, pc in enumerate(pivots):
-            vec[pc] = -mat[ri][fc]
+            vec[pc] = Fraction(-mat[ri][fc], mat[ri][pc])
         basis.append(vec)
     return basis
 

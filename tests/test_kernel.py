@@ -1,9 +1,10 @@
-"""The integer kernel of ``qaskey.laurent`` against naive Fraction loops.
+"""The integer kernels of ``qaskey`` against naive Fraction loops.
 
 Every reference below works coefficient by coefficient in ``Fraction``
-arithmetic, as the engine did before its ring operations moved to
-integer numerators over a common denominator; the two must agree
-exactly, including on which divisions leave a remainder.
+arithmetic, as the engine did before its ring operations, dilations and
+nullspace solver moved to integer numerators over a common denominator;
+the two must agree exactly, including on which divisions leave a
+remainder.
 """
 
 from fractions import Fraction as F
@@ -11,6 +12,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import assume, given, strategies as st
 
+from qaskey import families as fam, relations as rel
 from qaskey.inner_product import _basis, _pairing_table
 from qaskey.laurent import LaurentPoly, NonzeroRemainder, SymLaurentPoly, XPoly
 
@@ -76,6 +78,34 @@ def ref_divide(f, g):
     return LaurentPoly(f.lo - g.lo, quot)
 
 
+def ref_nullspace(rows, width):
+    """Gauss-Jordan over Fraction rows: pivot on the first nonzero entry
+    of each column, scale the pivot row to 1, clear the column elsewhere."""
+    mat = [[F(v) for v in r] for r in rows]
+    pivots = []
+    for col in range(width):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(mat)) if mat[i][col]), None)
+        if piv is None:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        mat[r] = [v / mat[r][col] for v in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][col]:
+                f = mat[i][col]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(col)
+    basis = []
+    for fc in range(width):
+        if fc not in pivots:
+            vec = [F(0)] * width
+            vec[fc] = F(1)
+            for ri, pc in enumerate(pivots):
+                vec[pc] = -mat[ri][fc]
+            basis.append(vec)
+    return basis
+
+
 # -- strategies -------------------------------------------------------------
 
 # ints and Fractions, small and large, zero included; a list may start or
@@ -100,6 +130,28 @@ def _divisor(draw):
     lo = draw(st.integers(-4, 4))
     body = [draw(_COEFF.filter(bool))] + draw(st.lists(_COEFF, max_size=4))
     return LaurentPoly(lo, body + [draw(_LEAD)])
+
+
+# a rational r other than 0, negative and non-unit ones included
+_RATIO = st.builds(F, st.integers(-40, 40).filter(bool), st.integers(1, 30))
+
+
+@st.composite
+def _system(draw):
+    """A linear system whose rows repeat, vanish or are multiples of others."""
+    width = draw(st.integers(1, 7))
+    row = st.lists(_COEFF, min_size=width, max_size=width)
+    rows = draw(st.lists(row, max_size=9))
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(("zero", "copy", "multiple")))
+        at = draw(st.integers(0, len(rows)))
+        if kind == "zero" or not rows:
+            rows.insert(at, [0] * width)
+            continue
+        src = draw(st.sampled_from(rows))
+        k = 1 if kind == "copy" else draw(_RATIO)
+        rows.insert(at, [F(v) * k for v in src])
+    return rows, width
 
 
 class TestRingOperations:
@@ -161,6 +213,66 @@ class TestDivision:
     def test_xpoly_divides_its_product(self, h, g):
         gx = XPoly(g.coeffs)
         assert (gx * h).divide_exact(gx) == h
+
+
+class TestDilation:
+    @given(_LAURENT, _RATIO)
+    def test_dilate(self, f, r):
+        want = LaurentPoly(f.lo, [c * r ** (f.lo + i) for i, c in enumerate(f.coeffs)])
+        assert f.dilate(r) == want
+
+    @given(_XPOLY, st.one_of(_RATIO, st.just(0), st.just(F(0))))
+    def test_compose_scale(self, f, r):
+        r = F(r)
+        assert f.compose_scale(r) == XPoly([c * r ** i for i, c in enumerate(f.coeffs)])
+
+    def test_edge_cases(self):
+        f = LaurentPoly(-3, [F(2, 3), 0, F(-5, 7), 4])
+        assert f.dilate(-1) == LaurentPoly(-3, [F(-2, 3), 0, F(5, 7), 4])
+        assert f.dilate(1) == f
+        assert LaurentPoly().dilate(F(3, 5)) == LaurentPoly()
+        assert XPoly().compose_scale(F(3, 5)) == XPoly()
+        assert XPoly([F(1, 2), 3, 4]).compose_scale(0) == XPoly([F(1, 2)])
+        for g in (f, LaurentPoly()):
+            with pytest.raises(ZeroDivisionError):
+                g.dilate(0)
+
+
+class TestNullspace:
+    @given(_system())
+    def test_matches_fraction_elimination(self, system):
+        rows, width = system
+        assert rel._nullspace(rows, width) == ref_nullspace(rows, width)
+
+    def test_shapes(self):
+        big = 10 ** 40 + 7
+        cases = [
+            ([], 3),                                        # no equations
+            ([[0, 0, 0], [0, 0, 0]], 3),                    # only zero rows
+            ([[1, 2], [3, 4]], 2),                          # full rank
+            ([[2, 4, 6], [F(1, 3), F(2, 3), 1], [0, 0, 5]], 3),   # multiples
+            ([[1, -1], [2, -2], [-big, big], [F(3, 7), F(-3, 7)], [0, 0]], 2),
+            ([[0, -big, F(1, big)], [big, 0, -1], [F(-1, 2), F(1, 3), 0]], 3),
+        ]
+        for rows, width in cases:
+            assert rel._nullspace(rows, width) == ref_nullspace(rows, width)
+
+    def test_real_ansatz_systems(self, first_points, monkeypatch):
+        systems = []
+        real = rel._nullspace
+        monkeypatch.setattr(rel, "_nullspace",
+                            lambda rows, width: systems.append((rows, width)) or real(rows, width))
+        for family in (fam.AW, fam.BIGQ):
+            rel.derive_second_order_qdiff(first_points[family])
+        assert len(systems) >= 2
+        for rows, width in systems:
+            assert real(rows, width) == ref_nullspace(rows, width)
+
+    def test_sqrt_q_pair_point_has_no_solution(self):
+        # b and d are -sqrt(q) and sqrt(q): the ansatz space stays 4-dimensional
+        spec = fam.aw_spec(F(-4, 5), F(-1, 2), F(-1, 2), F(1, 2), F(1, 4))
+        with pytest.raises(rel.NoSolution, match="leaves a 4-dim space"):
+            rel.derive_second_order_qdiff(fam.build_family(spec, 6))
 
 
 def test_pairing_table_is_the_naive_triple_sum(first_points):
