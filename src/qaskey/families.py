@@ -12,6 +12,18 @@ degree up to a cap, the polynomial p_n together with
   lam_n   eigenvalue of the family's second-order operator, lam_0 = 0
   gamma_n slope of the skew operator, gamma_n = lam_{n+1} - lam_n
 
+The hypergeometric families are built for every degree 0..N in one
+pass per point: the Askey-Wilson 4phi3 (and through its restrictions
+continuous q-Jacobi, both embeddings, and continuous q-ultraspherical)
+and the big q-Jacobi 3phi2 form their n-free term polynomials
+(az, a/z; q)_k or (x; q)_k and the n-free part of each term ratio once,
+read every power of q from one table, and sum each p_n as one integer
+combination of those shared rows (:func:`aw_polynomials`,
+:func:`bigq_polynomials`, :func:`cqjacobi_polynomials`,
+:func:`cqultra_polynomials`; the single-degree functions are views of
+them).  Prefactors, norms and recurrence coefficients are running
+products over n.
+
 Each FamilyData also owns the point's operators L and D and its derived
 second-order q-difference equation, built on first use and dropped with
 the FamilyData, so every check at one point shares them.
@@ -32,7 +44,6 @@ from math import prod
 from typing import Mapping, Sequence, Union
 
 from .laurent import SymLaurentPoly, XPoly, sym_to_x, _combine, _frac, _ints, _lcd
-from .qcalc import q_pochhammer, q_pochhammer_multi
 
 Rat = Union[int, Fraction]
 
@@ -212,94 +223,190 @@ def _validate_aw(params: Mapping[str, Fraction], n_max: int) -> None:
     a, b, c, d, q = (params[k] for k in "abcdq")
     if 0 in (a, b, c, d):
         raise InadmissibleParameters("zero Askey-Wilson parameter")
+    # q^-k by k, distinct for 0 < q < 1: p q^k = 1 <=> p = q^-k
+    top = 2 * n_max
+    inv = {q ** -k: k for k in range(top + 3)}
     prods = [a * a, b * b, c * c, d * d,
              a * b, a * c, a * d, b * c, b * d, c * d]
     for p in prods:
-        w = p
-        for _ in range(2 * n_max + 1):   # p * q^k == 1 <=> p == q^-k
-            if w == 1:
-                raise InadmissibleParameters(f"product {p} is an inverse power of q")
-            w *= q
-    abcd = a * b * c * d
-    w = abcd / q                         # abcd * q^m for m = -1 .. 2 n_max + 2
-    for _ in range(2 * n_max + 4):
-        if w == 1:
-            raise InadmissibleParameters("abcd hits an inverse power of q")
-        w *= q
+        k = inv.get(p)
+        if k is not None and k <= top:
+            raise InadmissibleParameters(f"product {p} is an inverse power of q")
+    abcd = a * b * c * d               # abcd q^m = 1 for m = -1 .. 2 n_max + 2
+    if abcd == q or abcd in inv:
+        raise InadmissibleParameters("abcd hits an inverse power of q")
 
 
 # ----------------------------------------------------------------------
 # hypergeometric constructions
 # ----------------------------------------------------------------------
 
-def _aw_phi43(n: int, a: Fraction, b: Fraction, c: Fraction, d: Fraction,
-              q: Fraction) -> SymLaurentPoly:
-    """(ab,ac,ad;q)_n a^-n 4phi3(q^-n, q^(n-1)abcd, az, a/z; ab,ac,ad; q,q)."""
+# Every degree 0..hi of a family is built in one pass per point.  A
+# terminating series p_n = pref_n sum_{k<=n} r_k(n) t_k has a term ratio
+# that splits as r_k(n) = N_k(n) D_k, with D_k free of n.  The term
+# polynomials t_k and the D_k are formed once per point, each t_k as
+# integer numerators over its own denominator, and every p_n is one
+# _combine over those shared rows.
+
+def _q_table(q: Fraction, lo: int, hi: int) -> dict:
+    """q**e for lo <= e <= hi."""
+    return {e: q ** e for e in range(lo, hi + 1)}
+
+
+def _shared_rows(terms, ds) -> tuple:
+    """Integer rows of the term polynomials t_k (coefficient tuples) and
+    each D_k divided by its row's denominator."""
+    rows, dk = [], []
+    for cs, dv in zip(terms, ds):
+        den = _lcd(cs)
+        rows.append(_ints(cs, den))
+        dk.append(dv / den)
+    return rows, dk
+
+
+def _terminating_sum(pref: Fraction, steps, dk, rows) -> list:
+    """pref * sum_{k=0..n} N_k dk[k] rows[k] with N_k = prod_{j<k} steps[j]
+    and n = len(steps), as one _combine."""
+    r = pref
+    coeffs = [r * dk[0]]
+    for k, f in enumerate(steps, 1):
+        r *= f
+        coeffs.append(r * dk[k])
+    return _combine(coeffs, rows)
+
+
+def _aw_tables(a, b, c, d, q, hi: int) -> tuple:
+    """The per-point tables the Askey-Wilson build reads, to degree hi:
+    qp[e] = q^e (-hi-2 <= e <= 2hi+2), w[e] = 1 - abcd q^e (-2 <= e <= 2hi - 2)
+    and g[j] = (1 - ab q^j)(1 - ac q^j)(1 - ad q^j) (j < hi)."""
     abcd = a * b * c * d
-    term = SymLaurentPoly([Fraction(1)])   # (az;q)_k (a/z;q)_k
-    r = Fraction(1)
-    # sum_k r_k term_k, each term read as integers over its own denominator
-    rs, rows = [r], [[1]]
-    qinvn = q ** (-n)
-    for k in range(1, n + 1):
+    qp = _q_table(q, -hi - 2, 2 * hi + 2)
+    w = {e: 1 - abcd * qp[e] for e in range(-2, 2 * hi - 1)}
+    ab, ac, ad = a * b, a * c, a * d
+    g = [(1 - ab * qp[j]) * (1 - ac * qp[j]) * (1 - ad * qp[j]) for j in range(hi)]
+    return qp, w, g
+
+
+def _aw_phi43s(hi: int, a: Fraction, qp, w, g, scale=None) -> list:
+    """p_n = (ab,ac,ad;q)_n a^-n 4phi3(q^-n, q^(n-1)abcd, az, a/z; ab,ac,ad; q,q)
+    times scale[n] (1 without scale) for n = 0..hi, tables from _aw_tables.
+
+    With t_k = (az, a/z; q)_k the k-th term is N_k(n) D_k t_k, where
+    D_k = prod_{j<k} q / ((1-ab q^j)(1-ac q^j)(1-ad q^j)(1-q^(j+1))) and
+    N_k(n) = prod_{j<k} (1-q^(j-n))(1-abcd q^(n-1+j)).
+    """
+    q = qp[1]
+    term = SymLaurentPoly([Fraction(1)])
+    terms, ds, dv = [term.c], [Fraction(1)], Fraction(1)
+    for k in range(1, hi + 1):
         j = k - 1
-        r *= (1 - qinvn * q ** j) * (1 - abcd * q ** (n - 1 + j)) * q
-        r /= (1 - a * b * q ** j) * (1 - a * c * q ** j) * (1 - a * d * q ** j) * (1 - q ** k)
-        aj = a * q ** j
+        dv = dv * q / (g[j] * (1 - qp[k]))
+        aj = a * qp[j]
         term = term * SymLaurentPoly([1 + aj * aj, -aj])
-        den = _lcd(term.c)
-        rs.append(r / den)
-        rows.append(_ints(term.c, den))
-    pref = q_pochhammer_multi((a * b, a * c, a * d), q, n) * a ** (-n)
-    return SymLaurentPoly(_combine(rs, rows)).scale(pref)
+        terms.append(term.c)
+        ds.append(dv)
+    rows, dk = _shared_rows(terms, ds)
+    u = {e: 1 - qp[e] for e in range(-hi, 0)}
+    out, pref = [], Fraction(1)
+    for n in range(hi + 1):
+        if n:
+            pref = pref * g[n - 1] / a
+        steps = [u[j - n] * w[n - 1 + j] for j in range(n)]
+        lead = pref * scale[n] if scale else pref
+        out.append(SymLaurentPoly(_terminating_sum(lead, steps, dk, rows)))
+    return out
+
+
+def aw_polynomials(hi: int, spec: FamilySpec, scale=None) -> list:
+    """The Askey-Wilson polynomials p_0 .. p_hi at one point, p_n times
+    scale[n] when a scale is given."""
+    a, b, c, d, q = (spec.params[k] for k in "abcdq")
+    return _aw_phi43s(hi, a, *_aw_tables(a, b, c, d, q, hi), scale)
 
 
 def aw_polynomial(n: int, spec: FamilySpec) -> SymLaurentPoly:
-    p = spec.params
-    return _aw_phi43(n, p["a"], p["b"], p["c"], p["d"], p["q"])
+    return aw_polynomials(n, spec)[n]
+
+
+def bigq_polynomials(hi: int, spec: FamilySpec) -> list:
+    """3phi2(q^-n, abq^(n+1), x; aq, -cq; q, q), degree n in x, for n = 0..hi.
+
+    With t_k = (x; q)_k the k-th term is N_k(n) D_k t_k, where
+    D_k = prod_{j<k} q / ((1-aq^(j+1))(1+cq^(j+1))(1-q^(j+1))) and
+    N_k(n) = prod_{j<k} (1-q^(j-n))(1-abq^(n+1+j)).
+    """
+    a, b, c, q = (spec.params[k] for k in "abcq")
+    qp = _q_table(q, -hi, 2 * hi)
+    term = XPoly([Fraction(1)])
+    terms, ds, dv = [term.coeffs], [Fraction(1)], Fraction(1)
+    for k in range(1, hi + 1):
+        dv = dv * q / ((1 - a * qp[k]) * (1 + c * qp[k]) * (1 - qp[k]))
+        term = term * XPoly([1, -qp[k - 1]])
+        terms.append(term.coeffs)
+        ds.append(dv)
+    rows, dk = _shared_rows(terms, ds)
+    u = {e: 1 - qp[e] for e in range(-hi, 0)}
+    ab = a * b
+    w = {e: 1 - ab * qp[e] for e in range(1, 2 * hi + 1)}
+    out = []
+    for n in range(hi + 1):
+        steps = [u[j - n] * w[n + 1 + j] for j in range(n)]
+        out.append(XPoly(_terminating_sum(Fraction(1), steps, dk, rows)))
+    return out
 
 
 def bigq_polynomial(n: int, spec: FamilySpec) -> XPoly:
-    """3phi2(q^-n, abq^(n+1), x; aq, -cq; q, q), a degree-n polynomial in x."""
-    a, b, c, q = (spec.params[k] for k in "abcq")
-    term = XPoly([Fraction(1)])            # (x;q)_k
-    r = Fraction(1)
-    # sum_k r_k term_k, each term read as integers over its own denominator
-    rs, rows = [r], [[1]]
-    qinvn = q ** (-n)
-    for k in range(1, n + 1):
-        j = k - 1
-        r *= (1 - qinvn * q ** j) * (1 - a * b * q ** (n + 1 + j)) * q
-        r /= (1 - a * q ** k) * (1 + c * q ** k) * (1 - q ** k)
-        term = term * XPoly([1, -q ** j])
-        den = _lcd(term.coeffs)
-        rs.append(r / den)
-        rows.append(_ints(term.coeffs, den))
-    return XPoly(_combine(rs, rows))
+    return bigq_polynomials(n, spec)[n]
+
+
+def cqjacobi_polynomials(hi: int, spec: FamilySpec, embedding: int = 49) -> list:
+    """Continuous q-Jacobi p_0 .. p_hi through the Askey-Wilson embedding
+    (49 or 9): each is the restricted 4phi3 times
+    q^((2alpha+1)n/4) / ((-q^((alpha+beta+1)/2); q^(1/2))_m (q; q)_n),
+    m = n (e49) or 2n (e09), with the prefactors as running products."""
+    s = spec.base
+    ea, eb = int(2 * spec.params["alpha"]), int(2 * spec.params["beta"])
+    q, s2 = s ** 4, s * s
+    lead = s ** (ea + 1)
+    mq = -s ** (ea + eb + 2)       # -q^((alpha+beta+1)/2) q^(j/2), base q^(1/2) = s^2
+    per_degree = 1 if embedding == 49 else 2
+    scale, f, qn = [Fraction(1)], Fraction(1), Fraction(1)
+    for _ in range(hi):
+        qn *= q
+        den = 1 - qn
+        for _ in range(per_degree):
+            den *= 1 - mq
+            mq *= s2
+        f = f * lead / den
+        scale.append(f)
+    return aw_polynomials(hi, cqjacobi_aw_spec(spec, embedding), scale)
 
 
 def cqjacobi_polynomial(n: int, spec: FamilySpec, embedding: int = 49) -> SymLaurentPoly:
-    s = spec.base
-    al, be = spec.params["alpha"], spec.params["beta"]
-    ea, eb = int(2 * al), int(2 * be)
-    q = s ** 4
-    aw = cqjacobi_aw_spec(spec, embedding)
-    raw = aw_polynomial(n, aw)
-    minus = -s ** (ea + eb + 2)            # -q^((alpha+beta+1)/2), base q^(1/2)=s^2
-    if embedding == 49:
-        denom = q_pochhammer(minus, s ** 2, n) * q_pochhammer(q, q, n)
-    else:
-        denom = q_pochhammer(minus, s ** 2, 2 * n) * q_pochhammer(q, q, n)
-    return raw.scale(s ** ((ea + 1) * n) / denom)
+    return cqjacobi_polynomials(n, spec, embedding)[n]
+
+
+def cqultra_polynomials(hi: int, spec: FamilySpec) -> list:
+    """Continuous q-ultraspherical p_0 .. p_hi through the four-parameter
+    restriction: each is the restricted 4phi3 times
+    (t; q^(1/2))_n / ((q^(1/2) t; q)_n (q; q)_n), as a running product."""
+    s, u = spec.base, spec.params["u"]
+    t, s2 = u * u, s * s
+    q = s2 * s2
+    scale, f = [Fraction(1)], Fraction(1)
+    tj, sq = t, s2 * t                 # t q^((n-1)/2) and q^(1/2) t q^(n-1)
+    qn = Fraction(1)
+    for _ in range(hi):
+        qn *= q
+        f = f * (1 - tj) / ((1 - sq) * (1 - qn))
+        tj *= s2
+        sq *= q
+        scale.append(f)
+    return aw_polynomials(hi, cqultra_aw_spec(spec), scale)
 
 
 def cqultra_polynomial(n: int, spec: FamilySpec) -> SymLaurentPoly:
-    s, u = spec.base, spec.params["u"]
-    t, q = u * u, s ** 4
-    raw = aw_polynomial(n, cqultra_aw_spec(spec))
-    pref = q_pochhammer(t, s * s, n) / (
-        q_pochhammer(s * s * t, q, n) * q_pochhammer(q, q, n))
-    return raw.scale(pref)
+    return cqultra_polynomials(n, spec)[n]
 
 
 # ----------------------------------------------------------------------
@@ -419,34 +526,39 @@ def _norms_recursive(A, C, n_hi) -> tuple:
 
 # -- per-family coefficient formulas -------------------------------------
 
-def _aw_k(n, abcd, q):
-    return Fraction(2) ** n * q_pochhammer(abcd * q ** (n - 1), q, n)
+def _aw_coefficients(n_max, a, b, c, d, qp, w, g) -> tuple:
+    """A_n, B_n, h_n, gamma_n (n <= n_max) and lam_n (n <= n_max + 1) from
+    the closed forms, every power of q read from the :func:`_aw_tables`:
 
-
-def _aw_h(n, a, b, c, d, q):
-    abcd = a * b * c * d
-    num = (1 - abcd / q) * q_pochhammer_multi(
-        (q, a * b, a * c, a * d, b * c, b * d, c * d), q, n)
-    den = (1 - abcd * q ** (2 * n - 1)) * q_pochhammer(abcd / q, q, n)
-    return num / den
-
-
-def _aw_B(n, a, b, c, d, q):
+      A_n = k_n / k_(n+1) with k_n = 2^n (abcd q^(n-1); q)_n
+      B_n = q^(n-1) [e1 (q - abcd q^(n-1) - abcd q^n + abcd q^(2n))
+                     + e3 (1 - q^n - q^(n+1) + abcd q^(2n-1))]
+            / (2 (1 - abcd q^(2n-2)) (1 - abcd q^(2n)))
+      h_n = (1 - abcd/q) (q, ab, ac, ad, bc, bd, cd; q)_n
+            / ((1 - abcd q^(2n-1)) (abcd/q; q)_n)
+      lam_n = 2 (q^-n - 1) (1 - abcd q^(n-1)) / (1 - 1/q)
+      gamma_n = 2 (abcd q^n - q^-n)
+    """
     abcd = a * b * c * d
     e1 = a + b + c + d
     e3 = b * c * d + a * b * d + a * c * d + a * b * c
-    num = (e1 * (q - abcd * q ** (n - 1) - abcd * q ** n + abcd * q ** (2 * n))
-           + e3 * (1 - q ** n - q ** (n + 1) + abcd * q ** (2 * n - 1)))
-    den = 2 * (1 - abcd * q ** (2 * n - 2)) * (1 - abcd * q ** (2 * n))
-    return num * q ** (n - 1) / den
-
-
-def _aw_lam(n, abcd, q):
-    return 2 * (q ** (-n) - 1) * (1 - abcd * q ** (n - 1)) / (1 - 1 / q)
-
-
-def _aw_gamma(n, abcd, q):
-    return 2 * (abcd * q ** n - q ** (-n))
+    bc, bd, cd = b * c, b * d, c * d
+    A, B, h, gamma = [], [], [], []
+    pochs = w[-1]           # (1 - abcd/q) (q, ab, ..., cd; q)_n / (abcd/q; q)_n
+    for n in range(n_max + 1):
+        # k_(n+1) / k_n = 2 (1 - abcd q^(2n-1)) (1 - abcd q^(2n)) / (1 - abcd q^(n-1))
+        A.append(w[n - 1] / (2 * w[2 * n - 1] * w[2 * n]))
+        num = (e1 * (qp[1] - abcd * qp[n - 1] - abcd * qp[n] + abcd * qp[2 * n])
+               + e3 * (1 - qp[n] - qp[n + 1] + abcd * qp[2 * n - 1]))
+        B.append(num * qp[n - 1] / (2 * w[2 * n - 2] * w[2 * n]))
+        if n:
+            j = n - 1
+            pochs = (pochs * (1 - qp[n]) * g[j] * (1 - bc * qp[j]) * (1 - bd * qp[j])
+                     * (1 - cd * qp[j]) / w[j - 1])
+        h.append(pochs / w[2 * n - 1])
+        gamma.append(2 * (abcd * qp[n] - qp[-n]))
+    lam = [2 * (qp[-n] - 1) * w[n - 1] / (1 - qp[-1]) for n in range(n_max + 2)]
+    return A, B, h, lam, gamma
 
 
 def jacobi_coefficients(n: int, spec: FamilySpec):
@@ -527,17 +639,13 @@ def build_family(spec: FamilySpec, n_max: int) -> FamilyData:
 def _build_aw(spec, n_max):
     hi = n_max + 1
     a, b, c, d, q = (spec.params[k] for k in "abcdq")
-    abcd = a * b * c * d
-    polys = tuple(aw_polynomial(n, spec) for n in range(hi + 1))
+    qp, w, g = _aw_tables(a, b, c, d, q, hi)
+    polys = tuple(_aw_phi43s(hi, a, qp, w, g))
     polys_x = tuple(sym_to_x(p) for p in polys)
-    A = tuple(_aw_k(n, abcd, q) / _aw_k(n + 1, abcd, q) for n in range(n_max + 1))
-    B = tuple(_aw_B(n, a, b, c, d, q) for n in range(n_max + 1))
-    hs = tuple(_aw_h(n, a, b, c, d, q) for n in range(n_max + 1))
+    A, B, hs, lam, gamma = _aw_coefficients(n_max, a, b, c, d, qp, w, g)
     C = (Fraction(0),) + tuple(A[n - 1] * hs[n] / hs[n - 1] for n in range(1, n_max + 1))
-    lam = tuple(_aw_lam(n, abcd, q) for n in range(hi + 1))
-    gamma = tuple(_aw_gamma(n, abcd, q) for n in range(n_max + 1))
     return FamilyData(spec, "sym", n_max, polys, polys_x, _leading_k(polys_x),
-                      A, B, C, hs, lam, gamma)
+                      tuple(A), tuple(B), C, tuple(hs), tuple(lam), tuple(gamma))
 
 
 def _build_jacobi(spec, n_max):
@@ -557,7 +665,7 @@ def _build_jacobi(spec, n_max):
 def _build_cqjacobi(spec, n_max):
     hi = n_max + 1
     embedding = 49 if spec.family == CQJ49 else 9
-    polys = tuple(cqjacobi_polynomial(n, spec, embedding) for n in range(hi + 1))
+    polys = tuple(cqjacobi_polynomials(hi, spec, embedding))
     polys_x = tuple(sym_to_x(p) for p in polys)
     k = _leading_k(polys_x)
     AC = [cqjacobi_AC(n, spec) for n in range(n_max + 1)]
@@ -582,7 +690,7 @@ def _build_cqultra(spec, n_max):
     B = tuple(v[1] for v in coef)
     C = tuple(v[2] for v in coef)
     if spec.base_exp == 4:
-        polys = tuple(cqultra_polynomial(n, spec) for n in range(hi + 1))
+        polys = tuple(cqultra_polynomials(hi, spec))
     else:
         # q^(1/4) is not available at base q = s^2; the recurrence is
         polys = tuple(_polys_from_recurrence(A, B, C, hi, "sym"))
@@ -601,7 +709,7 @@ def _build_bigq(spec, n_max):
     from . import operators   # deferred: operators imports this module
 
     hi = n_max + 1
-    polys = tuple(bigq_polynomial(n, spec) for n in range(hi + 1))
+    polys = tuple(bigq_polynomials(hi, spec))
     k = _leading_k(polys)
     ABC = [_recurrence_row(polys, k, n) for n in range(n_max + 1)]
     A = tuple(v[0] for v in ABC)

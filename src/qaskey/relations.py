@@ -36,7 +36,7 @@ from . import operators as ops
 from .families import (AW, BIGQ, CQJ09, CQJ49, CQU, JACOBI, FamilyData,
                        FamilySpec, cqjacobi_AC, cqjacobi_gamma,
                        cqjacobi_gamma_tilde, recurrence_from_expansion,
-                       _polys_from_recurrence, cqjacobi_polynomial)
+                       _polys_from_recurrence, cqjacobi_polynomials)
 from .inner_product import skew_symmetry_residual, symmetry_residual
 from .laurent import (LaurentPoly, NonzeroRemainder, SymLaurentPoly, XPoly,
                       Z_MINUS_ZINV, _ints, _lcd)
@@ -648,9 +648,13 @@ def check_dual_path(fd: FamilyData, max_n: int, perturb=None) -> VerificationRep
         for n in range(max_n + 1):
             entries.append(_entry(n, rebuilt[n] - fd.polys[n]))
     if spec.family in (CQJ49, CQJ09):
+        # fd.polys is the build through the family's own embedding
+        if spec.family == CQJ49:
+            e49, e09 = fd.polys, cqjacobi_polynomials(max_n, spec, 9)
+        else:
+            e49, e09 = cqjacobi_polynomials(max_n, spec, 49), fd.polys
         for n in range(max_n + 1):
-            entries.append(_entry(n, cqjacobi_polynomial(n, spec, 49)
-                                  - cqjacobi_polynomial(n, spec, 9)))
+            entries.append(_entry(n, e49[n] - e09[n]))
     if spec.family == BIGQ:
         for n in range(max_n + 1):
             entries.append(_entry(n, fd.polys[n](1) - 1))

@@ -204,3 +204,14 @@ class TestReportBytes:
         assert run(["verify", "--family", "all", "--identity", "all", "--samples", "1",
                     "--seed", "1", "--no-timestamp", "--report", str(rep)]) == 0
         assert hashlib.sha256(rep.read_bytes()).hexdigest() == self.DIGEST
+
+    # sha256 of eq28 on one point per family at --n-max 14, which builds
+    # every family to degree 16 (the default --n-max 10 stops at 12)
+    HIGH_DEGREE_DIGEST = "bcc2b16a903eed86eebe90d082522a3fe16736275914d4c8f54320fa8d0b9f13"
+
+    def test_high_degree_digest(self, tmp_path):
+        rep = tmp_path / "eq28.json"
+        assert run(["verify", "--family", "all", "--identity", "eq28", "--n-max", "14",
+                    "--samples", "1", "--seed", "1", "--no-timestamp",
+                    "--report", str(rep)]) == 0
+        assert hashlib.sha256(rep.read_bytes()).hexdigest() == self.HIGH_DEGREE_DIGEST

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction as F
 
 import pytest
@@ -235,3 +236,239 @@ class TestQpow:
         spec = fam.aw_spec(**AW_SAMPLE)
         with pytest.raises(fam.InadmissibleParameters):
             spec.qpow(F(1, 2))
+
+
+class TestAdmissibilityBoundaries:
+    # At n_max = 5 the ten pair products may not equal q^-k for k <= 10,
+    # and abcd may not equal q^-m for -1 <= m <= 12.  q = 1/2, and no other
+    # product of these parameters is a power of 2.
+
+    @staticmethod
+    def _check(a, b, c, d):
+        fam.validate_spec(fam.aw_spec(a, b, c, d, q=F(1, 2)), 5)
+
+    def test_pair_product_bound(self):
+        with pytest.raises(fam.InadmissibleParameters, match="product 1024 is an inverse"):
+            self._check(F(1024, 3), 3, F(5, 7), F(7, 11))       # ab = q^-10
+        self._check(F(2048, 3), 3, F(5, 7), F(7, 11))          # ab = q^-11
+
+    def test_abcd_bounds(self):
+        with pytest.raises(fam.InadmissibleParameters, match="abcd hits"):
+            self._check(3, F(1, 5), F(5, 7), F(7, 6))           # abcd = q
+        with pytest.raises(fam.InadmissibleParameters, match="abcd hits"):
+            self._check(3, F(1, 5), F(5, 7), F(7 * 8192, 6))    # abcd = q^-12
+        self._check(3, F(1, 5), F(5, 7), F(7 * 16384, 6))      # abcd = q^-13
+
+
+class TestSamplerDraws:
+    # sha256 of every parameter point sample_specs draws for these seeds,
+    # caps and families.  Changing how admissibility is decided must not
+    # change which points are drawn.
+    DIGEST = "3f35771bc6766b040258d938ff52d9161b5d4e5ffb88bce95e6767dce3b6d7dc"
+
+    def test_draws_unchanged(self):
+        h = hashlib.sha256()
+        for family in fam.CLI_FAMILIES:
+            for seed in (1, 7, 42, 2027):
+                for n_max in (8, 15):
+                    for spec in fam.sample_specs(family, 8, seed=seed, n_max=n_max):
+                        h.update(f"{spec.family}|{seed}|{n_max}|{spec.base}|"
+                                 f"{spec.base_exp}|".encode())
+                        h.update(";".join(f"{k}={v}" for k, v in
+                                          sorted(spec.params.items())).encode())
+                        h.update(b"\n")
+        assert h.hexdigest() == self.DIGEST
+
+
+# -- a naive oracle for the batch builders ---------------------------------
+#
+# Each degree is summed term by term from the series definitions, with
+# Fractions and plain dict/list polynomials, and nothing from qaskey.
+
+def _poch(x, q, n):
+    out = F(1)
+    for j in range(n):
+        out *= 1 - x * q ** j
+    return out
+
+
+def _lmul(f, g):
+    """Product of Laurent polynomials in z held as {exponent: coefficient}."""
+    out = {}
+    for i, u in f.items():
+        for j, v in g.items():
+            out[i + j] = out.get(i + j, 0) + u * v
+    return out
+
+
+def _pmul(f, g):
+    """Product of ordinary polynomials held as coefficient lists."""
+    out = [F(0)] * (len(f) + len(g) - 1)
+    for i, u in enumerate(f):
+        for j, v in enumerate(g):
+            out[i + j] += u * v
+    return out
+
+
+def _naive_aw(n, a, b, c, d, q):
+    """(ab,ac,ad;q)_n a^-n 4phi3(q^-n, abcd q^(n-1), az, a/z; ab,ac,ad; q, q)
+    as {exponent of z: coefficient}."""
+    abcd = a * b * c * d
+    total, t = {}, {0: F(1)}
+    for k in range(n + 1):
+        if k:
+            x = a * q ** (k - 1)      # (1 - x z)(1 - x / z)
+            t = _lmul(t, {-1: -x, 0: 1 + x * x, 1: -x})
+        r = (_poch(q ** -n, q, k) * _poch(abcd * q ** (n - 1), q, k) * q ** k
+             / (_poch(a * b, q, k) * _poch(a * c, q, k) * _poch(a * d, q, k)
+                * _poch(q, q, k)))
+        for e, v in t.items():
+            total[e] = total.get(e, 0) + r * v
+    pref = _poch(a * b, q, n) * _poch(a * c, q, n) * _poch(a * d, q, n) / a ** n
+    return {e: pref * v for e, v in total.items()}
+
+
+def _naive_bigq(n, a, b, c, q):
+    """3phi2(q^-n, abq^(n+1), x; aq, -cq; q, q) as ascending x-coefficients."""
+    total, t = [F(0)] * (n + 1), [F(1)]
+    for k in range(n + 1):
+        if k:
+            t = _pmul(t, [F(1), -q ** (k - 1)])
+        r = (_poch(q ** -n, q, k) * _poch(a * b * q ** (n + 1), q, k) * q ** k
+             / (_poch(a * q, q, k) * _poch(-c * q, q, k) * _poch(q, q, k)))
+        for i, v in enumerate(t):
+            total[i] += r * v
+    return total
+
+
+def _naive_jacobi(n, al, be):
+    """(al+1)_n / n! 2F1(-n, n+al+be+1; al+1; (1-x)/2) in ascending x."""
+    total, t, r = [F(0)] * (n + 1), [F(1)], F(1)
+    for k in range(n + 1):
+        if k:
+            r *= F(-n + k - 1) * (n + al + be + k) / ((al + k) * k)
+            t = _pmul(t, [F(1, 2), F(-1, 2)])
+        for i, v in enumerate(t):
+            total[i] += r * v
+    lead = F(1)
+    for j in range(1, n + 1):
+        lead *= (al + j) / j
+    return [lead * v for v in total]
+
+
+def _naive_rogers(n, t, q):
+    """Continuous q-ultraspherical (Rogers) C_n(x; t | q)
+    = sum_k (t;q)_k (t;q)_(n-k) / ((q;q)_k (q;q)_(n-k)) z^(n-2k)."""
+    out = {}
+    for k in range(n + 1):
+        e = n - 2 * k
+        out[e] = out.get(e, 0) + (_poch(t, q, k) * _poch(t, q, n - k)
+                                  / (_poch(q, q, k) * _poch(q, q, n - k)))
+    return out
+
+
+def _naive_cqjacobi(n, al, be, s, embedding):
+    """Continuous q-Jacobi through an Askey-Wilson restriction, q = s^4:
+    e49 is the quadruple (q^(al/2+1/4), -q^(be/2+1/4), q^(1/4), -q^(1/4)) at
+    base q^(1/2), e09 is (q^(al/2+1/4), q^(al/2+3/4), -q^(be/2+1/4),
+    -q^(be/2+3/4)) at base q; either times q^((2al+1)n/4)
+    / ((-q^((al+be+1)/2); q^(1/2))_m (q; q)_n) with m = n (e49), 2n (e09)."""
+    ea, eb = int(2 * al), int(2 * be)
+    q = s ** 4
+    if embedding == 49:
+        raw = _naive_aw(n, s ** (ea + 1), -s ** (eb + 1), s, -s, s ** 2)
+        m = n
+    else:
+        raw = _naive_aw(n, s ** (ea + 1), s ** (ea + 3), -s ** (eb + 1),
+                        -s ** (eb + 3), q)
+        m = 2 * n
+    scale = s ** ((ea + 1) * n) / (_poch(-s ** (ea + eb + 2), s ** 2, m) * _poch(q, q, n))
+    return {e: scale * v for e, v in raw.items()}
+
+
+def _sym_matches(poly, laurent):
+    """A SymLaurentPoly equals a symmetric {exponent: coefficient} dict."""
+    n = max(e for e, v in laurent.items() if v)
+    assert all(laurent.get(e, 0) == laurent.get(-e, 0) for e in laurent)
+    return list(poly.c) == [laurent.get(e, 0) for e in range(n + 1)]
+
+
+ORACLE_HI = 16
+
+
+def _seed1(family):
+    return fam.sample_specs(family, 1, seed=1, n_max=ORACLE_HI - 1)[0]
+
+
+@pytest.fixture(scope="module")
+def oracle_points():
+    """build_family at each family's seed-1 point, polynomials to degree 16;
+    continuous q-Jacobi at the same point through both embeddings."""
+    specs = {f: _seed1(f) for f in fam.CLI_FAMILIES}
+    cq = specs["continuous-q-jacobi"]
+    specs[fam.CQJ09] = fam.cqjacobi_spec(cq.params["alpha"], cq.params["beta"],
+                                         cq.base, embedding=9)
+    return {f: fam.build_family(s, ORACLE_HI - 1) for f, s in specs.items()}
+
+
+class TestBatchBuildersAgainstOracle:
+    def test_askey_wilson(self, oracle_points):
+        fd = oracle_points[fam.AW]
+        a, b, c, d, q = (fd.spec.params[k] for k in "abcdq")
+        for n in range(ORACLE_HI + 1):
+            assert _sym_matches(fd.polys[n], _naive_aw(n, a, b, c, d, q)), n
+
+    def test_askey_wilson_closed_forms(self, oracle_points):
+        fd = oracle_points[fam.AW]
+        a, b, c, d, q = (fd.spec.params[k] for k in "abcdq")
+        abcd = a * b * c * d
+        k = [2 ** n * _poch(abcd * q ** (n - 1), q, n) for n in range(ORACLE_HI + 1)]
+        assert list(fd.k) == k
+        for n in range(fd.n_max + 1):
+            assert fd.A[n] == k[n] / k[n + 1]
+            pochs = F(1)
+            for x in (q, a * b, a * c, a * d, b * c, b * d, c * d):
+                pochs *= _poch(x, q, n)
+            assert fd.h[n] == ((1 - abcd / q) * pochs
+                               / ((1 - abcd * q ** (2 * n - 1)) * _poch(abcd / q, q, n)))
+
+    @pytest.mark.parametrize("family", ["continuous-q-jacobi", fam.CQJ09])
+    def test_continuous_q_jacobi(self, oracle_points, family):
+        fd = oracle_points[family]
+        al, be, s = fd.spec.params["alpha"], fd.spec.params["beta"], fd.spec.base
+        emb = 9 if fd.family == fam.CQJ09 else 49
+        for n in range(ORACLE_HI + 1):
+            assert _sym_matches(fd.polys[n], _naive_cqjacobi(n, al, be, s, emb)), n
+
+    def test_continuous_q_ultraspherical(self, oracle_points):
+        fd = oracle_points[fam.CQU]
+        t, q = fd.spec.params["t"], fd.spec.q
+        for n in range(ORACLE_HI + 1):
+            assert _sym_matches(fd.polys[n], _naive_rogers(n, t, q)), n
+
+    def test_big_q_jacobi(self, oracle_points):
+        fd = oracle_points[fam.BIGQ]
+        a, b, c, q = (fd.spec.params[k] for k in "abcq")
+        for n in range(ORACLE_HI + 1):
+            assert list(fd.polys[n].coeffs) == _naive_bigq(n, a, b, c, q), n
+
+    def test_jacobi(self, oracle_points):
+        fd = oracle_points[fam.JACOBI]
+        al, be = fd.spec.params["alpha"], fd.spec.params["beta"]
+        for n in range(ORACLE_HI + 1):
+            assert list(fd.polys[n].coeffs) == _naive_jacobi(n, al, be), n
+
+    def test_single_degree_wrappers(self, oracle_points):
+        hi = 8
+        aw, bq = oracle_points[fam.AW].spec, oracle_points[fam.BIGQ].spec
+        cq, cu = oracle_points["continuous-q-jacobi"].spec, oracle_points[fam.CQU].spec
+        batches = [(fam.aw_polynomial, fam.aw_polynomials(hi, aw), (aw,)),
+                   (fam.bigq_polynomial, fam.bigq_polynomials(hi, bq), (bq,)),
+                   (fam.cqultra_polynomial, fam.cqultra_polynomials(hi, cu), (cu,))]
+        for emb in (49, 9):
+            batches.append((fam.cqjacobi_polynomial,
+                            fam.cqjacobi_polynomials(hi, cq, emb), (cq, emb)))
+        for single, batch, args in batches:
+            assert len(batch) == hi + 1
+            for n in range(hi + 1):
+                assert single(n, *args) == batch[n], (single.__name__, n)
