@@ -1,6 +1,6 @@
 """Exact verification of structure relations, lowering/raising
 relations, and skew-symmetric operator identities for five orthogonal
-polynomial families in the q-Askey scheme, plus numeric harnesses for
+polynomial families in the q-Askey scheme, plus exact harnesses for
 the two limit transitions connecting them."""
 
 from .laurent import (LaurentPoly, NonzeroRemainder, SymLaurentPoly, XPoly,

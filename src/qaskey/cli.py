@@ -10,7 +10,7 @@ Two subcommands:
     code), 1 on a verification failure, 2 on configuration errors.
 
 ``limits``
-    drives the two numeric limit harnesses and writes the CSV
+    drives the two exact limit harnesses and writes the CSV
     convergence table.
 
 A flat ``key=value`` config file can supply any long flag's value;
@@ -83,18 +83,6 @@ def _run_chain(fd, args):
     return list(rel.reduce_bigq_chain(fd, _ns(args)))
 
 
-def _run_qdiff_derive(fd, args):
-    if fd.family == fam.AW:
-        a, b, c, d, q = (fd.spec.params[k] for k in "abcdq")
-        ref = [(q ** (-n) - 1) * (1 - a * b * c * d * q ** (n - 1))
-               for n in range(fd.n_max + 1)]
-        return [rel.check_qdiff_recovery(fd, ref)]
-    qd = fd.qdiff
-    entries = [rel.ResidualEntry(n, True) for n in range(len(qd.lambdas))]
-    return [rel.VerificationReport("qdiff-derive", fd.family,
-                                   fd.spec.sorted_params(), entries, "pass")]
-
-
 def _run_sklyanin(fd, args):
     out = []
     for e in (Fraction(2), Fraction(3), Fraction(1, 2)):
@@ -148,7 +136,8 @@ IDENTITIES = {
                      lambda fd, a: [rel.check_cqultra_nonskew(fd, min(8, a.n_max))]),
     "eq42": ((fam.BIGQ,), _run_chain),
     "eq41": ((fam.BIGQ,), _run_chain),
-    "qdiff-derive": ((fam.AW, fam.BIGQ), _run_qdiff_derive),
+    "qdiff-derive": ((fam.AW, fam.BIGQ),
+                     lambda fd, a: [rel.check_qdiff_recovery(fd, fd.lam)]),
     "coeff-match": (ALL, _run_coeff_match),
     "eigen": (ALL, lambda fd, a: [rel.check_eigen(fd, range(0, a.n_max + 1))]),
     "gamma-lambda": (ALL, lambda fd, a: [rel.check_gamma_lambda(fd, range(0, a.n_max + 1))]),
@@ -196,7 +185,7 @@ def load_config(path: str) -> dict:
 _CONFIG_COERCE = {"n_max": int, "samples": int, "seed": int, "degree_cap": int,
                   "no_timestamp": lambda v: v.lower() in ("1", "true", "yes"),
                   "alpha": int, "beta": int, "n": int, "eps_steps": int,
-                  "k_min": int, "k_max": int, "precision": int}
+                  "k_min": int, "k_max": int}
 
 
 def coerced_config(path: str) -> dict:
@@ -296,19 +285,13 @@ def run_limits(args) -> int:
     if args.which == "cqjacobi-to-jacobi":
         rows = lim.limit_cqjacobi_to_jacobi(
             args.alpha, args.beta, args.n,
-            k_range=range(args.k_min, args.k_max + 1), dps=args.precision)
+            k_range=range(args.k_min, args.k_max + 1))
     else:
         rows = lim.limit_aw_to_bigq(
             _parse_fraction(args.a), _parse_fraction(args.b),
             _parse_fraction(args.c), _parse_fraction(args.q), args.n,
             eps_ks=range(args.k_min, args.k_min + args.eps_steps))
-    lines = [lim.CSV_HEADER] + [r.csv() for r in rows]
-    text = "\n".join(lines) + "\n"
-    if args.out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    lim.write_csv(rows, args.out)
     return 0
 
 
@@ -335,7 +318,7 @@ def make_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     v.add_argument("--config", default="", help="flat key=value config file")
     v.add_argument("--no-timestamp", action="store_true", dest="no_timestamp")
 
-    l = sub.add_parser("limits", help="numeric limit-transition tables")
+    l = sub.add_parser("limits", help="limit-transition convergence tables")
     l.add_argument("--which", required=True,
                    choices=["cqjacobi-to-jacobi", "aw-to-bigq"])
     l.add_argument("--alpha", type=int, default=1)
@@ -348,8 +331,6 @@ def make_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     l.add_argument("--eps-steps", type=int, default=8, dest="eps_steps")
     l.add_argument("--k-min", type=int, default=3, dest="k_min")
     l.add_argument("--k-max", type=int, default=12, dest="k_max")
-    l.add_argument("--precision", type=int, default=50,
-                   help="working precision in decimal digits for the q->1 path")
     l.add_argument("--out", default="-", help="CSV output path ('-' = stdout)")
     l.add_argument("--config", default="", help="flat key=value config file")
     if defaults:

@@ -1,16 +1,13 @@
-"""Numeric harnesses for the two limit transitions.
+"""Harnesses for the two limit transitions, both in exact arithmetic.
 
-Only this module leaves exact arithmetic, and only halfway:
+* q -> 1 (continuous q-Jacobi to Jacobi) runs at q = s^4 with the
+  rational s = 1 - 2^-(k+2), so q ~ 1 - 2^-k and every quarter power
+  of q the family needs is a power of s.
+* eps -> 0 collapses Askey-Wilson onto big q-Jacobi; every quantity is
+  rational there as well.
 
-* q -> 1 (continuous q-Jacobi to Jacobi) needs q^(alpha/2 + 1/4) at
-  q = 1 - 2^-k, which is irrational, so this path runs in mpmath
-  arbitrary-precision floats (configurable precision, default 50
-  digits; the noise floor is far below every deviation measured).
-* the eps -> 0 collapse of Askey-Wilson onto big q-Jacobi keeps every
-  quantity rational, so that path stays exact and the deviations are
-  literal rational numbers.
-
-Both emit rows for the CSV convergence tables:
+Both deviations are literal rational numbers, converted to floats only
+for the CSV convergence tables:
     step, parameter_value, max_deviation, ratio
 with ratio = previous deviation / current deviation (blank on the
 first row); steady ratios >= 1.5 certify the decay.
@@ -18,15 +15,16 @@ first row); steady ratios >= 1.5 certify the decay.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath as mp
-
-from .families import FamilySpec, aw_spec, bigq_polynomial, bigq_spec, jacobi_spec, build_family
+from .families import (FamilySpec, aw_spec, bigq_polynomial, bigq_spec, build_family,
+                       cqjacobi_polynomial, cqjacobi_spec, jacobi_spec)
 from .laurent import x_to_sym
-from .operators import jacobi_L
+from .operators import cqjacobi_L, jacobi_L
 from .qcalc import q_pochhammer_multi
+from .relations import _explicit_coeffs
 
 
 @dataclass
@@ -58,167 +56,22 @@ def _attach_ratios(rows):
 # q -> 1: continuous q-Jacobi structure relation onto the Jacobi one
 # ----------------------------------------------------------------------
 
-def _mp_pochhammer(a, q, n):
-    acc = mp.mpf(1)
-    w = mp.mpf(a)
-    for _ in range(n):
-        acc *= 1 - w
-        w *= q
-    return acc
-
-
-def _sym_mul_linear(c, mid, off):
-    """Multiply a symmetric coefficient list by mid + off (z + 1/z)."""
-    k = len(c) - 1
-    zero = mp.mpf(0)
-    d = [zero] * (k + 2)
-    for j in range(k + 2):
-        cj = c[j] if j <= k else zero
-        cjm = c[abs(j - 1)] if abs(j - 1) <= k else zero
-        cjp = c[j + 1] if j + 1 <= k else zero
-        d[j] = mid * cj + off * (cjm + cjp)
-    return d
-
-
-def _cqjacobi_sym_coeffs(alpha, beta, q, n):
-    """Numeric symmetric-Laurent coefficients of the degree-n polynomial,
-    through the 4phi3 restriction with parameters
-    (q^(a/2+1/4), -q^(b/2+1/4), q^(1/4), -q^(1/4)) at base q^(1/2)."""
-    qh = mp.sqrt(q)
-    a = mp.power(q, mp.mpf(alpha) / 2 + mp.mpf(1) / 4)
-    b = -mp.power(q, mp.mpf(beta) / 2 + mp.mpf(1) / 4)
-    c = mp.power(q, mp.mpf(1) / 4)
-    d = -c
-    abcd = a * b * c * d
-    coeffs = [mp.mpf(0)] * (n + 1)
-    coeffs[0] = mp.mpf(1)
-    term = [mp.mpf(1)]                     # (az;qh)_k (a/z;qh)_k, symmetric
-    r = mp.mpf(1)
-    qinvn = mp.power(qh, -n)
-    for k in range(1, n + 1):
-        j = k - 1
-        r *= (1 - qinvn * qh ** j) * (1 - abcd * qh ** (n - 1 + j)) * qh
-        r /= (1 - a * b * qh ** j) * (1 - a * c * qh ** j) * (1 - a * d * qh ** j) * (1 - qh ** k)
-        aj = a * qh ** j
-        term = _sym_mul_linear(term, 1 + aj * aj, -aj)
-        for i in range(min(len(term), n + 1)):
-            coeffs[i] += r * term[i]
-    # prefactor: the a^-n cancels against q^((a/2+1/4) n); denominators remain
-    minus = -mp.power(q, (mp.mpf(alpha) + mp.mpf(beta) + 1) / 2)
-    denom = _mp_pochhammer(minus, qh, n) * _mp_pochhammer(q, q, n)
-    pref = _mp_pochhammer(a * b, qh, n) * _mp_pochhammer(a * c, qh, n) \
-        * _mp_pochhammer(a * d, qh, n) / denom
-    return [v * pref for v in coeffs]
-
-
-def _sym_eval(coeffs, zv):
-    acc = coeffs[0]
-    for k in range(1, len(coeffs)):
-        acc += coeffs[k] * (zv ** k + zv ** (-k))
-    return acc
-
-
-def _cqjacobi_L_value(alpha, beta, q, coeffs, zv):
-    """(v(z) f[q^(1/2) z] - v(1/z) f[z / q^(1/2)]) / (z - 1/z) pointwise."""
-    qh = mp.sqrt(q)
-    a = mp.power(q, mp.mpf(alpha) / 2 + mp.mpf(1) / 4)
-    b = mp.power(q, mp.mpf(beta) / 2 + mp.mpf(1) / 4)
-
-    def v(z):
-        return (1 - a * z) * (1 + b * z) * (1 - qh * z * z) / (z * z)
-
-    up = _sym_eval(coeffs, qh * zv)
-    dn = _sym_eval(coeffs, zv / qh)
-    return (v(zv) * up - v(1 / zv) * dn) / (zv - 1 / zv)
-
-
-def _cqjacobi_L_sym_coeffs(alpha, beta, q, coeffs, n):
-    """Symmetric coefficients of L_q applied to the degree-n polynomial,
-    by numeric Laurent arithmetic and synthetic division by z - 1/z."""
-    qh = mp.sqrt(q)
-    a = mp.power(q, mp.mpf(alpha) / 2 + mp.mpf(1) / 4)
-    b = mp.power(q, mp.mpf(beta) / 2 + mp.mpf(1) / 4)
-    # v(z) = (1 + (b-a) z - ab z^2)(z^-2 - q^(1/2))
-    quad = {0: mp.mpf(1), 1: b - a, 2: -a * b}
-    v = {}
-    for e, cf in quad.items():
-        v[e - 2] = v.get(e - 2, mp.mpf(0)) + cf
-        v[e] = v.get(e, mp.mpf(0)) - qh * cf
-    full = [mp.mpf(0)] * (2 * n + 1)
-    full[n] = coeffs[0]
-    for k in range(1, n + 1):
-        full[n + k] = coeffs[k]
-        full[n - k] = coeffs[k]
-    num = {}
-    for e1, c1 in v.items():
-        for i in range(2 * n + 1):
-            if full[i]:
-                e2 = i - n
-                w = c1 * full[i]
-                num[e1 + e2] = num.get(e1 + e2, mp.mpf(0)) + w * mp.power(qh, e2)
-                num[-e1 + e2] = num.get(-e1 + e2, mp.mpf(0)) - w * mp.power(qh, -e2)
-    hi, lo = max(num), min(num)
-    rem = [num.get(e, mp.mpf(0)) for e in range(lo, hi + 1)]
-    quot = [mp.mpf(0)] * (len(rem) - 2)
-    for top in range(len(rem) - 1, 1, -1):   # divide by z^2 - 1, shift z^-1
-        f = rem[top]
-        quot[top - 2] = f
-        rem[top] -= f
-        rem[top - 2] += f
-    res = {lo + 1 + i: quot[i] for i in range(len(quot))}
-    return [res.get(k, mp.mpf(0)) for k in range(0, n + 2)]
-
-
-def limit_cqjacobi_to_jacobi(alpha: int, beta: int, n: int,
-                             k_range=range(3, 13), dps: int = 50):
+def limit_cqjacobi_to_jacobi(alpha: int, beta: int, n: int, k_range=range(3, 13)):
     """Coefficient deviation of (2/(1-q)) L_q P_n[.; q] from 4 L P_n
-    (Jacobi) at q = 1 - 2^-k, relative to the target coefficient scale.
-
-    The pointwise two-sided check of the q-level structure relation
-    (exact at every q) lives in :func:`structure_consistency_at_q`; it
-    bounds the numeric noise floor of this path.
-    """
-    with mp.workdps(dps):
-        jspec = jacobi_spec(alpha, beta)
-        jd = build_family(jspec, max(n + 1, 2))
-        lp_sym = x_to_sym(jacobi_L(jspec)(jd.polys[n]).scale(4))
-        target = [mp.mpf(lp_sym.coeff(k).numerator) / mp.mpf(lp_sym.coeff(k).denominator)
-                  for k in range(n + 2)]
-        scale = max(abs(t) for t in target) or mp.mpf(1)
-        rows = []
-        for k in k_range:
-            q = 1 - mp.mpf(2) ** (-k)
-            coeffs = _cqjacobi_sym_coeffs(alpha, beta, q, n)
-            got = _cqjacobi_L_sym_coeffs(alpha, beta, q, coeffs, n)
-            dev = max(abs(2 / (1 - q) * g - t) for g, t in zip(got, target))
-            rows.append((k, q, dev / scale))
-        return _attach_ratios(rows)
-
-
-def structure_consistency_at_q(alpha: int, beta: int, n: int, k: int,
-                               dps: int = 50) -> float:
-    """|LHS - RHS| of the exact q-level structure relation at q = 1 - 2^-k,
-    a numeric noise-floor probe (the relation is an identity at every q)."""
-    with mp.workdps(dps):
-        q = 1 - mp.mpf(2) ** (-k)
-        qh = mp.sqrt(q)
-        al2, be2 = mp.mpf(alpha), mp.mpf(beta)
-        cs = {m: _cqjacobi_sym_coeffs(alpha, beta, q, m) for m in (n - 1, n, n + 1)}
-        qa = mp.power(q, al2 / 2 + mp.mpf(1) / 4)
-        An = ((1 - q ** (n + 1)) * (1 - q ** (n + al2 + be2 + 1))
-              / (2 * qa * (1 - q ** (n + (al2 + be2 + 1) / 2))
-                 * (1 - q ** (n + (al2 + be2 + 2) / 2))))
-        Cn = (qa * (1 - q ** (n + al2)) * (1 - q ** (n + be2))
-              / (2 * (1 - q ** (n + (al2 + be2) / 2))
-                 * (1 - q ** (n + (al2 + be2 + 1) / 2))))
-        gam = lambda m: 2 * (mp.power(q, (m + al2 + be2 + 2) / 2) - mp.power(q, -mp.mpf(m) / 2))
-        worst = mp.mpf(0)
-        for zv in (mp.mpf(3) / 10, mp.mpf(5) / 4):
-            lhs = _cqjacobi_L_value(alpha, beta, q, cs[n], zv)
-            rhs = gam(n) * An * _sym_eval(cs[n + 1], zv) \
-                - gam(n - 1) * Cn * _sym_eval(cs[n - 1], zv)
-            worst = max(worst, abs(lhs - rhs))
-        return float(worst)
+    (Jacobi) at q = s^4 with s = 1 - 2^-(k+2), so q ~ 1 - 2^-k, relative
+    to the target coefficient scale.  Both sides are exact, so the
+    deviation is the limit error alone."""
+    jspec = jacobi_spec(alpha, beta)
+    jd = build_family(jspec, max(n + 1, 2))
+    target = x_to_sym(jacobi_L(jspec)(jd.polys[n]).scale(4))
+    scale = max(abs(target.coeff(j)) for j in range(n + 2)) or 1
+    rows = []
+    for k in k_range:
+        spec = cqjacobi_spec(alpha, beta, 1 - Fraction(1, 2) ** (k + 2))
+        got = cqjacobi_L(spec)(cqjacobi_polynomial(n, spec)).scale(2 / (1 - spec.q))
+        dev = max(abs(got.coeff(j) - target.coeff(j)) for j in range(n + 2))
+        rows.append((k, spec.q, dev / scale))
+    return _attach_ratios(rows)
 
 
 # ----------------------------------------------------------------------
@@ -245,9 +98,10 @@ def limit_aw_to_bigq(a, b, c, q, n, eps_ks=range(4, 12)):
     and big q-Jacobi data at eps = 2^-k, plus the structure-relation
     coefficients rescaled by sigma(eps) = -eps/(a c q^2)."""
     a, b, c, q = Fraction(a), Fraction(b), Fraction(c), Fraction(q)
-    target = bigq_polynomial(n, bigq_spec(a, b, c, q))
+    spec = bigq_spec(a, b, c, q)
+    target = bigq_polynomial(n, spec)
     if n >= 1:
-        tplus, tminus = _bigq_structure_coeffs(a, b, c, q, n)
+        _, tplus, tminus = _explicit_coeffs(spec, n)
     rows = []
     for k in eps_ks:
         eps = Fraction(1, 2 ** k)
@@ -260,24 +114,10 @@ def limit_aw_to_bigq(a, b, c, q, n, eps_ks=range(4, 12)):
     return _attach_ratios(rows)
 
 
-def _bigq_structure_coeffs(a, b, c, q, n):
-    plus = ((1 - a * q ** (n + 1)) * (1 + c * q ** (n + 1)) * (1 - a * b * q ** (n + 1))
-            / (q ** (n + 2) * a * c * (1 - a * b * q ** (2 * n + 1))))
-    minus = -(1 - q ** n) * (1 - b * q ** n) * (1 + a * b * q ** n / c) \
-        / (1 - a * b * q ** (2 * n + 1))
-    return plus, minus
-
-
 def _rescaled_structure_coeffs(a, b, c, q, eps, n):
     """sigma(eps) * the explicit AW structure coefficients carried through
     the renormalization m_n, at the eps-substituted parameter point."""
-    A, B, C, D = eps, a * q / eps, -c * q / eps, -eps * b / c
-    abcd = A * B * C * D
-    eplus = -(1 - abcd * q ** (n - 1)) / (q ** n * (1 - abcd * q ** (2 * n - 1)))
-    six = Fraction(1)
-    for p in (A * B, A * C, A * D, B * C, B * D, C * D):
-        six *= 1 - p * q ** (n - 1)
-    eminus = six * (1 - q ** n) / (q ** (n - 1) * (1 - abcd * q ** (2 * n - 1)))
+    _, eplus, eminus = _explicit_coeffs(_aw_eps_spec(a, b, c, q, eps), n)
 
     def m_ratio(lo, hi):       # m_lo / m_hi
         return q_pochhammer_multi((a * q, -c * q, -eps * eps * b / c), q, hi) \
@@ -289,6 +129,10 @@ def _rescaled_structure_coeffs(a, b, c, q, eps, n):
 
 
 def write_csv(rows, path) -> None:
-    lines = [CSV_HEADER] + [r.csv() for r in rows]
+    """Write the table with its header to ``path``; ``-`` means stdout."""
+    text = "\n".join([CSV_HEADER] + [r.csv() for r in rows]) + "\n"
+    if path == "-":
+        sys.stdout.write(text)
+        return
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(text)

@@ -127,9 +127,8 @@ def check_structure(fd: FamilyData, ns: Iterable[int], perturb=None) -> Verifica
     return _close("eq28", fd, entries)
 
 
-def _explicit_coeffs(fd: FamilyData, n: int):
+def _explicit_coeffs(spec: FamilySpec, n: int):
     """Closed-form structure-relation coefficients, straight from the displays."""
-    spec = fd.spec
     if spec.family == AW:
         a, b, c, d, q = (spec.params[k] for k in "abcdq")
         abcd = a * b * c * d
@@ -171,7 +170,7 @@ def check_explicit_structure(fd: FamilyData, ns: Iterable[int], perturb=None) ->
     ident = None
     entries = []
     for n in ns:
-        ident, plus, minus = _explicit_coeffs(fd, n)
+        ident, plus, minus = _explicit_coeffs(fd.spec, n)
         plus = _p1(plus, perturb, "plus")
         minus = _p1(minus, perturb, "minus")
         resid = L(fd.polys[n]) - fd.polys[n + 1].scale(plus) - _below(fd, n).scale(minus)
@@ -191,7 +190,7 @@ def check_coefficient_match(fd: FamilyData, ns: Iterable[int], perturb=None) -> 
     for n in ns:
         if n < 1:
             raise ValueError(f"coeff-match is defined for n >= 1, got n = {n}")
-        _, plus, minus = _explicit_coeffs(fd, n)
+        _, plus, minus = _explicit_coeffs(fd.spec, n)
         plus = _p1(plus, perturb, "plus")
         entries.append(_entry(n, plus - fd.gamma[n] * fd.A[n]))
         entries.append(_entry(n, minus + fd.gamma[n - 1] * fd.C[n]))
@@ -206,11 +205,8 @@ def check_coefficient_match(fd: FamilyData, ns: Iterable[int], perturb=None) -> 
             # the classical coefficients are the skew ones shifted by the
             # multiplier ((alpha-beta) + (alpha+beta+2) x)/2 via the recurrence
             al, be = fd.spec.params["alpha"], fd.spec.params["beta"]
-            ab = al + be
-            half = (ab + 2) / Fraction(2)
-            plus02 = -Fraction(2 * n) * (n + 1) * (n + ab + 1) / ((2 * n + ab + 1) * (2 * n + ab + 2))
-            mid02 = 2 * n * (n + ab + 1) * (al - be) / ((2 * n + ab) * (2 * n + ab + 2))
-            minus02 = 2 * (n + al) * (n + be) * (n + ab + 1) / ((2 * n + ab) * (2 * n + ab + 1))
+            half = (al + be + 2) / Fraction(2)
+            plus02, mid02, minus02 = _classic_jacobi_coeffs(fd.spec, n)
             entries.append(_entry(n, plus02 - (plus + half * fd.A[n])))
             entries.append(_entry(n, mid02 - ((al - be) / 2 + half * fd.B[n])))
             entries.append(_entry(n, minus02 - (minus + half * fd.C[n])))
@@ -493,8 +489,7 @@ def check_cqultra_combination(fd: FamilyData, ns: Iterable[int], perturb=None) -
         entries.append(_entry(n, lhs54 - lhs55.scale(u) - lhs53.scale(v)))
         # right-hand sides must combine with the same constants
         qn, qin = p ** n, p ** (-n)
-        r54p = -(1 - t * p * q ** n) * (1 - q ** (n + 1)) / (qn * (1 - t * q ** n))
-        r54m = (1 - t * q ** n / p) * (1 - t * t * q ** (n - 1)) / ((qn / p) * (1 - t * q ** n))
+        _, r54p, r54m = _explicit_coeffs(fd.spec, n)
         c55 = (qin + t * qn) / (1 - t * q ** n)
         entries.append(_entry(n, r54p - (u * c55 * (1 - q ** (n + 1))
                                          + v * qin * (1 - q ** (n + 1)))))
@@ -665,18 +660,25 @@ def check_dual_path(fd: FamilyData, max_n: int, perturb=None) -> VerificationRep
 # classical Jacobi structure relation
 # ----------------------------------------------------------------------
 
+def _classic_jacobi_coeffs(spec: FamilySpec, n: int):
+    """The plus, middle and minus coefficients of (1-x^2) P_n' in
+    P_(n+1), P_n and P_(n-1), straight from the classical display."""
+    al, be = spec.params["alpha"], spec.params["beta"]
+    ab = al + be
+    plus = -Fraction(2 * n) * (n + 1) * (n + ab + 1) / ((2 * n + ab + 1) * (2 * n + ab + 2))
+    mid = 2 * n * (n + ab + 1) * (al - be) / ((2 * n + ab) * (2 * n + ab + 2))
+    minus = 2 * (n + al) * (n + be) * (n + ab + 1) / ((2 * n + ab) * (2 * n + ab + 1))
+    return plus, mid, minus
+
+
 def check_classic_jacobi_structure(fd: FamilyData, ns: Iterable[int],
                                    perturb=None) -> VerificationReport:
     """(1-x^2) P_n' against its three-term expansion with the classical
     closed-form coefficients."""
-    al, be = fd.spec.params["alpha"], fd.spec.params["beta"]
     one_minus_x2 = XPoly([1, 0, -1])
     entries = []
     for n in ns:
-        ab = al + be
-        plus = -Fraction(2 * n) * (n + 1) * (n + ab + 1) / ((2 * n + ab + 1) * (2 * n + ab + 2))
-        mid = 2 * n * (n + ab + 1) * (al - be) / ((2 * n + ab) * (2 * n + ab + 2))
-        minus = 2 * (n + al) * (n + be) * (n + ab + 1) / ((2 * n + ab) * (2 * n + ab + 1))
+        plus, mid, minus = _classic_jacobi_coeffs(fd.spec, n)
         mid = _p1(mid, perturb, "middle")
         plus = _p1(plus, perturb, "plus")
         lhs = one_minus_x2 * fd.polys[n].derivative()
@@ -998,7 +1000,7 @@ def reduce_bigq_chain(fd: FamilyData, ns: Iterable[int], perturb=None) -> tuple:
         if not affine.is_zero and affine.degree > 1:
             raise VerificationFailure("middle coefficient is not affine in x")
         delta, beta = affine.coeff(1) / kappa, affine.coeff(0) / kappa
-        _, plus, minus = _explicit_coeffs(fd, n)
+        _, plus, minus = _explicit_coeffs(fd.spec, n)
         alpha_n, gamma_n = plus / kappa, minus / kappa
         lhs = shape * q_derivative(fd.polys[n], q)
         rhs42 = (fd.polys[n + 1].scale(_p1(alpha_n, perturb, "alpha"))
@@ -1013,15 +1015,6 @@ def reduce_bigq_chain(fd: FamilyData, ns: Iterable[int], perturb=None) -> tuple:
                  + _below(fd, n).scale(ct))
         entries41.append(_entry(n, lhs - rhs41))
     return (_close("eq42", fd, entries42), _close("eq41", fd, entries41))
-
-
-def check_cqultra_web(fd: FamilyData, ns: Iterable[int]) -> list:
-    """All five q-ultraspherical relations plus the exact combination,
-    as a list of reports (one per identity)."""
-    out = [check_cqultra_relation(fd, ns, which)
-           for which in ("eq51", "eq52", "eq53", "eq55", "qdiff2")]
-    out.append(check_cqultra_combination(fd, ns))
-    return out
 
 
 #: mutation slots exercised by the negative-control tests

@@ -1,9 +1,16 @@
+import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
 from qaskey import cli
+from qaskey import families as fam
 from qaskey import relations as rel
 
 
@@ -120,6 +127,24 @@ class TestVerify:
                     "--report", str(tmp_path / "r.json")]) == 0
         assert sorted(calls) == ["derive_second_order_qdiff"] * 2 + ["reduce_bigq_chain"] * 2
 
+    @pytest.mark.parametrize("spec", [
+        fam.bigq_spec(F(1, 3), F(1, 4), F(1, 5), F(1, 2)),
+        fam.aw_spec(F(1, 3), F(1, 4), F(1, 5), F(-1, 6), q=F(1, 2)),
+    ], ids=lambda s: s.family)
+    def test_qdiff_derive_compares_eigenvalues(self, spec):
+        # the runner checks the derived eigenvalues against the point's
+        # own lambda_n; one wrong reference value must fail the report
+        fd = fam.build_family(spec, 5)
+        _, runner = cli.IDENTITIES["qdiff-derive"]
+        args = cli.make_parser().parse_args(["verify"])
+        assert [r.status for r in runner(fd, args)] == ["pass"]
+        lam = list(fd.lam)
+        lam[3] += 1
+        bad = dataclasses.replace(fd, lam=tuple(lam))
+        reports = runner(bad, args)
+        assert [r.status for r in reports] == ["fail"]
+        assert [e.n for e in reports[0].entries if not e.zero] == [3]
+
 
 class TestConfig:
     def test_config_file_defaults_and_override(self, tmp_path):
@@ -169,6 +194,22 @@ class TestLimitsCommand:
         with pytest.raises(SystemExit) as exc:
             run(["limits"])
         assert exc.value.code == 2
+
+    def test_precision_flag_gone(self, capsys):
+        # the q -> 1 table is exact, so there is no working precision to set
+        with pytest.raises(SystemExit) as exc:
+            run(["limits", "--which", "cqjacobi-to-jacobi", "--precision", "50"])
+        assert exc.value.code == 2
+        assert "--precision" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_out_mpmath():
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, qaskey.cli; print('mpmath' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 class TestFullGridSmoke:

@@ -2,7 +2,9 @@ from fractions import Fraction as F
 
 import pytest
 
+from qaskey import families as fam
 from qaskey import limits as lim
+from qaskey import relations as rel
 
 
 class TestCqJacobiToJacobi:
@@ -18,14 +20,12 @@ class TestCqJacobiToJacobi:
 
     def test_gamma0_coefficient_limit(self):
         # (2/(1-q)) gamma_0(q) -> 4 * (-(alpha+beta+2)/2) = -2 (alpha+beta+2)
-        import mpmath as mp
         alpha, beta = 1, 2
         target = -2 * (alpha + beta + 2)
         prev = None
         for k in (4, 6, 8, 10):
-            q = 1 - mp.mpf(2) ** (-k)
-            gamma0 = 2 * (mp.power(q, mp.mpf(alpha + beta + 2) / 2) - 1)
-            got = 2 / (1 - q) * gamma0
+            spec = fam.cqjacobi_spec(alpha, beta, 1 - F(1, 2 ** (k + 2)))
+            got = 2 / (1 - spec.q) * fam.cqjacobi_gamma(0, spec)
             err = abs(got - target)
             if prev is not None:
                 assert err < prev
@@ -37,9 +37,13 @@ class TestCqJacobiToJacobi:
         assert rows[-1].max_deviation < 1e-3
 
     def test_noise_floor(self):
-        # the q-level structure relation is exact; the numeric residual is
-        # pure roundoff, many orders below the limit deviations
-        assert lim.structure_consistency_at_q(1, 2, 3, 10) < 1e-40
+        # at a q of the limit grid the q-level structure relation (eq59)
+        # still holds with an exactly zero residual: the table's
+        # deviations carry no arithmetic noise
+        fd = fam.build_family(fam.cqjacobi_spec(1, 2, 1 - F(1, 2 ** 12)), 3)
+        rep = rel.check_explicit_structure(fd, [3])
+        assert rep.identity_id == "eq59" and rep.passed
+        assert [e.zero for e in rep.entries] == [True]
 
 
 class TestAwToBigQ:
@@ -78,7 +82,7 @@ class TestAwToBigQ:
 
     def test_structure_coefficients_converge(self):
         a, b, c, q, n = F(1, 3), F(1, 4), F(1, 5), F(1, 2), 2
-        tplus, tminus = lim._bigq_structure_coeffs(a, b, c, q, n)
+        _, tplus, tminus = rel._explicit_coeffs(fam.bigq_spec(a, b, c, q), n)
         prev = None
         for k in (4, 6, 8):
             sp, sm = lim._rescaled_structure_coeffs(a, b, c, q, F(1, 2 ** k), n)

@@ -202,7 +202,10 @@ class TestCqUltraWeb:
         spec = fam.cqultra_spec(F(1, 2), F(1, 2), m=2)
         assert spec.q == F(1, 4) and spec.params["t"] == F(1, 4)
         fd = fam.build_family(spec, 8)
-        for rep in rel.check_cqultra_web(fd, range(1, 8)):
+        ns = range(1, 8)
+        reports = [rel.check_cqultra_relation(fd, ns, which)
+                   for which in ("eq51", "eq52", "eq53", "eq55", "qdiff2")]
+        for rep in reports + [rel.check_cqultra_combination(fd, ns)]:
             assert rep.passed, rep.identity_id
         assert rel.check_eigen(fd, range(0, 8)).passed
         assert rel.check_commutator(fd, 8).passed
