@@ -11,7 +11,7 @@ from .families import (FamilyData, FamilySpec, InadmissibleParameters,
                        aw_spec, bigq_spec, build_family, cqjacobi_spec,
                        cqultra_spec, jacobi_spec, sample_specs)
 from .operators import PolyOperator, commutator, d_from_l, op_x
-from .inner_product import expand_in_family, inner
+from .inner_product import inner
 from .relations import VerificationReport
 
 __version__ = "0.1.0"

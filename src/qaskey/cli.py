@@ -21,9 +21,12 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from . import families as fam
+from .families import AW, BIGQ, CLI_FAMILIES, CQJ, CQU, JACOBI as JAC
 from . import relations as rel
 from . import limits as lim
 from .laurent import NonzeroRemainder
@@ -48,16 +51,16 @@ def _parse_params(text: str) -> dict:
 
 def spec_from_params(family: str, params: dict) -> fam.FamilySpec:
     try:
-        if family == fam.AW:
+        if family == AW:
             return fam.aw_spec(params["a"], params["b"], params["c"],
                                params["d"], q=params["q"])
-        if family == fam.JACOBI:
+        if family == JAC:
             return fam.jacobi_spec(params["alpha"], params["beta"])
-        if family == "continuous-q-jacobi":
+        if family == CQJ:
             return fam.cqjacobi_spec(params["alpha"], params["beta"], params["s"])
-        if family == fam.CQU:
+        if family == CQU:
             return fam.cqultra_spec(params["u"], params["s"])
-        if family == fam.BIGQ:
+        if family == BIGQ:
             return fam.bigq_spec(params["a"], params["b"], params["c"], params["q"])
     except KeyError as exc:
         raise ValueError(f"family {family} is missing parameter {exc}") from exc
@@ -68,100 +71,125 @@ def spec_from_params(family: str, params: dict) -> fam.FamilySpec:
 # identity registry
 # ----------------------------------------------------------------------
 
-ALL = (fam.AW, fam.JACOBI, "continuous-q-jacobi", fam.CQU, fam.BIGQ)
-
-
-def _ns(args):
-    return range(1, args.n_max + 1)
-
-
-def _run_explicit(fd, args):
-    return [rel.check_explicit_structure(fd, _ns(args))]
-
-
-def _run_chain(fd, args):
-    return list(rel.reduce_bigq_chain(fd, _ns(args)))
-
-
-def _run_sklyanin(fd, args):
-    out = []
-    for e in (Fraction(2), Fraction(3), Fraction(1, 2)):
-        out.append(rel.check_sklyanin(fd.spec, e, min(args.degree_cap, 8)))
-    return out
-
-
-def _run_eq73(fd, args):
-    # exact q^(1/2) needs an even base exponent; re-anchor the sample at
-    # the same quadruple with q' = q^2 so the half power is the old q
+def _reanchored(fd, args):
+    """eq73's domain: n = 0 .. min(n_max, 6) - 1 at the sampled quadruple
+    with q' = q^2, since an exact q^(1/2) needs an even base exponent."""
     p = fd.spec.params
     spec2 = fam.aw_spec(p["a"], p["b"], p["c"], p["d"], s=p["q"], m=2)
     fd2 = fam.build_family(spec2, min(args.n_max, 6))
-    return [rel.residual_q_bispectral(fd2, range(0, fd2.n_max))]
+    return fd2, range(0, fd2.n_max)
 
 
-def _run_coeff_match(fd, args):
-    return [rel.check_coefficient_match(fd, _ns(args))]
+#: degree domains: each maps a point and the flags to the point a check
+#: runs on and its degrees -- a range of n for a per-degree check, one top
+#: degree for an operator- or basis-level check, None for a check that
+#: reads every stored degree of the point itself
+DOMAINS = {
+    "1..n_max": lambda fd, a: (fd, range(1, a.n_max + 1)),
+    "0..n_max": lambda fd, a: (fd, range(0, a.n_max + 1)),
+    "min(10, n_max)": lambda fd, a: (fd, min(10, a.n_max)),
+    "degree_cap": lambda fd, a: (fd, a.degree_cap),
+    "min(degree_cap, 8)": lambda fd, a: (fd, min(a.degree_cap, 8)),
+    "min(8, n_max)": lambda fd, a: (fd, min(8, a.n_max)),
+    "q^2 re-anchor": _reanchored,
+    "every stored n": lambda fd, a: (fd, None),
+}
+
+#: the domains of the checks that take a range of degrees n
+PER_DEGREE = ("1..n_max", "0..n_max", "q^2 re-anchor")
 
 
-def _basis_deg(args):
-    return min(10, args.n_max)
+@dataclass(frozen=True)
+class Check:
+    """One identity's checker with its degree domain, its perturb slots
+    (the negative-control mutations ``fn`` accepts) and whether its
+    reports are informational (recorded, never asserted).
+
+    ``fn(fd, degrees, perturb)`` returns one report or a tuple of them;
+    the record called with (fd, args) runs it over its domain.
+    """
+
+    fn: Callable
+    domain: str
+    slots: tuple
+    info: bool = False
+
+    def run(self, fd, degrees, perturb=None) -> list:
+        out = self.fn(fd, degrees, perturb)
+        return list(out) if isinstance(out, tuple) else [out]
+
+    def __call__(self, fd, args) -> list:
+        return self.run(*DOMAINS[self.domain](fd, args))
 
 
+def _cqultra(which):
+    return lambda fd, ns, perturb=None: rel.check_cqultra_relation(fd, ns, which, perturb)
+
+
+def _sklyanin(fd, max_deg, perturb=None):
+    return tuple(rel.check_sklyanin(fd.spec, e, max_deg, perturb)
+                 for e in (Fraction(2), Fraction(3), Fraction(1, 2)))
+
+
+def _qdiff_derive(fd, _, perturb=None):
+    return rel.check_qdiff_recovery(fd, fd.lam, perturb)
+
+
+def _chain(fd, ns, perturb=None):
+    # looked up on each call, as the benchmark's tracer patches it by name
+    return rel.reduce_bigq_chain(fd, ns, perturb)
+
+
+def _string(fd, max_deg, perturb=None):
+    return rel.check_string_jacobi(fd.spec, max_deg, perturb)
+
+
+#: every identity key: (families, Check)
 IDENTITIES = {
-    "eq28": (ALL, lambda fd, a: [rel.check_structure(fd, _ns(a))]),
-    "eq18": ((fam.AW,), _run_explicit),
-    "eq26": ((fam.JACOBI,), _run_explicit),
-    "eq59": (("continuous-q-jacobi",), _run_explicit),
-    "eq54": ((fam.CQU,), _run_explicit),
-    "eq40": ((fam.BIGQ,), _run_explicit),
-    "eq59t": (("continuous-q-jacobi",),
-              lambda fd, a: [rel.check_structure_tilde(fd, _ns(a))]),
-    "eq02": ((fam.JACOBI,),
-             lambda fd, a: [rel.check_classic_jacobi_structure(fd, _ns(a))]),
-    "eq31": (ALL, lambda fd, a: [rel.check_lowering(fd, _ns(a))]),
-    "eq32": (ALL, lambda fd, a: [rel.check_raising(fd, _ns(a))]),
-    "eq76": ((fam.AW,), lambda fd, a: [rel.check_aw_lowering(fd, _ns(a))]),
-    "eq77": ((fam.AW,), lambda fd, a: [rel.check_aw_raising(fd, _ns(a))]),
-    "bangerezako": ((fam.AW,), lambda fd, a: [rel.check_bangerezako(fd, _ns(a))]),
-    "eq71": (ALL, lambda fd, a: [rel.check_bispectral(fd, range(0, a.n_max + 1))]),
-    "eq73": ((fam.AW,), _run_eq73),
-    "sklyanin": ((fam.AW,), _run_sklyanin),
-    "eq51": ((fam.CQU,), lambda fd, a: [rel.check_cqultra_relation(fd, _ns(a), "eq51")]),
-    "eq52": ((fam.CQU,), lambda fd, a: [rel.check_cqultra_relation(fd, _ns(a), "eq52")]),
-    "eq53": ((fam.CQU,), lambda fd, a: [rel.check_cqultra_relation(fd, _ns(a), "eq53")]),
-    "eq55": ((fam.CQU,), lambda fd, a: [rel.check_cqultra_relation(fd, _ns(a), "eq55")]),
-    "qdiff2": ((fam.CQU,), lambda fd, a: [rel.check_cqultra_relation(fd, _ns(a), "qdiff2")]),
-    "combo54": ((fam.CQU,), lambda fd, a: [rel.check_cqultra_combination(fd, _ns(a))]),
-    "eq53-nonskew": ((fam.CQU,),
-                     lambda fd, a: [rel.check_cqultra_nonskew(fd, min(8, a.n_max))]),
-    "eq42": ((fam.BIGQ,), _run_chain),
-    "eq41": ((fam.BIGQ,), _run_chain),
-    "qdiff-derive": ((fam.AW, fam.BIGQ),
-                     lambda fd, a: [rel.check_qdiff_recovery(fd, fd.lam)]),
-    "coeff-match": (ALL, _run_coeff_match),
-    "eigen": (ALL, lambda fd, a: [rel.check_eigen(fd, range(0, a.n_max + 1))]),
-    "gamma-lambda": (ALL, lambda fd, a: [rel.check_gamma_lambda(fd, range(0, a.n_max + 1))]),
-    "commutator": (ALL, lambda fd, a: [rel.check_commutator(fd, a.degree_cap)]),
-    "d-from-l": ((fam.AW, fam.JACOBI, "continuous-q-jacobi", fam.CQU),
-                 lambda fd, a: [rel.check_d_from_l(fd, a.degree_cap)]),
-    "string": ((fam.JACOBI,),
-               lambda fd, a: [rel.check_string_jacobi(fd.spec, a.degree_cap)]),
-    "skew-l": (ALL, lambda fd, a: [rel.check_skew_l(fd, _basis_deg(a))]),
-    "sym-d": (ALL, lambda fd, a: [rel.check_sym_d(fd, _basis_deg(a))]),
-    "sym-x": (ALL, lambda fd, a: [rel.check_sym_x(fd, _basis_deg(a))]),
-    "orthogonality": (ALL, lambda fd, a: [rel.check_orthogonality(fd, _basis_deg(a))]),
-    "dual-path": (ALL, lambda fd, a: [rel.check_dual_path(fd, _basis_deg(a))]),
+    "eq28": (CLI_FAMILIES, Check(rel.check_structure, "1..n_max", ("plus", "minus"))),
+    "eq18": ((AW,), Check(rel.check_explicit_structure, "1..n_max", ("plus", "minus"))),
+    "eq26": ((JAC,), Check(rel.check_explicit_structure, "1..n_max", ("plus", "minus"))),
+    "eq59": ((CQJ,), Check(rel.check_explicit_structure, "1..n_max", ("plus", "minus"))),
+    "eq54": ((CQU,), Check(rel.check_explicit_structure, "1..n_max", ("plus", "minus"))),
+    "eq40": ((BIGQ,), Check(rel.check_explicit_structure, "1..n_max", ("plus", "minus"))),
+    "eq59t": ((CQJ,), Check(rel.check_structure_tilde, "1..n_max", ("plus", "minus"))),
+    "eq02": ((JAC,), Check(rel.check_classic_jacobi_structure, "1..n_max", ("middle", "plus"))),
+    "eq31": (CLI_FAMILIES, Check(rel.check_lowering, "1..n_max", ("rhs", "slope"))),
+    "eq32": (CLI_FAMILIES, Check(rel.check_raising, "1..n_max", ("rhs", "slope"))),
+    "eq76": ((AW,), Check(rel.check_aw_lowering, "1..n_max", ("mult", "rhs"))),
+    "eq77": ((AW,), Check(rel.check_aw_raising, "1..n_max", ("mult", "rhs"))),
+    "bangerezako": ((AW,), Check(rel.check_bangerezako, "1..n_max", ("lambda",))),
+    "eq71": (CLI_FAMILIES, Check(rel.check_bispectral, "0..n_max", ("lambda",))),
+    "eq73": ((AW,), Check(rel.residual_q_bispectral, "q^2 re-anchor", ("lambda",), info=True)),
+    "sklyanin": ((AW,), Check(_sklyanin, "min(degree_cap, 8)", ("shift",))),
+    **{which: ((CQU,), Check(_cqultra(which), "1..n_max", ("rhs",)))
+       for which in ("eq51", "eq52", "eq53", "eq55", "qdiff2")},
+    "combo54": ((CQU,), Check(rel.check_cqultra_combination, "1..n_max", ("u",))),
+    "eq53-nonskew": ((CQU,), Check(rel.check_cqultra_nonskew, "min(8, n_max)", ("op",))),
+    # one run of the chain reports both; run_verify runs it once per point
+    "eq42": ((BIGQ,), Check(_chain, "1..n_max", ("alpha",))),
+    "eq41": ((BIGQ,), Check(_chain, "1..n_max", ("a-tilde",))),
+    "qdiff-derive": ((AW, BIGQ), Check(_qdiff_derive, "every stored n", ("reference",))),
+    "coeff-match": (CLI_FAMILIES, Check(rel.check_coefficient_match, "1..n_max", ("plus",))),
+    "eigen": (CLI_FAMILIES, Check(rel.check_eigen, "0..n_max", ("lambda",))),
+    "gamma-lambda": (CLI_FAMILIES, Check(rel.check_gamma_lambda, "0..n_max", ("gamma",))),
+    "commutator": (CLI_FAMILIES, Check(rel.check_commutator, "degree_cap", ("normalization",))),
+    "d-from-l": ((AW, JAC, CQJ, CQU), Check(rel.check_d_from_l, "degree_cap", ("normalization",))),
+    "string": ((JAC,), Check(_string, "degree_cap", ("shape",))),
+    "skew-l": (CLI_FAMILIES, Check(rel.check_skew_l, "min(10, n_max)", ("op",))),
+    "sym-d": (CLI_FAMILIES, Check(rel.check_sym_d, "min(10, n_max)", ("op",))),
+    "sym-x": (CLI_FAMILIES, Check(rel.check_sym_x, "min(10, n_max)", ("op",))),
+    "orthogonality": (CLI_FAMILIES, Check(rel.check_orthogonality, "min(10, n_max)", ("h",))),
+    "dual-path": (CLI_FAMILIES, Check(rel.check_dual_path, "min(10, n_max)", ("A0",))),
 }
 
 
 def identities_for(family: str, requested: str) -> list:
-    if requested != "all":
-        if requested not in IDENTITIES:
-            raise ValueError(f"unknown identity {requested!r}; known: "
-                             + ", ".join(sorted(IDENTITIES)))
-        fams, _ = IDENTITIES[requested]
-        return [requested] if family in fams else []
-    return [name for name, (fams, _) in IDENTITIES.items() if family in fams]
+    if requested != "all" and requested not in IDENTITIES:
+        raise ValueError(f"unknown identity {requested!r}; known: "
+                         + ", ".join(sorted(IDENTITIES)))
+    return [name for name, (fams, _) in IDENTITIES.items()
+            if family in fams and requested in ("all", name)]
 
 
 # ----------------------------------------------------------------------
@@ -203,9 +231,9 @@ CHECK_ERRORS = (rel.NoSolution, rel.VerificationFailure, NonzeroRemainder,
                 fam.ExpansionError)
 
 
-def _check_ranges(args) -> None:
-    for flag, value, least in (("--n-max", args.n_max, 1), ("--samples", args.samples, 1),
-                               ("--degree-cap", args.degree_cap, 0)):
+def _check_ranges(*bounds) -> None:
+    """Each (flag, value, least) must have value >= least."""
+    for flag, value, least in bounds:
         if value < least:
             raise ValueError(f"{flag} must be at least {least}, got {value}")
 
@@ -224,14 +252,17 @@ def _run_identity(ident: str, fd, args) -> list:
 
 
 def run_verify(args) -> int:
-    _check_ranges(args)
-    families = list(ALL) if args.family == "all" else [args.family]
+    _check_ranges(("--n-max", args.n_max, 1), ("--samples", args.samples, 1),
+                  ("--degree-cap", args.degree_cap, 0))
+    families = list(CLI_FAMILIES) if args.family == "all" else [args.family]
+    plan = [(family, idents) for family in families
+            if (idents := identities_for(family, args.identity))]
+    if not plan:
+        raise ValueError(f"--identity {args.identity} checks nothing on "
+                         f"--family {args.family}")
     reports = []
     build_n = max(args.n_max + 1, 11)
-    for family in families:
-        idents = identities_for(family, args.identity)
-        if not idents:
-            continue
+    for family, idents in plan:
         if args.params:
             specs = [spec_from_params(family, _parse_params(args.params))]
         else:
@@ -282,11 +313,14 @@ def run_verify(args) -> int:
 
 
 def run_limits(args) -> int:
+    _check_ranges(("--n", args.n, 0), ("--k-min", args.k_min, 0))
     if args.which == "cqjacobi-to-jacobi":
+        _check_ranges(("--k-max", args.k_max, args.k_min))
         rows = lim.limit_cqjacobi_to_jacobi(
             args.alpha, args.beta, args.n,
             k_range=range(args.k_min, args.k_max + 1))
     else:
+        _check_ranges(("--eps-steps", args.eps_steps, 1))
         rows = lim.limit_aw_to_bigq(
             _parse_fraction(args.a), _parse_fraction(args.b),
             _parse_fraction(args.c), _parse_fraction(args.q), args.n,
@@ -304,7 +338,7 @@ def make_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run identity checkers over a parameter grid")
     v.add_argument("--family", default="all",
-                   choices=list(ALL) + ["all"])
+                   choices=list(CLI_FAMILIES) + ["all"])
     v.add_argument("--identity", default="all",
                    help="identity key or 'all' (see README for the list)")
     v.add_argument("--n-max", type=int, default=10, dest="n_max")

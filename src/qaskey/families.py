@@ -43,7 +43,7 @@ from functools import cached_property
 from math import prod
 from typing import Mapping, Sequence, Union
 
-from .laurent import SymLaurentPoly, XPoly, sym_to_x, _combine, _frac, _ints, _lcd
+from .laurent import SPACES, SymLaurentPoly, XPoly, sym_to_x, _combine, _frac, _ints, _lcd
 
 Rat = Union[int, Fraction]
 
@@ -54,9 +54,12 @@ CQJ09 = "continuous-q-jacobi-e09"
 CQU = "continuous-q-ultraspherical"
 BIGQ = "big-q-jacobi"
 
-#: families exposed on the command line (the two continuous q-Jacobi
-#: embeddings construct the same polynomials; e49 is the primary build)
-CLI_FAMILIES = (AW, JACOBI, "continuous-q-jacobi", CQU, BIGQ)
+#: the command-line name of continuous q-Jacobi (the two embeddings
+#: construct the same polynomials; e49 is the primary build)
+CQJ = "continuous-q-jacobi"
+
+#: families exposed on the command line
+CLI_FAMILIES = (AW, JACOBI, CQJ, CQU, BIGQ)
 
 
 class InadmissibleParameters(ValueError):
@@ -464,9 +467,7 @@ class FamilyData:
 
     def expand(self, f) -> list:
         """Coefficients of f in the family basis, by leading-term elimination."""
-        if isinstance(f, SymLaurentPoly):
-            f = sym_to_x(f)
-        return _expand_x(self.polys_x, self.k, f)
+        return _expand_x(self.polys_x, self.k, f.to_x())
 
     def reconstruct(self, coeffs: Sequence[Fraction]) -> XPoly:
         out = XPoly()
@@ -497,16 +498,9 @@ def _expand_x(polys_x: Sequence[XPoly], k: Sequence[Fraction], f: XPoly) -> list
 
 def _polys_from_recurrence(A, B, C, n_hi, space):
     """Seed p_0 = 1 and iterate p_{n+1} = ((x - B_n) p_n - C_n p_{n-1}) / A_n."""
-    if space == "sym":
-        one = SymLaurentPoly([Fraction(1)])
-        xs = SymLaurentPoly([Fraction(0), Fraction(1, 2)])
-        xmul = lambda p: p * xs
-    else:
-        one = XPoly([Fraction(1)])
-        xmul = lambda p: p.shift_x(1)
-    polys = [one]
+    polys = [SPACES[space].x_power(0)]
     for n in range(n_hi):
-        nxt = xmul(polys[n]) - polys[n].scale(B[n])
+        nxt = polys[n].mul_x() - polys[n].scale(B[n])
         if n > 0:
             nxt = nxt - polys[n - 1].scale(C[n])
         polys.append(nxt.scale(1 / A[n]))
@@ -719,8 +713,7 @@ def _build_bigq(spec, n_max):
     L = operators.bigq_L(spec)
     gamma = []
     for n in range(hi + 1):
-        Lx = L(XPoly((Fraction(0),) * n + (Fraction(1),)))
-        gamma.append(Lx.coeff(n + 1))
+        gamma.append(L(L.basis(n)).coeff(n + 1))
     lam = [Fraction(0)]
     for n in range(hi):
         lam.append(lam[-1] + gamma[n])
@@ -743,10 +736,6 @@ def _recurrence_row(polys_x, k, n):
 def recurrence_from_expansion(fd: FamilyData, n: int):
     """(A_n, B_n, C_n) recovered from expanding x * p_n in the family basis."""
     return _recurrence_row(fd.polys_x, fd.k, n)
-
-
-def norms(fd: FamilyData, n: int) -> Fraction:
-    return fd.h[n]
 
 
 # ----------------------------------------------------------------------
@@ -773,7 +762,7 @@ def draw_spec(family: str, rng: random.Random) -> FamilySpec:
     if family == JACOBI:
         return jacobi_spec(rng.randrange(0, 3) - 1 + _rat01(rng, 6),
                            rng.randrange(0, 3) - 1 + _rat01(rng, 6))
-    if family in (CQJ49, CQJ09, "continuous-q-jacobi"):
+    if family in (CQJ49, CQJ09, CQJ):
         emb = 49 if family != CQJ09 else 9
         return cqjacobi_spec(rng.choice(_HALF_GRID), rng.choice(_HALF_GRID),
                              _rat01(rng, 5), embedding=emb)

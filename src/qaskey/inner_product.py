@@ -12,23 +12,13 @@ from fractions import Fraction
 from operator import mul
 
 from .families import FamilyData
-from .laurent import XPoly, x_to_sym, _ints, _lcd
+from .laurent import _ints, _lcd
 from .operators import PolyOperator
-
-
-def expand_in_family(f, fd: FamilyData) -> list:
-    """Coefficients c with f = sum c_n p_n (unique; exact)."""
-    return fd.expand(f)
 
 
 def inner(f, g, fd: FamilyData) -> Fraction:
     cf, cg = fd.expand(f), fd.expand(g)
     return sum((a * b * h for a, b, h in zip(cf, cg, fd.h)), Fraction(0))
-
-
-def _basis(fd: FamilyData, j: int):
-    mono = XPoly((Fraction(0),) * j + (Fraction(1),))
-    return x_to_sym(mono) if fd.space == "sym" else mono
 
 
 def _pairing_table(op: PolyOperator, fd: FamilyData, max_deg: int):
@@ -42,12 +32,12 @@ def _pairing_table(op: PolyOperator, fd: FamilyData, max_deg: int):
     h = _ints(fd.h, dh)
     cols = []
     for i in range(max_deg + 1):
-        c = fd.expand(op(_basis(fd, i)))
+        c = fd.expand(op(op.basis(i)))
         den = _lcd(c)
         cols.append(([a * w for a, w in zip(_ints(c, den), h)], den * dh))
     basis = []
     for j in range(max_deg + 1):
-        b = fd.expand(_basis(fd, j))
+        b = fd.expand(op.basis(j))
         den = _lcd(b)
         basis.append((_ints(b, den), den))
     table = {}

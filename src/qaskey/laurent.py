@@ -423,6 +423,19 @@ class SymLaurentPoly:
             acc += self.c[k] * (zv ** k + zv ** (-k))
         return acc
 
+    @classmethod
+    def x_power(cls, j: int) -> "SymLaurentPoly":
+        """x^j with x = (z + 1/z)/2 (:func:`x_monomial_sym`)."""
+        return x_monomial_sym(j)
+
+    def mul_x(self) -> "SymLaurentPoly":
+        """Multiply by x = (z + 1/z)/2."""
+        return self * _X_SYM
+
+    def to_x(self) -> "XPoly":
+        """The same polynomial in x coordinates (:func:`sym_to_x`)."""
+        return sym_to_x(self)
+
 
 class XPoly:
     """Ordinary polynomial in x; coeffs[i] is the coefficient of x^i."""
@@ -493,6 +506,16 @@ class XPoly:
         if self.is_zero:
             return self
         return XPoly((Fraction(0),) * k + self.coeffs)
+
+    @classmethod
+    def x_power(cls, j: int) -> "XPoly":
+        return XPoly((Fraction(0),) * j + (Fraction(1),))
+
+    def mul_x(self) -> "XPoly":
+        return self.shift_x(1)
+
+    def to_x(self) -> "XPoly":
+        return self
 
     def compose_scale(self, r: Rat) -> "XPoly":
         """Substitute x -> r*x."""
@@ -613,3 +636,10 @@ def divide_exact(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
 
 #: z - 1/z, the divisor appearing in every divided-difference operator
 Z_MINUS_ZINV = LaurentPoly(-1, (Fraction(-1), Fraction(0), Fraction(1)))
+
+#: x = (z + 1/z)/2 on the symmetric side
+_X_SYM = SymLaurentPoly([Fraction(0), Fraction(1, 2)])
+
+#: the polynomial type of each space name ("sym": symmetric Laurent in z,
+#: "x": ordinary in x); both share x_power, mul_x and to_x
+SPACES = {"sym": SymLaurentPoly, "x": XPoly}

@@ -101,7 +101,7 @@ def limit_aw_to_bigq(a, b, c, q, n, eps_ks=range(4, 12)):
     spec = bigq_spec(a, b, c, q)
     target = bigq_polynomial(n, spec)
     if n >= 1:
-        _, tplus, tminus = _explicit_coeffs(spec, n)
+        tplus, tminus = _explicit_coeffs(spec, n)
     rows = []
     for k in eps_ks:
         eps = Fraction(1, 2 ** k)
@@ -117,7 +117,7 @@ def limit_aw_to_bigq(a, b, c, q, n, eps_ks=range(4, 12)):
 def _rescaled_structure_coeffs(a, b, c, q, eps, n):
     """sigma(eps) * the explicit AW structure coefficients carried through
     the renormalization m_n, at the eps-substituted parameter point."""
-    _, eplus, eminus = _explicit_coeffs(_aw_eps_spec(a, b, c, q, eps), n)
+    eplus, eminus = _explicit_coeffs(_aw_eps_spec(a, b, c, q, eps), n)
 
     def m_ratio(lo, hi):       # m_lo / m_hi
         return q_pochhammer_multi((a * q, -c * q, -eps * eps * b / c), q, hi) \

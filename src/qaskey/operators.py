@@ -17,8 +17,7 @@ from typing import Callable, Union
 
 from .families import (FamilySpec, AW, JACOBI, CQJ49, CQJ09, CQU, BIGQ,
                        cqjacobi_aw_spec, cqultra_aw_spec)
-from .laurent import (LaurentPoly, SymLaurentPoly, XPoly, Z_MINUS_ZINV,
-                      sym_to_x, x_monomial_sym, _frac)
+from .laurent import SPACES, LaurentPoly, SymLaurentPoly, XPoly, Z_MINUS_ZINV, _frac
 
 Poly = Union[SymLaurentPoly, XPoly]
 
@@ -51,19 +50,14 @@ class PolyOperator:
         return out
 
     def basis(self, j: int) -> Poly:
-        if self.space == "sym":
-            return x_monomial_sym(j)
-        return XPoly((Fraction(0),) * j + (Fraction(1),))
+        """x^j in the operator's space."""
+        return SPACES[self.space].x_power(j)
 
     def column(self, j: int) -> tuple:
         """x-coordinates of the image of x^j (padded by the caller)."""
         col = self._columns.get(j)
         if col is None:
-            out = self(self.basis(j))
-            if isinstance(out, SymLaurentPoly):
-                out = sym_to_x(out)
-            col = out.coeffs
-            self._columns[j] = col
+            col = self._columns[j] = self(self.basis(j)).to_x().coeffs
         return col
 
     def matrix(self, n_cols: int) -> tuple:
@@ -75,10 +69,7 @@ class PolyOperator:
 
 def op_x(space: str) -> PolyOperator:
     """Multiplication by x (by (z + 1/z)/2 on the symmetric side)."""
-    if space == "sym":
-        xs = SymLaurentPoly([Fraction(0), Fraction(1, 2)])
-        return PolyOperator(lambda f: f * xs, "sym", 1, "X")
-    return PolyOperator(lambda f: f.shift_x(1), "x", 1, "X")
+    return PolyOperator(lambda f: f.mul_x(), space, 1, "X")
 
 
 def compose(outer: PolyOperator, inner: PolyOperator, name: str = "") -> PolyOperator:
@@ -305,11 +296,12 @@ def d_from_l(L: PolyOperator) -> PolyOperator:
     linearly via x-coordinates.
     """
     X = op_x(L.space)
+    zero = SPACES[L.space]()
     cache: dict[int, Poly] = {}
 
     def d_mono(n: int) -> Poly:
         if n == 0:
-            return SymLaurentPoly() if L.space == "sym" else XPoly()
+            return zero
         got = cache.get(n)
         if got is None:
             got = L(L.basis(n - 1)) + X(d_mono(n - 1))
@@ -317,9 +309,8 @@ def d_from_l(L: PolyOperator) -> PolyOperator:
         return got
 
     def act(f: Poly) -> Poly:
-        coords = sym_to_x(f) if isinstance(f, SymLaurentPoly) else f
-        out = SymLaurentPoly() if L.space == "sym" else XPoly()
-        for j, cj in enumerate(coords.coeffs):
+        out = zero
+        for j, cj in enumerate(f.to_x().coeffs):
             if cj:
                 out = out + d_mono(j).scale(cj)
         return out

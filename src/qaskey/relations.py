@@ -4,25 +4,11 @@ Every checker computes an exact residual polynomial; a check passes iff
 the residual is the zero polynomial.  Residuals are kept (not reduced
 to booleans) so a failure is diagnosable, and each checker accepts a
 ``perturb`` slot name that adds 1 to a single coefficient, the mutation
-hook used by the negative-control tests.
+hook used by the negative-control tests.  A per-degree checker rejects
+any degree outside its domain (:func:`_degrees`).
 
-Identity keys (also the CLI vocabulary):
-
-  eq28            generic structure relation  L p_n = g_n A_n p_{n+1} - g_{n-1} C_n p_{n-1}
-  eq18/eq26/eq40/eq54/eq59/eq59t   explicit per-family structure relations
-  eq02            classical Jacobi structure relation for (1-x^2) d/dx
-  eq31/eq32       generic lowering / raising
-  eq76/eq77       explicit Askey-Wilson lowering / raising
-  bangerezako     eq76/eq77 with the eigen-term g(z) (D - lam_n) p_n added
-  eq71            two-sided (bispectral) form of the structure relation
-  eq73            q-commutator variant, informational only
-  sklyanin        quasi-commutation of parameter-shifted L operators
-  eq51/eq52/eq53/eq55/qdiff2/combo54   the q-ultraspherical web
-  eq53-nonskew    the eq53 operator must fail skew symmetry
-  qdiff-derive    second-order q-difference equation recovered from data
-  eq42/eq41       the reduction chain for big q-Jacobi
-  eigen/gamma-lambda/commutator/d-from-l/string/skew-l/sym-d/sym-x
-  orthogonality/dual-path
+The identity keys, with each one's families, degree domain and perturb
+slots, are listed once, in :data:`qaskey.cli.IDENTITIES`.
 """
 
 from __future__ import annotations
@@ -97,38 +83,59 @@ def _p1(value: Fraction, perturb, slot: str) -> Fraction:
     return value + 1 if perturb == slot else value
 
 
+def _degrees(identity: str, fd: FamilyData, ns: Iterable[int], lo: int = 0) -> list:
+    """The degrees ns of a per-degree check.  Each must lie in lo..fd.n_max:
+    below, negative indexing would read p_{-1} or gamma_{-1} as the top
+    entry; above, the check would run past the stored data."""
+    ns = list(ns)
+    for n in ns:
+        if not lo <= n <= fd.n_max:
+            raise ValueError(f"{identity} is defined for n >= {lo} up to "
+                             f"n_max = {fd.n_max}, got n = {n}")
+    return ns
+
+
 def _below(fd: FamilyData, n: int):
     """p_{n-1}, read as the zero polynomial at n = 0 (the convention C_0 = 0)."""
-    if n < 0:
-        raise ValueError(f"degree {n} is negative")
     return fd.polys[n - 1] if n else type(fd.polys[0])()
 
 
 def _xminusB(fd: FamilyData, n: int):
-    """(x - B_n) p_n in the family's native space."""
-    if fd.space == "sym":
-        xs = SymLaurentPoly([Fraction(0), Fraction(1, 2)])
-        return fd.polys[n] * xs - fd.polys[n].scale(fd.B[n])
-    return fd.polys[n].shift_x(1) - fd.polys[n].scale(fd.B[n])
+    """(x - B_n) p_n."""
+    return fd.polys[n].mul_x() - fd.polys[n].scale(fd.B[n])
 
 
 # ----------------------------------------------------------------------
 # structure, lowering, raising
 # ----------------------------------------------------------------------
 
-def check_structure(fd: FamilyData, ns: Iterable[int], perturb=None) -> VerificationReport:
-    L = fd.L
+def _structure(ident: str, fd: FamilyData, L, ns: Iterable[int], perturb,
+               coeffs) -> VerificationReport:
+    """L p_n - plus_n p_{n+1} - minus_n p_{n-1} with (plus_n, minus_n) =
+    coeffs(n), one residual entry per degree; the slots are plus and minus."""
     entries = []
-    for n in ns:
-        plus = _p1(fd.gamma[n] * fd.A[n], perturb, "plus")
-        minus = _p1(-fd.gamma[n - 1] * fd.C[n], perturb, "minus")
+    for n in _degrees(ident, fd, ns):
+        plus, minus = coeffs(n)
+        plus = _p1(plus, perturb, "plus")
+        minus = _p1(minus, perturb, "minus")
         resid = L(fd.polys[n]) - fd.polys[n + 1].scale(plus) - _below(fd, n).scale(minus)
         entries.append(_entry(n, resid))
-    return _close("eq28", fd, entries)
+    return _close(ident, fd, entries)
+
+
+def check_structure(fd: FamilyData, ns: Iterable[int], perturb=None) -> VerificationReport:
+    return _structure("eq28", fd, fd.L, ns, perturb,
+                      lambda n: (fd.gamma[n] * fd.A[n], -fd.gamma[n - 1] * fd.C[n]))
+
+
+#: the explicit structure relation's display for each family
+_EXPLICIT_ID = {AW: "eq18", JACOBI: "eq26", CQJ49: "eq59", CQJ09: "eq59",
+                CQU: "eq54", BIGQ: "eq40"}
 
 
 def _explicit_coeffs(spec: FamilySpec, n: int):
-    """Closed-form structure-relation coefficients, straight from the displays."""
+    """Closed-form structure-relation coefficients (plus, minus), straight
+    from the family's display (:data:`_EXPLICIT_ID`)."""
     if spec.family == AW:
         a, b, c, d, q = (spec.params[k] for k in "abcdq")
         abcd = a * b * c * d
@@ -137,45 +144,37 @@ def _explicit_coeffs(spec: FamilySpec, n: int):
         for p in (a * b, a * c, a * d, b * c, b * d, c * d):
             six *= 1 - p * q ** (n - 1)
         minus = six * (1 - q ** n) / (q ** (n - 1) * (1 - abcd * q ** (2 * n - 1)))
-        return "eq18", plus, minus
+        return plus, minus
     if spec.family == JACOBI:
         al, be = spec.params["alpha"], spec.params["beta"]
         plus = -Fraction((n + 1)) * (n + al + be + 1) / (2 * n + al + be + 1)
         minus = (n + al) * (n + be) / (2 * n + al + be + 1)
-        return "eq26", plus, minus
+        return plus, minus
     if spec.family in (CQJ49, CQJ09):
         A, C = cqjacobi_AC(n, spec)
         plus = cqjacobi_gamma(n, spec) * A
         minus = -cqjacobi_gamma(n - 1, spec) * C
-        return "eq59", plus, minus
+        return plus, minus
     if spec.family == CQU:
         t, q = spec.params["t"], spec.q
         qh = spec.qpow(Fraction(1, 2))
         plus = -(1 - t * qh ** (2 * n + 1)) * (1 - q ** (n + 1)) / (qh ** n * (1 - t * q ** n))
         minus = (1 - t * qh ** (2 * n - 1)) * (1 - t * t * q ** (n - 1)) / (qh ** (n - 1) * (1 - t * q ** n))
-        return "eq54", plus, minus
+        return plus, minus
     if spec.family == BIGQ:
         a, b, c, q = (spec.params[k] for k in "abcq")
         plus = ((1 - a * q ** (n + 1)) * (1 + c * q ** (n + 1)) * (1 - a * b * q ** (n + 1))
                 / (q ** (n + 2) * a * c * (1 - a * b * q ** (2 * n + 1))))
         minus = -(1 - q ** n) * (1 - b * q ** n) * (1 + a * b * q ** n / c) / (1 - a * b * q ** (2 * n + 1))
-        return "eq40", plus, minus
+        return plus, minus
     raise ValueError(spec.family)
 
 
 def check_explicit_structure(fd: FamilyData, ns: Iterable[int], perturb=None) -> VerificationReport:
     """The family's explicit structure relation with its closed-form
     right-hand coefficients (one residual entry per degree)."""
-    L = fd.L
-    ident = None
-    entries = []
-    for n in ns:
-        ident, plus, minus = _explicit_coeffs(fd.spec, n)
-        plus = _p1(plus, perturb, "plus")
-        minus = _p1(minus, perturb, "minus")
-        resid = L(fd.polys[n]) - fd.polys[n + 1].scale(plus) - _below(fd, n).scale(minus)
-        entries.append(_entry(n, resid))
-    return _close(ident or "eq28", fd, entries)
+    return _structure(_EXPLICIT_ID[fd.family], fd, fd.L, ns, perturb,
+                      lambda n: _explicit_coeffs(fd.spec, n))
 
 
 def check_coefficient_match(fd: FamilyData, ns: Iterable[int], perturb=None) -> VerificationReport:
@@ -183,14 +182,12 @@ def check_coefficient_match(fd: FamilyData, ns: Iterable[int], perturb=None) -> 
     gamma/A/B/C combination it abbreviates.
 
     The minus coefficient multiplies p_{n-1} and is compared with
-    gamma_{n-1} C_n, so the domain is n >= 1; any other n raises
-    ValueError.
+    gamma_{n-1} C_n, so the domain is 1 <= n <= fd.n_max; any other n
+    raises ValueError.
     """
     entries = []
-    for n in ns:
-        if n < 1:
-            raise ValueError(f"coeff-match is defined for n >= 1, got n = {n}")
-        _, plus, minus = _explicit_coeffs(fd.spec, n)
+    for n in _degrees("coeff-match", fd, ns, lo=1):
+        plus, minus = _explicit_coeffs(fd.spec, n)
         plus = _p1(plus, perturb, "plus")
         entries.append(_entry(n, plus - fd.gamma[n] * fd.A[n]))
         entries.append(_entry(n, minus + fd.gamma[n - 1] * fd.C[n]))
@@ -215,20 +212,16 @@ def check_coefficient_match(fd: FamilyData, ns: Iterable[int], perturb=None) -> 
 
 def check_structure_tilde(fd: FamilyData, ns: Iterable[int], perturb=None) -> VerificationReport:
     """The whole-q-step structure relation for continuous q-Jacobi."""
-    Lt = ops.cqjacobi_Ltilde(fd.spec)
-    entries = []
-    for n in ns:
-        plus = _p1(cqjacobi_gamma_tilde(n, fd.spec) * fd.A[n], perturb, "plus")
-        minus = _p1(-cqjacobi_gamma_tilde(n - 1, fd.spec) * fd.C[n], perturb, "minus")
-        resid = Lt(fd.polys[n]) - fd.polys[n + 1].scale(plus) - _below(fd, n).scale(minus)
-        entries.append(_entry(n, resid))
-    return _close("eq59t", fd, entries)
+    spec = fd.spec
+    return _structure("eq59t", fd, ops.cqjacobi_Ltilde(spec), ns, perturb,
+                      lambda n: (cqjacobi_gamma_tilde(n, spec) * fd.A[n],
+                                 -cqjacobi_gamma_tilde(n - 1, spec) * fd.C[n]))
 
 
 def check_lowering(fd: FamilyData, ns: Iterable[int], perturb=None) -> VerificationReport:
     L = fd.L
     entries = []
-    for n in ns:
+    for n in _degrees("eq31", fd, ns):
         g, gm = fd.gamma[n], fd.gamma[n - 1]
         rhs = _p1(-(g + gm) * fd.C[n], perturb, "rhs")
         slope = _p1(g, perturb, "slope")
@@ -240,7 +233,7 @@ def check_lowering(fd: FamilyData, ns: Iterable[int], perturb=None) -> Verificat
 def check_raising(fd: FamilyData, ns: Iterable[int], perturb=None) -> VerificationReport:
     L = fd.L
     entries = []
-    for n in ns:
+    for n in _degrees("eq32", fd, ns):
         g, gm = fd.gamma[n], fd.gamma[n - 1]
         rhs = _p1((g + gm) * fd.A[n], perturb, "rhs")
         slope = _p1(gm, perturb, "slope")
@@ -272,7 +265,7 @@ def check_aw_lowering(fd: FamilyData, ns: Iterable[int], perturb=None) -> Verifi
     """L p_n - (abcd q^n - q^-n)(z + 1/z - 2 B_n) p_n = <six factors> p_{n-1}."""
     L = fd.L
     entries = []
-    for n in ns:
+    for n in _degrees("eq76", fd, ns):
         mult, rhs = _aw_lowering_pieces(fd, n)
         mult = _p1(mult, perturb, "mult")
         rhs = _p1(rhs, perturb, "rhs")
@@ -285,7 +278,7 @@ def check_aw_lowering(fd: FamilyData, ns: Iterable[int], perturb=None) -> Verifi
 def check_aw_raising(fd: FamilyData, ns: Iterable[int], perturb=None) -> VerificationReport:
     L = fd.L
     entries = []
-    for n in ns:
+    for n in _degrees("eq77", fd, ns):
         mult, rhs = _aw_raising_pieces(fd, n)
         mult = _p1(mult, perturb, "mult")
         rhs = _p1(rhs, perturb, "rhs")
@@ -307,7 +300,7 @@ def check_bangerezako(fd: FamilyData, ns: Iterable[int], perturb=None) -> Verifi
     q = fd.spec.q
     gz = (LaurentPoly(1, (Fraction(1),)) - LaurentPoly(-1, (q,))).scale((1 - 1 / q) / 2)
     entries = []
-    for n in ns:
+    for n in _degrees("bangerezako", fd, ns):
         lam = _p1(fd.lam[n], perturb, "lambda")
         eigen = D(fd.polys[n]) - fd.polys[n].scale(lam)
         extra = gz * eigen.to_laurent()
@@ -332,7 +325,7 @@ def check_bispectral(fd: FamilyData, ns: Iterable[int], perturb=None) -> Verific
     D = fd.D
     X = ops.op_x(fd.space)
     entries = []
-    for n in ns:
+    for n in _degrees("eq71", fd, ns):
         lhs = D(X(fd.polys[n])) - X(D(fd.polys[n]))
         lam_up = _p1(fd.lam[n + 1], perturb, "lambda")
         rhs = fd.polys[n + 1].scale(fd.A[n] * (lam_up - fd.lam[n]))
@@ -352,7 +345,7 @@ def residual_q_bispectral(fd: FamilyData, ns: Iterable[int], perturb=None) -> Ve
     D = fd.D
     X = ops.op_x(fd.space)
     entries = []
-    for n in ns:
+    for n in _degrees("eq73", fd, ns):
         lhs = D(X(fd.polys[n])).scale(sq) - X(D(fd.polys[n])).scale(1 / sq)
         lam_up = _p1(fd.lam[n + 1], perturb, "lambda")
         rhs = fd.polys[n + 1].scale(fd.A[n] * (sq * lam_up - fd.lam[n] / sq))
@@ -416,7 +409,7 @@ def check_cqultra_relation(fd: FamilyData, ns: Iterable[int], which: str,
     q = fd.spec.q
     zpz = LaurentPoly(-1, (Fraction(1), Fraction(0), Fraction(1)))   # z + 1/z
     entries = []
-    for n in ns:
+    for n in _degrees(which, fd, ns):
         Cn = fd.polys[n].to_laurent()
         up = Cn.dilate(qh)
         dn = Cn.dilate(1 / qh)
@@ -477,7 +470,7 @@ def check_cqultra_combination(fd: FamilyData, ns: Iterable[int], perturb=None) -
     L = fd.L
     entries = []
     printed_ok = True
-    for n in ns:
+    for n in _degrees("combo54", fd, ns):
         Cn = fd.polys[n].to_laurent()
         up, dn = Cn.dilate(p), Cn.dilate(1 / p)
         a1 = one - tz2
@@ -489,7 +482,7 @@ def check_cqultra_combination(fd: FamilyData, ns: Iterable[int], perturb=None) -
         entries.append(_entry(n, lhs54 - lhs55.scale(u) - lhs53.scale(v)))
         # right-hand sides must combine with the same constants
         qn, qin = p ** n, p ** (-n)
-        _, r54p, r54m = _explicit_coeffs(fd.spec, n)
+        r54p, r54m = _explicit_coeffs(fd.spec, n)
         c55 = (qin + t * qn) / (1 - t * q ** n)
         entries.append(_entry(n, r54p - (u * c55 * (1 - q ** (n + 1))
                                          + v * qin * (1 - q ** (n + 1)))))
@@ -522,7 +515,7 @@ def check_cqultra_nonskew(fd: FamilyData, max_deg: int, perturb=None) -> Verific
 def check_eigen(fd: FamilyData, ns: Iterable[int], perturb=None) -> VerificationReport:
     D = fd.D
     entries = []
-    for n in ns:
+    for n in _degrees("eigen", fd, ns):
         lam = _p1(fd.lam[n], perturb, "lambda")
         entries.append(_entry(n, D(fd.polys[n]) - fd.polys[n].scale(lam)))
     return _close("eigen", fd, entries)
@@ -530,7 +523,7 @@ def check_eigen(fd: FamilyData, ns: Iterable[int], perturb=None) -> Verification
 
 def check_gamma_lambda(fd: FamilyData, ns: Iterable[int], perturb=None) -> VerificationReport:
     entries = []
-    for n in ns:
+    for n in _degrees("gamma-lambda", fd, ns):
         g = _p1(fd.gamma[n], perturb, "gamma")
         entries.append(_entry(n, g - (fd.lam[n + 1] - fd.lam[n])))
     return _close("gamma-lambda", fd, entries)
@@ -677,7 +670,7 @@ def check_classic_jacobi_structure(fd: FamilyData, ns: Iterable[int],
     closed-form coefficients."""
     one_minus_x2 = XPoly([1, 0, -1])
     entries = []
-    for n in ns:
+    for n in _degrees("eq02", fd, ns):
         plus, mid, minus = _classic_jacobi_coeffs(fd.spec, n)
         mid = _p1(mid, perturb, "middle")
         plus = _p1(plus, perturb, "plus")
@@ -994,13 +987,13 @@ def reduce_bigq_chain(fd: FamilyData, ns: Iterable[int], perturb=None) -> tuple:
 
     from .qcalc import q_derivative
     entries42, entries41 = [], []
-    for n in ns:
+    for n in _degrees("the eq42/eq41 chain", fd, ns):
         Sn = (J + M * (qd.B - qd.E.scale(qd.lambdas[n]))).scale(Fraction(-1))
         affine = Sn.divide_exact(qd.C).divide_x_exact()
         if not affine.is_zero and affine.degree > 1:
             raise VerificationFailure("middle coefficient is not affine in x")
         delta, beta = affine.coeff(1) / kappa, affine.coeff(0) / kappa
-        _, plus, minus = _explicit_coeffs(fd.spec, n)
+        plus, minus = _explicit_coeffs(fd.spec, n)
         alpha_n, gamma_n = plus / kappa, minus / kappa
         lhs = shape * q_derivative(fd.polys[n], q)
         rhs42 = (fd.polys[n + 1].scale(_p1(alpha_n, perturb, "alpha"))
@@ -1015,34 +1008,3 @@ def reduce_bigq_chain(fd: FamilyData, ns: Iterable[int], perturb=None) -> tuple:
                  + _below(fd, n).scale(ct))
         entries41.append(_entry(n, lhs - rhs41))
     return (_close("eq42", fd, entries42), _close("eq41", fd, entries41))
-
-
-#: mutation slots exercised by the negative-control tests
-PERTURB_SLOTS = {
-    "eq28": ("plus", "minus"),
-    "explicit": ("plus", "minus"),
-    "eq59t": ("plus", "minus"),
-    "eq31": ("rhs", "slope"),
-    "eq32": ("rhs", "slope"),
-    "eq76": ("mult", "rhs"),
-    "eq77": ("mult", "rhs"),
-    "bangerezako": ("lambda",),
-    "eq71": ("lambda",),
-    "eq73": ("lambda",),
-    "eigen": ("lambda",),
-    "gamma-lambda": ("gamma",),
-    "commutator": ("normalization",),
-    "d-from-l": ("normalization",),
-    "string": ("shape",),
-    "sklyanin": ("shift",),
-    "eq02": ("middle", "plus"),
-    "eq51": ("rhs",), "eq52": ("rhs",), "eq53": ("rhs",),
-    "eq55": ("rhs",), "qdiff2": ("rhs",),
-    "combo54": ("u",),
-    "eq53-nonskew": ("op",),
-    "eq42": ("alpha",), "eq41": ("a-tilde",),
-    "qdiff-derive": ("reference",),
-    "skew-l": ("op",), "sym-d": ("op",), "sym-x": ("op",),
-    "orthogonality": ("h",), "dual-path": ("A0",),
-    "coeff-match": ("plus",),
-}

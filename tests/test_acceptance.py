@@ -208,65 +208,21 @@ class TestCriterion8Limits:
 
 class TestCriterion9NegativeControls:
     def test_every_checker_has_a_firing_mutation(self, grids):
-        aw = grids[fam.AW][0]
-        jac = grids[fam.JACOBI][0]
-        cqj = grids["continuous-q-jacobi"][0]
-        cqu = grids[fam.CQU][0]
-        bigq = grids[fam.BIGQ][0]
-        one = [2]
-
-        runners = {
-            "eq28": lambda s: rel.check_structure(aw, one, perturb=s),
-            "explicit": lambda s: rel.check_explicit_structure(aw, one, perturb=s),
-            "eq59t": lambda s: rel.check_structure_tilde(cqj, one, perturb=s),
-            "eq31": lambda s: rel.check_lowering(jac, one, perturb=s),
-            "eq32": lambda s: rel.check_raising(jac, one, perturb=s),
-            "eq76": lambda s: rel.check_aw_lowering(aw, one, perturb=s),
-            "eq77": lambda s: rel.check_aw_raising(aw, one, perturb=s),
-            "bangerezako": lambda s: rel.check_bangerezako(aw, one, perturb=s),
-            "eq71": lambda s: rel.check_bispectral(aw, one, perturb=s),
-            "eigen": lambda s: rel.check_eigen(cqu, one, perturb=s),
-            "gamma-lambda": lambda s: rel.check_gamma_lambda(bigq, one, perturb=s),
-            "commutator": lambda s: rel.check_commutator(aw, 4, perturb=s),
-            "d-from-l": lambda s: rel.check_d_from_l(aw, 4, perturb=s),
-            "string": lambda s: rel.check_string_jacobi(jac.spec, 4, perturb=s),
-            "sklyanin": lambda s: rel.check_sklyanin(aw.spec, F(2), 4, perturb=s),
-            "eq02": lambda s: rel.check_classic_jacobi_structure(jac, one, perturb=s),
-            "eq51": lambda s: rel.check_cqultra_relation(cqu, one, "eq51", perturb=s),
-            "eq52": lambda s: rel.check_cqultra_relation(cqu, one, "eq52", perturb=s),
-            "eq53": lambda s: rel.check_cqultra_relation(cqu, one, "eq53", perturb=s),
-            "eq55": lambda s: rel.check_cqultra_relation(cqu, one, "eq55", perturb=s),
-            "qdiff2": lambda s: rel.check_cqultra_relation(cqu, one, "qdiff2", perturb=s),
-            "combo54": lambda s: rel.check_cqultra_combination(cqu, one, perturb=s),
-            "eq53-nonskew": lambda s: rel.check_cqultra_nonskew(cqu, 4, perturb=s),
-            "eq42": lambda s: rel.reduce_bigq_chain(bigq, one, perturb=s)[0],
-            "eq41": lambda s: rel.reduce_bigq_chain(bigq, one, perturb=s)[1],
-            "skew-l": lambda s: rel.check_skew_l(aw, 4, perturb=s),
-            "sym-d": lambda s: rel.check_sym_d(aw, 4, perturb=s),
-            "sym-x": lambda s: rel.check_sym_x(aw, 4, perturb=s),
-            "orthogonality": lambda s: rel.check_orthogonality(aw, 4, perturb=s),
-            "dual-path": lambda s: rel.check_dual_path(aw, 4, perturb=s),
-            "coeff-match": lambda s: rel.check_coefficient_match(aw, one, perturb=s),
-        }
+        # one control per (key, slot) of the registry, on the first sample of
+        # the key's first family, over the key's own domain at small flags
+        args = cli.make_parser().parse_args(["verify", "--n-max", "2", "--degree-cap", "4"])
         fired = 0
-        for ident, slots in rel.PERTURB_SLOTS.items():
-            if ident in ("eq73", "qdiff-derive"):
-                continue   # handled below (info status / reference mutation)
-            for slot in slots:
-                rep = runners[ident](slot)
-                assert not rep.passed, (ident, slot)
+        for key, (families, check) in cli.IDENTITIES.items():
+            fd, degrees = cli.DOMAINS[check.domain](grids[families[0]][0], args)
+            for slot in check.slots:
+                reports = [r for r in check.run(fd, degrees, perturb=slot)
+                           if r.identity_id == key]
+                assert reports, (key, slot)
+                for rep in reports:
+                    # informational reports never fail: the mutation must
+                    # surface in the recorded residuals
+                    assert not all(e.zero for e in rep.entries), (key, slot)
                 fired += 1
-        # informational q-commutator: the mutation must surface in the record
-        spec2 = fam.aw_spec(F(1, 3), F(1, 4), F(1, 5), F(-1, 6), s=F(1, 2), m=2)
-        fd2 = fam.build_family(spec2, 4)
-        rep = rel.residual_q_bispectral(fd2, [2], perturb="lambda")
-        assert not all(e.zero for e in rep.entries)
-        fired += 1
-        a, b, c, d, q = (aw.spec.params[k] for k in "abcdq")
-        ref = [(q ** (-n) - 1) * (1 - a * b * c * d * q ** (n - 1))
-               for n in range(aw.n_max + 1)]
-        assert not rel.check_qdiff_recovery(aw, ref, perturb="reference").passed
-        fired += 1
         _report(9, f"negative controls: {fired} single-coefficient +1 "
                    f"mutations each produce a nonzero residual")
 

@@ -89,6 +89,15 @@ class TestVerify:
             run(["verify", "--family", "nonsense"])
         assert exc.value.code == 2
 
+    def test_empty_check_set_rejected(self, tmp_path, capsys):
+        # eq18 is an Askey-Wilson identity: on jacobi it would check nothing
+        rep = tmp_path / "r.json"
+        assert run(["verify", "--family", "jacobi", "--identity", "eq18",
+                    "--report", str(rep)]) == 2
+        err = capsys.readouterr().err
+        assert "--identity" in err and "--family" in err
+        assert not rep.exists()
+
     def test_missing_param_single_point(self):
         assert run(["verify", "--family", "askey-wilson", "--identity", "eq18",
                     "--params", "a=1/3"]) == 2
@@ -190,6 +199,20 @@ class TestLimitsCommand:
         ratios = [float(l.split(",")[3]) for l in lines[2:]]
         assert all(r >= 2.0 for r in ratios)       # O(eps) certified
 
+    @pytest.mark.parametrize("argv,flag", [
+        (["--which", "aw-to-bigq", "--k-min", "-1", "--eps-steps", "2"], "--k-min"),
+        (["--which", "cqjacobi-to-jacobi", "--k-min", "-1"], "--k-min"),
+        (["--which", "cqjacobi-to-jacobi", "--n", "-1"], "--n "),
+        (["--which", "aw-to-bigq", "--n", "-1"], "--n "),
+        (["--which", "aw-to-bigq", "--eps-steps", "0"], "--eps-steps"),
+        (["--which", "cqjacobi-to-jacobi", "--k-min", "5", "--k-max", "4"], "--k-max"),
+    ])
+    def test_out_of_range_rejected(self, argv, flag, tmp_path, capsys):
+        out = tmp_path / "t.csv"
+        assert run(["limits", *argv, "--out", str(out)]) == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_which(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run(["limits"])
@@ -223,14 +246,9 @@ class TestFullGridSmoke:
         statuses = {r["status"] for r in doc["results"]}
         assert statuses <= {"pass", "info"}
         idents = {r["identity_id"] for r in doc["results"]}
-        for expected in ("eq28", "eq18", "eq26", "eq40", "eq54", "eq59", "eq59t",
-                         "eq02", "eq31", "eq32", "eq76", "eq77", "bangerezako",
-                         "eq71", "eq73", "sklyanin", "eq51", "eq52", "eq53",
-                         "eq55", "qdiff2", "combo54", "eq53-nonskew", "eq42",
-                         "eq41", "qdiff-derive", "coeff-match", "eigen",
-                         "gamma-lambda", "commutator", "d-from-l", "string",
-                         "skew-l", "sym-d", "sym-x", "orthogonality", "dual-path"):
-            assert expected in idents, expected
+        assert idents == set(cli.IDENTITIES)
+        info = {r["identity_id"] for r in doc["results"] if r["status"] == "info"}
+        assert info == {key for key, (_, check) in cli.IDENTITIES.items() if check.info}
 
 
 class TestReportBytes:

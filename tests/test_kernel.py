@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from qaskey import families as fam, relations as rel
-from qaskey.inner_product import _basis, _pairing_table
+from qaskey.inner_product import _pairing_table
 from qaskey.laurent import LaurentPoly, NonzeroRemainder, SymLaurentPoly, XPoly
 
 
@@ -279,8 +279,8 @@ def test_pairing_table_is_the_naive_triple_sum(first_points):
     max_deg = 5
     for fd in first_points.values():
         op = fd.L
-        cols = [fd.expand(op(_basis(fd, i))) for i in range(max_deg + 1)]
-        basis = [fd.expand(_basis(fd, j)) for j in range(max_deg + 1)]
+        cols = [fd.expand(op(op.basis(i))) for i in range(max_deg + 1)]
+        basis = [fd.expand(op.basis(j)) for j in range(max_deg + 1)]
         table = _pairing_table(op, fd, max_deg)
         for i in range(max_deg + 1):
             for j in range(max_deg + 1):

@@ -82,7 +82,7 @@ class TestAwToBigQ:
 
     def test_structure_coefficients_converge(self):
         a, b, c, q, n = F(1, 3), F(1, 4), F(1, 5), F(1, 2), 2
-        _, tplus, tminus = rel._explicit_coeffs(fam.bigq_spec(a, b, c, q), n)
+        tplus, tminus = rel._explicit_coeffs(fam.bigq_spec(a, b, c, q), n)
         prev = None
         for k in (4, 6, 8):
             sp, sm = lim._rescaled_structure_coeffs(a, b, c, q, F(1, 2 ** k), n)
