@@ -8,6 +8,11 @@ Two subcommands:
     JSON report plus an optional CSV summary, and exits 0 iff every
     asserted check passed (informational checks never affect the exit
     code), 1 on a verification failure, 2 on configuration errors.
+    From the console it spreads the parameter points over the CPUs in
+    its affinity mask, one forked worker per CPU; the report, stderr
+    and the exit code are byte-identical to a serial run's, which
+    ``taskset -c 0 qaskey verify ...`` gives.  ``main`` called in-process
+    runs serially unless it is passed ``jobs``.
 
 ``limits``
     drives the two exact limit harnesses and writes the CSV
@@ -20,6 +25,7 @@ explicit command-line flags win.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -251,7 +257,135 @@ def _run_identity(ident: str, fd, args) -> list:
                                        {"error": text})]
 
 
-def run_verify(args) -> int:
+def _verify_point(idents, spec, build_n, args) -> list:
+    """The reports of the identities ``idents`` at one parameter point."""
+    fd = fam.build_family(spec, build_n)
+    # a runner may report several identities (the eq42/eq41 chain);
+    # one already reported at this point is not run again
+    done = set()
+    reports = []
+    for ident in idents:
+        if ident in done:
+            continue
+        for rep in _run_identity(ident, fd, args):
+            done.add(rep.identity_id)
+            if rep.identity_id in idents:
+                reports.append(rep)
+    return reports
+
+
+def _verify_share(tasks, build_n, args) -> list:
+    """One (stderr text, reports, exception) outcome per task, in order.
+    The share stops at the first task that raises."""
+    import io
+    from contextlib import redirect_stderr
+
+    outcomes = []
+    for idents, spec in tasks:
+        err = io.StringIO()
+        try:
+            with redirect_stderr(err):
+                reports = _verify_point(idents, spec, build_n, args)
+        except Exception as exc:
+            outcomes.append((err.getvalue(), [], exc))
+            break
+        outcomes.append((err.getvalue(), reports, None))
+    return outcomes
+
+
+def _picklable(exc):
+    """``exc``, or a RuntimeError with its type and text where it does not
+    survive a pickle round trip."""
+    import pickle
+
+    try:
+        pickle.loads(pickle.dumps(exc))
+        return exc
+    except Exception:
+        return RuntimeError(f"{type(exc).__name__}: {exc}")
+
+
+def _verify_forked(tasks, build_n, args, jobs) -> list:
+    """The reports of ``tasks`` in plan order, from ``jobs - 1`` forked
+    workers and this process: task k runs on worker k % jobs, and this
+    process takes share 0.
+
+    Each child sends its share's outcomes down a pipe as one pickle.  The
+    stderr text of every task is printed in plan order, and the first
+    exception in plan order is raised after the text of every earlier
+    task, so stderr and the exit code match a serial run.  qaskey starts
+    no threads, so forking is safe.
+    """
+    import pickle
+
+    sys.stdout.flush()
+    sys.stderr.flush()
+    children = []               # [pid, read end of its pipe or None]
+    blobs, statuses = [], []
+    finished = False
+    try:
+        for w in range(1, jobs):
+            r, wr = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(wr)
+                raise
+            if pid == 0:
+                code = 1
+                try:
+                    os.close(r)
+                    for _, fd in children:
+                        os.close(fd)
+                    share = _verify_share(tasks[w::jobs], build_n, args)
+                    text, reports, exc = share[-1]
+                    if exc is not None:
+                        share[-1] = text, reports, _picklable(exc)
+                    with os.fdopen(wr, "wb") as fh:
+                        pickle.dump(share, fh, pickle.HIGHEST_PROTOCOL)
+                    code = 0
+                except BaseException as exc:
+                    # the parent reports the exit status; this says why
+                    os.write(2, f"verify worker {w}: {type(exc).__name__}: {exc}\n".encode())
+                finally:
+                    os._exit(code)
+            os.close(wr)
+            children.append([pid, r])
+        shares = [_verify_share(tasks[0::jobs], build_n, args)]
+        for child in children:
+            with os.fdopen(child[1], "rb") as fh:
+                child[1] = None
+                blobs.append(fh.read())
+        finished = True
+    finally:
+        for pid, fd in children:
+            if fd is not None:
+                os.close(fd)
+            if not finished:
+                import signal
+                os.kill(pid, signal.SIGKILL)
+            statuses.append(os.waitpid(pid, 0)[1])
+    for w, (blob, status) in enumerate(zip(blobs, statuses), 1):
+        try:
+            shares.append(pickle.loads(blob) if status == 0 else None)
+        except Exception:
+            shares.append(None)
+        if shares[-1] is None:
+            how = (f"was killed by signal {os.WTERMSIG(status)}" if os.WIFSIGNALED(status)
+                   else f"exited with status {os.waitstatus_to_exitcode(status)}")
+            raise RuntimeError(f"verify worker {w} {how} without sending its results")
+    reports = []
+    for k in range(len(tasks)):
+        text, reps, exc = shares[k % jobs][k // jobs]
+        sys.stderr.write(text)
+        if exc is not None:
+            raise exc
+        reports += reps
+    return reports
+
+
+def run_verify(args, jobs: int = 1) -> int:
     _check_ranges(("--n-max", args.n_max, 1), ("--samples", args.samples, 1),
                   ("--degree-cap", args.degree_cap, 0))
     families = list(CLI_FAMILIES) if args.family == "all" else [args.family]
@@ -260,26 +394,28 @@ def run_verify(args) -> int:
     if not plan:
         raise ValueError(f"--identity {args.identity} checks nothing on "
                          f"--family {args.family}")
-    reports = []
     build_n = max(args.n_max + 1, 11)
+    tasks, plan_error = [], None
     for family, idents in plan:
-        if args.params:
-            specs = [spec_from_params(family, _parse_params(args.params))]
-        else:
-            specs = fam.sample_specs(family, args.samples, args.seed,
-                                     n_max=build_n)
-        for spec in specs:
-            fd = fam.build_family(spec, build_n)
-            # a runner may report several identities (the eq42/eq41 chain);
-            # one already reported at this point is not run again
-            done = set()
-            for ident in idents:
-                if ident in done:
-                    continue
-                for rep in _run_identity(ident, fd, args):
-                    done.add(rep.identity_id)
-                    if rep.identity_id in idents:
-                        reports.append(rep)
+        try:
+            if args.params:
+                specs = [spec_from_params(family, _parse_params(args.params))]
+            else:
+                specs = fam.sample_specs(family, args.samples, args.seed,
+                                         n_max=build_n)
+        except ValueError as exc:
+            # raised after the points planned before it have run, as an
+            # error at any of those points comes first
+            plan_error = exc
+            break
+        tasks += [(idents, spec) for spec in specs]
+    if jobs == 1 or len(tasks) <= 1:
+        reports = [rep for idents, spec in tasks
+                   for rep in _verify_point(idents, spec, build_n, args)]
+    else:
+        reports = _verify_forked(tasks, build_n, args, min(jobs, len(tasks)))
+    if plan_error is not None:
+        raise plan_error
     seen = set()
     unique = []
     for r in reports:
@@ -313,14 +449,15 @@ def run_verify(args) -> int:
 
 
 def run_limits(args) -> int:
-    _check_ranges(("--n", args.n, 0), ("--k-min", args.k_min, 0))
+    _check_ranges(("--n", args.n, 0))
     if args.which == "cqjacobi-to-jacobi":
-        _check_ranges(("--k-max", args.k_max, args.k_min))
+        _check_ranges(("--k-min", args.k_min, 0), ("--k-max", args.k_max, args.k_min))
         rows = lim.limit_cqjacobi_to_jacobi(
             args.alpha, args.beta, args.n,
             k_range=range(args.k_min, args.k_max + 1))
     else:
-        _check_ranges(("--eps-steps", args.eps_steps, 1))
+        # eps = 2^-k: k = 0 gives eps = 1, a degenerate Askey-Wilson point
+        _check_ranges(("--k-min", args.k_min, 1), ("--eps-steps", args.eps_steps, 1))
         rows = lim.limit_aw_to_bigq(
             _parse_fraction(args.a), _parse_fraction(args.b),
             _parse_fraction(args.c), _parse_fraction(args.q), args.n,
@@ -375,7 +512,19 @@ def make_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
+def usable_cpus() -> int:
+    """The CPUs this process may run on; 1 where ``os.fork`` is missing."""
+    if not hasattr(os, "fork"):
+        return 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def main(argv=None, jobs: int = 1) -> int:
+    """Run one subcommand; ``verify`` spreads its points over ``jobs``
+    processes (see :func:`_verify_forked`)."""
     args = make_parser().parse_args(argv)
     if args.config:
         try:
@@ -386,7 +535,7 @@ def main(argv=None) -> int:
         args = make_parser(defaults).parse_args(argv)
     try:
         if args.command == "verify":
-            return run_verify(args)
+            return run_verify(args, jobs)
         return run_limits(args)
     except (fam.InadmissibleParameters, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -394,7 +543,7 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    raise SystemExit(main())
+    raise SystemExit(main(jobs=usable_cpus()))
 
 
 if __name__ == "__main__":

@@ -146,6 +146,10 @@ def _explicit_coeffs(spec: FamilySpec, n: int):
         minus = six * (1 - q ** n) / (q ** (n - 1) * (1 - abcd * q ** (2 * n - 1)))
         return plus, minus
     if spec.family == JACOBI:
+        if n == 0:
+            # (n+al+be+1)/(2n+al+be+1) cancels to 1, and minus multiplies
+            # p_{-1} = 0; the quotients below divide by zero at al+be = -1
+            return Fraction(-1), Fraction(0)
         al, be = spec.params["alpha"], spec.params["beta"]
         plus = -Fraction((n + 1)) * (n + al + be + 1) / (2 * n + al + be + 1)
         minus = (n + al) * (n + be) / (2 * n + al + be + 1)
@@ -655,7 +659,13 @@ def check_dual_path(fd: FamilyData, max_n: int, perturb=None) -> VerificationRep
 
 def _classic_jacobi_coeffs(spec: FamilySpec, n: int):
     """The plus, middle and minus coefficients of (1-x^2) P_n' in
-    P_(n+1), P_n and P_(n-1), straight from the classical display."""
+    P_(n+1), P_n and P_(n-1), straight from the classical display.
+
+    At n = 0, (1-x^2) P_0' = 0 gives plus = middle = 0, and minus, which
+    multiplies P_(-1) = 0, is taken as 0 too; the quotients below divide
+    by zero there when al+be is 0, -1 or -2."""
+    if n == 0:
+        return Fraction(0), Fraction(0), Fraction(0)
     al, be = spec.params["alpha"], spec.params["beta"]
     ab = al + be
     plus = -Fraction(2 * n) * (n + 1) * (n + ab + 1) / ((2 * n + ab + 1) * (2 * n + ab + 2))

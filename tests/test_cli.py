@@ -201,6 +201,7 @@ class TestLimitsCommand:
 
     @pytest.mark.parametrize("argv,flag", [
         (["--which", "aw-to-bigq", "--k-min", "-1", "--eps-steps", "2"], "--k-min"),
+        (["--which", "aw-to-bigq", "--k-min", "0", "--eps-steps", "2"], "--k-min"),
         (["--which", "cqjacobi-to-jacobi", "--k-min", "-1"], "--k-min"),
         (["--which", "cqjacobi-to-jacobi", "--n", "-1"], "--n "),
         (["--which", "aw-to-bigq", "--n", "-1"], "--n "),

@@ -268,6 +268,16 @@ class TestSpectral:
             assert rel.check_dual_path(fd, 6).passed, fd.family
 
 
+@pytest.mark.parametrize("alpha,beta", [(0, 0), (F(-1, 2), F(-1, 2)), (1, 2), (F(1, 2), 0)])
+@pytest.mark.parametrize("check", [rel.check_classic_jacobi_structure,
+                                   rel.check_explicit_structure], ids=["eq02", "eq26"])
+def test_jacobi_closed_forms_at_degree_zero(check, alpha, beta):
+    # Legendre (al+be = 0) and Chebyshev (al+be = -1) put a zero in the
+    # denominators of the uncancelled n = 0 closed forms
+    fd = fam.build_family(fam.jacobi_spec(F(alpha), F(beta)), 3)
+    assert check(fd, [0]).passed
+
+
 class TestClassicJacobi:
     def test_residuals(self, fds, leg_fd):
         assert rel.check_classic_jacobi_structure(fds[fam.JACOBI], NS).passed
