@@ -201,12 +201,12 @@ class TestLimitsCommand:
 
     @pytest.mark.parametrize("argv,flag", [
         (["--which", "aw-to-bigq", "--k-min", "-1", "--eps-steps", "2"], "--k-min"),
-        (["--which", "aw-to-bigq", "--k-min", "0", "--eps-steps", "2"], "--k-min"),
         (["--which", "cqjacobi-to-jacobi", "--k-min", "-1"], "--k-min"),
         (["--which", "cqjacobi-to-jacobi", "--n", "-1"], "--n "),
         (["--which", "aw-to-bigq", "--n", "-1"], "--n "),
         (["--which", "aw-to-bigq", "--eps-steps", "0"], "--eps-steps"),
         (["--which", "cqjacobi-to-jacobi", "--k-min", "5", "--k-max", "4"], "--k-max"),
+        (["--which", "aw-to-bigq", "--k-min", "0", "--eps-steps", "2"], "--k-min"),
     ])
     def test_out_of_range_rejected(self, argv, flag, tmp_path, capsys):
         out = tmp_path / "t.csv"
