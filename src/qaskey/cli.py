@@ -39,8 +39,13 @@ from .laurent import NonzeroRemainder
 from .report import build_report, dump_report, summary_lines
 
 
-def _parse_fraction(text: str) -> Fraction:
-    return Fraction(text.strip())
+def _parse_fraction(text: str, flag: str) -> Fraction:
+    """The rational number ``text`` gives for ``flag``; a ValueError that
+    names the flag when it gives none."""
+    try:
+        return Fraction(text.strip())
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"{flag} must be a rational number, got {text.strip()!r}") from exc
 
 
 def _parse_params(text: str) -> dict:
@@ -51,26 +56,25 @@ def _parse_params(text: str) -> dict:
         key, _, val = item.partition("=")
         if not _:
             raise ValueError(f"bad parameter assignment {item!r}")
-        out[key.strip()] = _parse_fraction(val)
+        key = key.strip()
+        out[key] = _parse_fraction(val, f"--params {key}")
     return out
 
 
+#: the --params names of each family, in the order its spec constructor takes them
+PARAM_NAMES = {AW: ("a", "b", "c", "d", "q"), JAC: ("alpha", "beta"),
+               CQJ: ("alpha", "beta", "s"), CQU: ("u", "s"), BIGQ: ("a", "b", "c", "q")}
+
+
 def spec_from_params(family: str, params: dict) -> fam.FamilySpec:
-    try:
-        if family == AW:
-            return fam.aw_spec(params["a"], params["b"], params["c"],
-                               params["d"], q=params["q"])
-        if family == JAC:
-            return fam.jacobi_spec(params["alpha"], params["beta"])
-        if family == CQJ:
-            return fam.cqjacobi_spec(params["alpha"], params["beta"], params["s"])
-        if family == CQU:
-            return fam.cqultra_spec(params["u"], params["s"])
-        if family == BIGQ:
-            return fam.bigq_spec(params["a"], params["b"], params["c"], params["q"])
-    except KeyError as exc:
-        raise ValueError(f"family {family} is missing parameter {exc}") from exc
-    raise ValueError(f"unknown family {family!r}")
+    make = {AW: lambda a, b, c, d, q: fam.aw_spec(a, b, c, d, q=q), JAC: fam.jacobi_spec,
+            CQJ: fam.cqjacobi_spec, CQU: fam.cqultra_spec, BIGQ: fam.bigq_spec}.get(family)
+    if make is None:
+        raise ValueError(f"unknown family {family!r}")
+    missing = [k for k in PARAM_NAMES[family] if k not in params]
+    if missing:
+        raise ValueError(f"family {family} is missing parameter {missing[0]!r}")
+    return make(*(params[k] for k in PARAM_NAMES[family]))
 
 
 # ----------------------------------------------------------------------
@@ -202,7 +206,25 @@ def identities_for(family: str, requested: str) -> list:
 # config file
 # ----------------------------------------------------------------------
 
+_CONFIG_COERCE = {"n_max": int, "samples": int, "seed": int, "degree_cap": int,
+                  "no_timestamp": lambda v: v.lower() in ("1", "true", "yes"),
+                  "alpha": int, "beta": int, "n": int, "eps_steps": int,
+                  "k_min": int, "k_max": int}
+
+
+def _config_keys() -> set:
+    """The destination of every long flag of verify and limits; the file
+    serves both subcommands, so a key of either one is accepted."""
+    parser = make_parser()
+    keys = set(vars(parser.parse_args(["verify"])))
+    keys |= set(vars(parser.parse_args(["limits", "--which", "aw-to-bigq"])))
+    return keys - {"command"}
+
+
 def load_config(path: str) -> dict:
+    """Flag defaults from a flat key=value file: each key is a long flag
+    (dashes or underscores), each value is coerced to the flag's type."""
+    known = _config_keys()
     out = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -212,19 +234,15 @@ def load_config(path: str) -> dict:
             key, sep, val = line.partition("=")
             if not sep:
                 raise ValueError(f"{path}:{lineno}: expected key=value")
-            out[key.strip().replace("-", "_")] = val.strip()
+            key = key.strip()
+            dest = key.replace("-", "_")
+            if dest not in known:
+                raise ValueError(f"{path}:{lineno}: {key!r} is no long flag of verify or limits")
+            try:
+                out[dest] = _CONFIG_COERCE.get(dest, str)(val.strip())
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {key}: {exc}") from exc
     return out
-
-
-_CONFIG_COERCE = {"n_max": int, "samples": int, "seed": int, "degree_cap": int,
-                  "no_timestamp": lambda v: v.lower() in ("1", "true", "yes"),
-                  "alpha": int, "beta": int, "n": int, "eps_steps": int,
-                  "k_min": int, "k_max": int}
-
-
-def coerced_config(path: str) -> dict:
-    cfg = load_config(path)
-    return {key: _CONFIG_COERCE.get(key, str)(val) for key, val in cfg.items()}
 
 
 # ----------------------------------------------------------------------
@@ -394,12 +412,17 @@ def run_verify(args, jobs: int = 1) -> int:
     if not plan:
         raise ValueError(f"--identity {args.identity} checks nothing on "
                          f"--family {args.family}")
+    params = _parse_params(args.params)
+    extra = sorted(set(params).difference(*(PARAM_NAMES[f] for f in families)))
+    if extra:
+        raise ValueError(f"--params {extra[0]} is a parameter of no family in "
+                         f"--family {args.family}")
     build_n = max(args.n_max + 1, 11)
     tasks, plan_error = [], None
     for family, idents in plan:
         try:
             if args.params:
-                specs = [spec_from_params(family, _parse_params(args.params))]
+                specs = [spec_from_params(family, params)]
             else:
                 specs = fam.sample_specs(family, args.samples, args.seed,
                                          n_max=build_n)
@@ -459,8 +482,7 @@ def run_limits(args) -> int:
         # eps = 2^-k: k = 0 gives eps = 1, a degenerate Askey-Wilson point
         _check_ranges(("--k-min", args.k_min, 1), ("--eps-steps", args.eps_steps, 1))
         rows = lim.limit_aw_to_bigq(
-            _parse_fraction(args.a), _parse_fraction(args.b),
-            _parse_fraction(args.c), _parse_fraction(args.q), args.n,
+            *(_parse_fraction(getattr(args, k), f"--{k}") for k in "abcq"), args.n,
             eps_ks=range(args.k_min, args.k_min + args.eps_steps))
     lim.write_csv(rows, args.out)
     return 0
@@ -528,7 +550,7 @@ def main(argv=None, jobs: int = 1) -> int:
     args = make_parser().parse_args(argv)
     if args.config:
         try:
-            defaults = coerced_config(args.config)
+            defaults = load_config(args.config)
         except (OSError, ValueError) as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return 2

@@ -43,7 +43,7 @@ from functools import cached_property
 from math import prod
 from typing import Mapping, Sequence, Union
 
-from .laurent import SPACES, SymLaurentPoly, XPoly, sym_to_x, _combine, _frac, _ints, _lcd
+from .laurent import SPACES, SymLaurentPoly, XPoly, combine, sym_to_x
 
 Rat = Union[int, Fraction]
 
@@ -87,7 +87,7 @@ class FamilySpec:
         """q**e as an exact rational, via the base scale."""
         if self.base is None:
             raise InadmissibleParameters(f"family {self.family} has no base scale")
-        ex = _frac(e) * self.base_exp
+        ex = Fraction(e) * self.base_exp
         if ex.denominator != 1:
             raise InadmissibleParameters(
                 f"q^({e}) is not an integer power of the base scale s={self.base}")
@@ -107,23 +107,23 @@ def aw_spec(a: Rat, b: Rat, c: Rat, d: Rat, q: Rat | None = None,
     if (q is None) == (s is None):
         raise ValueError("give exactly one of q or a base scale s")
     if q is None:
-        base = _frac(s)
+        base = Fraction(s)
         qv = base ** m
     else:
-        base, m, qv = _frac(q), 1, _frac(q)
-    return FamilySpec(AW, {"a": _frac(a), "b": _frac(b), "c": _frac(c),
-                           "d": _frac(d), "q": qv}, base=base, base_exp=m)
+        base, m, qv = Fraction(q), 1, Fraction(q)
+    return FamilySpec(AW, {"a": Fraction(a), "b": Fraction(b), "c": Fraction(c),
+                           "d": Fraction(d), "q": qv}, base=base, base_exp=m)
 
 
 def jacobi_spec(alpha: Rat, beta: Rat) -> FamilySpec:
-    al, be = _frac(alpha), _frac(beta)
+    al, be = Fraction(alpha), Fraction(beta)
     if al <= -1 or be <= -1:
         raise InadmissibleParameters("alpha and beta must exceed -1")
     return FamilySpec(JACOBI, {"alpha": al, "beta": be}, base=None, base_exp=0)
 
 
 def cqjacobi_spec(alpha: Rat, beta: Rat, s: Rat, embedding: int = 49) -> FamilySpec:
-    al, be, sv = _frac(alpha), _frac(beta), _frac(s)
+    al, be, sv = Fraction(alpha), Fraction(beta), Fraction(s)
     if (2 * al).denominator != 1 or (2 * be).denominator != 1:
         raise InadmissibleParameters(
             "alpha, beta must be half-integers so q^(alpha/2+1/4) is a power of s")
@@ -145,7 +145,7 @@ def cqultra_spec(u: Rat, s: Rat, m: int = 4) -> FamilySpec:
     second-order operator; m = 2 covers points like q = 1/4 where only
     q^(1/2) is needed (recurrence construction, D rebuilt from L).
     """
-    uv, sv = _frac(u), _frac(s)
+    uv, sv = Fraction(u), Fraction(s)
     if m not in (2, 4):
         raise InadmissibleParameters("base exponent must be 2 or 4")
     if not (0 < abs(uv) < 1):
@@ -157,7 +157,7 @@ def cqultra_spec(u: Rat, s: Rat, m: int = 4) -> FamilySpec:
 
 
 def bigq_spec(a: Rat, b: Rat, c: Rat, q: Rat) -> FamilySpec:
-    av, bv, cv, qv = _frac(a), _frac(b), _frac(c), _frac(q)
+    av, bv, cv, qv = Fraction(a), Fraction(b), Fraction(c), Fraction(q)
     if av == 0 or cv == 0:
         raise InadmissibleParameters("a and c must be nonzero")
     return FamilySpec(BIGQ, {"a": av, "b": bv, "c": cv, "q": qv},
@@ -247,9 +247,8 @@ def _validate_aw(params: Mapping[str, Fraction], n_max: int) -> None:
 # Every degree 0..hi of a family is built in one pass per point.  A
 # terminating series p_n = pref_n sum_{k<=n} r_k(n) t_k has a term ratio
 # that splits as r_k(n) = N_k(n) D_k, with D_k free of n.  The term
-# polynomials t_k and the D_k are formed once per point, each t_k as
-# integer numerators over its own denominator, and every p_n is one
-# _combine over those shared rows.
+# polynomials t_k and the D_k are formed once per point, and every p_n is
+# one laurent.combine over the integer numerators of the t_k.
 
 def _q_table(q: Fraction, lo: int, hi: int) -> dict:
     """q**e for lo <= e <= hi."""
@@ -257,25 +256,20 @@ def _q_table(q: Fraction, lo: int, hi: int) -> dict:
 
 
 def _shared_rows(terms, ds) -> tuple:
-    """Integer rows of the term polynomials t_k (coefficient tuples) and
-    each D_k divided by its row's denominator."""
-    rows, dk = [], []
-    for cs, dv in zip(terms, ds):
-        den = _lcd(cs)
-        rows.append(_ints(cs, den))
-        dk.append(dv / den)
-    return rows, dk
+    """The numerators of the term polynomials t_k and each D_k divided by
+    its t_k's denominator."""
+    return [t.nums for t in terms], [dv / t.den for t, dv in zip(terms, ds)]
 
 
-def _terminating_sum(pref: Fraction, steps, dk, rows) -> list:
-    """pref * sum_{k=0..n} N_k dk[k] rows[k] with N_k = prod_{j<k} steps[j]
-    and n = len(steps), as one _combine."""
+def _terminating_sum(cls, pref: Fraction, steps, dk, rows):
+    """The ``cls`` polynomial pref * sum_{k=0..n} N_k dk[k] rows[k] with
+    N_k = prod_{j<k} steps[j] and n = len(steps), as one combine."""
     r = pref
     coeffs = [r * dk[0]]
     for k, f in enumerate(steps, 1):
         r *= f
         coeffs.append(r * dk[k])
-    return _combine(coeffs, rows)
+    return combine(cls, coeffs, rows)
 
 
 def _aw_tables(a, b, c, d, q, hi: int) -> tuple:
@@ -300,13 +294,13 @@ def _aw_phi43s(hi: int, a: Fraction, qp, w, g, scale=None) -> list:
     """
     q = qp[1]
     term = SymLaurentPoly([Fraction(1)])
-    terms, ds, dv = [term.c], [Fraction(1)], Fraction(1)
+    terms, ds, dv = [term], [Fraction(1)], Fraction(1)
     for k in range(1, hi + 1):
         j = k - 1
         dv = dv * q / (g[j] * (1 - qp[k]))
         aj = a * qp[j]
         term = term * SymLaurentPoly([1 + aj * aj, -aj])
-        terms.append(term.c)
+        terms.append(term)
         ds.append(dv)
     rows, dk = _shared_rows(terms, ds)
     u = {e: 1 - qp[e] for e in range(-hi, 0)}
@@ -316,7 +310,7 @@ def _aw_phi43s(hi: int, a: Fraction, qp, w, g, scale=None) -> list:
             pref = pref * g[n - 1] / a
         steps = [u[j - n] * w[n - 1 + j] for j in range(n)]
         lead = pref * scale[n] if scale else pref
-        out.append(SymLaurentPoly(_terminating_sum(lead, steps, dk, rows)))
+        out.append(_terminating_sum(SymLaurentPoly, lead, steps, dk, rows))
     return out
 
 
@@ -341,11 +335,11 @@ def bigq_polynomials(hi: int, spec: FamilySpec) -> list:
     a, b, c, q = (spec.params[k] for k in "abcq")
     qp = _q_table(q, -hi, 2 * hi)
     term = XPoly([Fraction(1)])
-    terms, ds, dv = [term.coeffs], [Fraction(1)], Fraction(1)
+    terms, ds, dv = [term], [Fraction(1)], Fraction(1)
     for k in range(1, hi + 1):
         dv = dv * q / ((1 - a * qp[k]) * (1 + c * qp[k]) * (1 - qp[k]))
         term = term * XPoly([1, -qp[k - 1]])
-        terms.append(term.coeffs)
+        terms.append(term)
         ds.append(dv)
     rows, dk = _shared_rows(terms, ds)
     u = {e: 1 - qp[e] for e in range(-hi, 0)}
@@ -354,7 +348,7 @@ def bigq_polynomials(hi: int, spec: FamilySpec) -> list:
     out = []
     for n in range(hi + 1):
         steps = [u[j - n] * w[n + 1 + j] for j in range(n)]
-        out.append(XPoly(_terminating_sum(Fraction(1), steps, dk, rows)))
+        out.append(_terminating_sum(XPoly, Fraction(1), steps, dk, rows))
     return out
 
 
@@ -469,13 +463,6 @@ class FamilyData:
         """Coefficients of f in the family basis, by leading-term elimination."""
         return _expand_x(self.polys_x, self.k, f.to_x())
 
-    def reconstruct(self, coeffs: Sequence[Fraction]) -> XPoly:
-        out = XPoly()
-        for i, c in enumerate(coeffs):
-            if c:
-                out = out + self.polys_x[i].scale(c)
-        return out
-
 
 def _expand_x(polys_x: Sequence[XPoly], k: Sequence[Fraction], f: XPoly) -> list:
     if f.is_zero:
@@ -508,7 +495,7 @@ def _polys_from_recurrence(A, B, C, n_hi, space):
 
 
 def _leading_k(polys_x) -> tuple:
-    return tuple(p.coeffs[-1] for p in polys_x)
+    return tuple(p.coeff(p.degree) for p in polys_x)
 
 
 def _norms_recursive(A, C, n_hi) -> tuple:

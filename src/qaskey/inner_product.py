@@ -12,7 +12,7 @@ from fractions import Fraction
 from operator import mul
 
 from .families import FamilyData
-from .laurent import _ints, _lcd
+from .laurent import XPoly
 from .operators import PolyOperator
 
 
@@ -24,22 +24,20 @@ def inner(f, g, fd: FamilyData) -> Fraction:
 def _pairing_table(op: PolyOperator, fd: FamilyData, max_deg: int):
     """inner(op e_i, e_j) for monomials e_i, e_j up to max_deg.
 
-    Each expansion is read as integer numerators over its own common
-    denominator, with the norms h folded into the op e_i side, so every
-    entry is one integer dot product and one Fraction.
+    Each expansion is read as the integer numerators over one denominator
+    of the vector it forms (an :class:`XPoly`, whose trailing zeros add
+    nothing to a dot product), with the norms h folded into the op e_i
+    side, so every entry is one integer dot product and one Fraction.
     """
-    dh = _lcd(fd.h)
-    h = _ints(fd.h, dh)
+    h = XPoly(fd.h)
     cols = []
     for i in range(max_deg + 1):
-        c = fd.expand(op(op.basis(i)))
-        den = _lcd(c)
-        cols.append(([a * w for a, w in zip(_ints(c, den), h)], den * dh))
+        c = XPoly(fd.expand(op(op.basis(i))))
+        cols.append(([a * w for a, w in zip(c.nums, h.nums)], c.den * h.den))
     basis = []
     for j in range(max_deg + 1):
-        b = fd.expand(op.basis(j))
-        den = _lcd(b)
-        basis.append((_ints(b, den), den))
+        b = XPoly(fd.expand(op.basis(j)))
+        basis.append((b.nums, b.den))
     table = {}
     for i, (a, da) in enumerate(cols):
         for j, (b, db) in enumerate(basis):

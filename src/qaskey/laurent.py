@@ -1,7 +1,6 @@
 """Exact Laurent-polynomial arithmetic over the rationals.
 
-Three immutable polynomial flavours share the coefficient field
-``fractions.Fraction``:
+Three immutable polynomial flavours share one integer normal form:
 
 ``LaurentPoly``
     f(z) = sum_{k=lo..hi} c_k z^k, finitely many terms, negative
@@ -15,19 +14,18 @@ Three immutable polynomial flavours share the coefficient field
 ``XPoly``
     ordinary polynomial in one variable x, coefficients ascending.
 
-The zero polynomial is always the empty coefficient tuple, so
-structural equality is mathematical equality.  All values are
-immutable after construction and all operations are pure functions.
+Each polynomial stores its coefficients as ``nums``, a tuple of integer
+numerators with no trailing zero (a ``LaurentPoly`` also moves its
+leading zeros into ``lo``), over one denominator ``den`` > 0 with
+gcd(content, den) = 1.  The zero polynomial is ``()`` over 1, so
+structural equality is mathematical equality.  ``coeffs``, the
+coefficients as ``fractions.Fraction``, is built on first read.
 
-Ring operations (sums, products, exact division) and dilations
-(z -> r z, x -> r x) run in one small integer kernel: each reads its
-inputs as integer numerators over one least common denominator,
-computes in plain ``int`` arithmetic, and builds one normalized
-``Fraction`` per output coefficient.  A dilation by r = p/s is one
-integer row n_i p^i s^(H-i) from running powers over one denominator,
-not a ``Fraction`` power per coefficient.  Results are exactly those of
-coefficient-wise ``Fraction`` arithmetic, at one gcd per output
-coefficient instead of one or more per term.
+Every operation (sums, products, exact division, dilations
+z -> r z and x -> r x, and the conversions between the x and z
+pictures) reads and writes integers, with one gcd per result to
+restore the normal form.  This module is the only place that converts
+between that form and ``Fraction`` values.
 """
 
 from __future__ import annotations
@@ -43,32 +41,13 @@ class NonzeroRemainder(ArithmeticError):
     """An exact division left a remainder; some identity upstream is broken."""
 
 
-def _frac(v: Rat) -> Fraction:
-    return v if isinstance(v, Fraction) else Fraction(v)
-
-
-# -- the integer kernel -------------------------------------------------
-#
-# A coefficient sequence enters as integer numerators over its least
-# common denominator (_lcd, _ints) and leaves as one normalized Fraction
-# per entry (_fracs).  Everything in between is int arithmetic.
-
-def _lcd(*seqs: Sequence[Rat]) -> int:
-    """Least common denominator of every entry of the given sequences."""
+def _cleared(values: Iterable[Rat]) -> tuple:
+    """(numerators, den): the values over their least common denominator."""
+    vals = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
     den = 1
-    for seq in seqs:
-        for c in seq:
-            den = lcm(den, c.denominator)
-    return den
-
-
-def _ints(seq: Sequence[Rat], den: int) -> list:
-    """Numerators of seq over den, a common multiple of its denominators."""
-    return [c.numerator * (den // c.denominator) for c in seq]
-
-
-def _fracs(nums: Sequence[int], den: int) -> list:
-    return [Fraction(v, den) for v in nums]
+    for v in vals:
+        den = lcm(den, v.denominator)
+    return [v.numerator * (den // v.denominator) for v in vals], den
 
 
 def _convolve(a: Sequence[int], b: Sequence[int]) -> list:
@@ -81,65 +60,25 @@ def _convolve(a: Sequence[int], b: Sequence[int]) -> list:
     return out
 
 
-def _mul(a: Sequence[Rat], b: Sequence[Rat]) -> list:
-    """Product of two nonempty coefficient sequences."""
-    da, db = _lcd(a), _lcd(b)
-    return _fracs(_convolve(_ints(a, da), _ints(b, db)), da * db)
+def _scale_powers(nums: Sequence[int], den: int, r: Rat, lo: int) -> tuple:
+    """(numerators, den) of c_i * r^(lo + i) for c_i = nums[i] / den, r = p/s.
 
-
-def _sym_mul(a: Sequence[Rat], b: Sequence[Rat]) -> list:
-    """Product in the basis 1, z^k + z^-k (see :class:`SymLaurentPoly`).
-
-    With a_k = a_-k, the z^m coefficient (m >= 0) of the product is the
-    convolution of the halves plus the terms pairing z^-s in one factor
-    with z^(m+s) in the other (s >= 1).  Those are the entries of the
-    convolution of the reversed tail a[:0:-1] with the tail b[1:], at lag
-    m and -m, so lag 0 counts twice.
+    With H = len(nums) - 1 this is nums[i] p^i s^(H-i) * p^lo / (den s^(lo+H)):
+    one integer row from running powers, with the factor p^lo / s^(lo+H)
+    split into one numerator multiplier (the start of the running power
+    of p) and one positive denominator.
     """
-    da, db = _lcd(a), _lcd(b)
-    na, nb = _ints(a, da), _ints(b, db)
-    out = _convolve(na, nb)
-    if len(na) > 1 and len(nb) > 1:
-        cross = _convolve(na[:0:-1], nb[1:])
-        mid = len(na) - 2                  # the index of lag 0
-        for lag, v in enumerate(cross, -mid):
-            out[abs(lag)] += v
-        out[0] += cross[mid]
-    return _fracs(out, da * db)
-
-
-def _add(a: Sequence[Rat], b: Sequence[Rat], a_at: int = 0, b_at: int = 0,
-         sign: int = 1) -> list:
-    """a + sign * b, entry i of a (of b) landing at index a_at + i (b_at + i)."""
-    den = _lcd(a, b)
-    out = [0] * max(a_at + len(a), b_at + len(b))
-    for k, v in enumerate(_ints(a, den), a_at):
-        out[k] = v
-    for k, v in enumerate(_ints(b, den), b_at):
-        out[k] += v if sign > 0 else -v
-    return _fracs(out, den)
-
-
-def _scale_powers(cs: Sequence[Rat], r: Fraction, lo: int) -> list:
-    """c_i * r^(lo + i) for each entry c_i of cs, r = p/s.
-
-    With H = len(cs) - 1 and n_i the numerators of cs over den, this is
-    n_i p^i s^(H-i) * p^lo / (den s^(lo+H)): one integer row from running
-    powers, with the factor p^lo / s^(lo+H) split into one numerator
-    multiplier (the start of the running power of p) and one denominator.
-    """
-    if not cs:
-        return []
     p, s = r.numerator, r.denominator
-    den = _lcd(cs)
-    nums = _ints(cs, den)
-    h = len(cs) - 1
+    h = len(nums) - 1
     hi = lo + h
     pp = 1
     if lo >= 0:
         pp = p ** lo
     else:
-        den *= p ** -lo
+        m = p ** -lo
+        den *= abs(m)
+        if m < 0:
+            pp = -1
     if hi >= 0:
         den *= s ** hi
     else:
@@ -149,28 +88,26 @@ def _scale_powers(cs: Sequence[Rat], r: Fraction, lo: int) -> list:
         out.append(v * pp * sp)
         pp *= p
         sp //= s
-    return _fracs(out, den)
+    return out, den
 
 
-def _divide(f: Sequence[Rat], g: Sequence[Rat]) -> list | None:
-    """q with f = g*q as ordinary polynomials, or None when g does not divide f.
+def _divide(f: Sequence[int], df: int, g: Sequence[int], dg: int) -> tuple | None:
+    """(numerators, den) of q with f = g*q as ordinary polynomials, for
+    f = f[i] / df and g = g[i] / dg, or None when g does not divide f.
 
-    g is first written as (content / den) * gp with gp primitive.  A
+    g is first written as (content / dg) * gp with gp primitive.  A
     primitive divisor of an integer polynomial leaves an integer quotient
     (Gauss's lemma), so when g divides f every elimination step divides
     exactly by gp's leading coefficient; when it does not, some entry of
     the remainder stays nonzero.
     """
-    df, dg = _lcd(f), _lcd(g)
-    rem, gp = _ints(f, df), _ints(g, dg)
-    content = 0
-    for v in gp:
-        content = gcd(content, v)
-    gp = [v // content for v in gp]
+    content = gcd(*g)
+    gp = [v // content for v in g]
     dn = len(gp) - 1
     lead = gp[dn]
-    if len(rem) - 1 < dn:
+    if len(f) - 1 < dn:
         return None
+    rem = list(f)
     quot = [0] * (len(rem) - dn)
     for top in range(len(rem) - 1, dn - 1, -1):
         c = rem[top]
@@ -180,63 +117,171 @@ def _divide(f: Sequence[Rat], g: Sequence[Rat]) -> list | None:
                 rem[k] -= t * v
     if any(rem):
         return None
-    # with f = F / df and g = content * gp / dg: f / g = (F / gp) * dg / (df * content)
-    return _fracs([v * dg for v in quot], df * content)
+    # f / g = (F / gp) * dg / (df * content)
+    return [v * dg for v in quot], df * content
 
 
-class LaurentPoly:
-    """f(z) = sum c_k z^k with coeffs[i] the coefficient of z^(lo+i).
+class _Poly:
+    """The normal form and the linear structure shared by the three flavours.
 
-    Stored normalized: first and last stored coefficients are nonzero;
-    the zero polynomial is ``LaurentPoly()`` with empty coeffs and lo=0.
+    ``nums`` holds integer numerators with no trailing zero over ``den``,
+    reduced so that gcd(content, den) = 1; the zero polynomial is ``()``
+    over 1.  ``_lo`` is the exponent of ``nums[0]``; only a
+    ``LaurentPoly`` moves leading zeros into it, so it is 0 for the
+    other two flavours.
     """
 
-    __slots__ = ("lo", "coeffs")
+    __slots__ = ("nums", "den", "_lo", "_coeffs")
 
-    def __init__(self, lo: int = 0, coeffs: Iterable[Rat] = ()):
-        cs = [_frac(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        drop = 0
-        while drop < len(cs) and cs[drop] == 0:
-            drop += 1
-        if drop:
-            cs = cs[drop:]
-            lo += drop
-        object.__setattr__(self, "lo", lo if cs else 0)
-        object.__setattr__(self, "coeffs", tuple(cs))
+    #: whether leading zeros move into _lo (LaurentPoly only)
+    _trim_low = False
+
+    def __init__(self, coeffs: Iterable[Rat] = ()):
+        self._set(*_cleared(coeffs), 0)
+
+    @classmethod
+    def _make(cls, nums: Sequence[int], den: int = 1, lo: int = 0):
+        """The polynomial with integer numerators nums over den > 0 at
+        exponent lo, normalized."""
+        out = object.__new__(cls)
+        out._set(nums, den, lo)
+        return out
+
+    @classmethod
+    def _new(cls, nums: tuple, den: int, lo: int = 0):
+        """A polynomial from numerators already in normal form."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "nums", nums)
+        object.__setattr__(out, "den", den)
+        object.__setattr__(out, "_lo", lo)
+        return out
+
+    def _set(self, nums: Sequence[int], den: int, lo: int) -> None:
+        end = len(nums)
+        while end and not nums[end - 1]:
+            end -= 1
+        start = 0
+        if self._trim_low:
+            while start < end and not nums[start]:
+                start += 1
+        if start == end:
+            nums, den, lo = (), 1, 0
+        else:
+            nums = nums[start:end]
+            g = gcd(den, *nums)
+            if g > 1:
+                nums = tuple(v // g for v in nums)
+                den //= g
+            else:
+                nums = tuple(nums)
+            lo += start
+        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "_lo", lo)
 
     def __setattr__(self, name, value):
-        raise AttributeError("LaurentPoly is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients as Fractions, built on first read."""
+        try:
+            return self._coeffs
+        except AttributeError:
+            den = self.den
+            cs = tuple(Fraction(v, den) for v in self.nums)
+            object.__setattr__(self, "_coeffs", cs)
+            return cs
+
+    def _at(self, i: int) -> Fraction:
+        """Entry i of coeffs, 0 outside the stored range."""
+        if 0 <= i < len(self.nums):
+            return Fraction(self.nums[i], self.den)
+        return Fraction(0)
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.nums
+
+    def __bool__(self) -> bool:
+        return bool(self.nums)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.nums == other.nums and self.den == other.den
+                and self._lo == other._lo)
+
+    def __hash__(self):
+        return hash((self._lo, self.den, self.nums))
+
+    # -- the linear structure ------------------------------------------
+
+    def _plus(self, other, sign: int):
+        if not other.nums:
+            return self
+        if not self.nums:
+            return other if sign > 0 else -other
+        a, b = self.nums, other.nums
+        g = gcd(self.den, other.den)
+        fa, fb = other.den // g, self.den // g
+        lo = min(self._lo, other._lo)
+        at, bt = self._lo - lo, other._lo - lo
+        out = [0] * max(at + len(a), bt + len(b))
+        for k, v in enumerate(a, at):
+            out[k] = v * fa
+        if sign < 0:
+            fb = -fb
+        for k, v in enumerate(b, bt):
+            out[k] += v * fb
+        return self._make(out, fa * self.den, lo)
+
+    def __add__(self, other):
+        return self._plus(other, 1)
+
+    def __sub__(self, other):
+        return self._plus(other, -1)
+
+    def __neg__(self):
+        return self._new(tuple(-v for v in self.nums), self.den, self._lo)
+
+    def scale(self, r: Rat):
+        """Multiply by the rational r."""
+        if not isinstance(r, (int, Fraction)):
+            r = Fraction(r)
+        if not r or not self.nums:
+            return self._new((), 1)
+        p = r.numerator
+        return self._make([v * p for v in self.nums], self.den * r.denominator, self._lo)
+
+
+class LaurentPoly(_Poly):
+    """f(z) = sum c_k z^k with coeffs[i] the coefficient of z^(lo+i).
+
+    The first and last stored numerators are nonzero; the zero polynomial
+    is ``LaurentPoly()`` with empty coeffs and lo = 0.
+    """
+
+    __slots__ = ()
+    _trim_low = True
+
+    def __init__(self, lo: int = 0, coeffs: Iterable[Rat] = ()):
+        self._set(*_cleared(coeffs), lo)
 
     # -- basic queries -------------------------------------------------
 
     @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
+    def lo(self) -> int:
+        return self._lo
 
     @property
     def hi(self) -> int:
         if self.is_zero:
             raise ValueError("zero polynomial has no top exponent")
-        return self.lo + len(self.coeffs) - 1
+        return self._lo + len(self.nums) - 1
 
     def coeff(self, k: int) -> Fraction:
-        i = k - self.lo
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return Fraction(0)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self.lo == other.lo and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.lo, self.coeffs))
-
-    def __bool__(self) -> bool:
-        return not self.is_zero
+        return self._at(k - self._lo)
 
     def __repr__(self) -> str:
         if self.is_zero:
@@ -249,53 +294,32 @@ class LaurentPoly:
 
     # -- ring operations -----------------------------------------------
 
-    def _plus(self, other: "LaurentPoly", sign: int) -> "LaurentPoly":
-        if other.is_zero:
-            return self
-        if self.is_zero:
-            return other if sign > 0 else -other
-        lo = min(self.lo, other.lo)
-        return LaurentPoly(lo, _add(self.coeffs, other.coeffs,
-                                    self.lo - lo, other.lo - lo, sign))
-
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self._plus(other, 1)
-
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(self.lo, [-c for c in self.coeffs])
-
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self._plus(other, -1)
-
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         if self.is_zero or other.is_zero:
             return LaurentPoly()
-        return LaurentPoly(self.lo + other.lo, _mul(self.coeffs, other.coeffs))
-
-    def scale(self, r: Rat) -> "LaurentPoly":
-        r = _frac(r)
-        if r == 0:
-            return LaurentPoly()
-        return LaurentPoly(self.lo, [c * r for c in self.coeffs])
+        return LaurentPoly._make(_convolve(self.nums, other.nums),
+                                 self.den * other.den, self._lo + other._lo)
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by z^k."""
         if self.is_zero:
             return self
-        return LaurentPoly(self.lo + k, self.coeffs)
+        return LaurentPoly._new(self.nums, self.den, self._lo + k)
 
     def dilate(self, r: Rat) -> "LaurentPoly":
         """Substitute z -> r*z: the coefficient of z^k is scaled by r^k."""
-        r = _frac(r)
+        r = Fraction(r)
         if r == 0:
             raise ZeroDivisionError("dilation factor must be nonzero")
-        return LaurentPoly(self.lo, _scale_powers(self.coeffs, r, self.lo))
+        if self.is_zero:
+            return self
+        return LaurentPoly._make(*_scale_powers(self.nums, self.den, r, self._lo), self._lo)
 
     def invert_z(self) -> "LaurentPoly":
         """Substitute z -> 1/z."""
         if self.is_zero:
             return self
-        return LaurentPoly(-self.hi, tuple(reversed(self.coeffs)))
+        return LaurentPoly._new(self.nums[::-1], self.den, -self.hi)
 
     def divide_exact(self, g: "LaurentPoly") -> "LaurentPoly":
         """Return h with self == g*h, raising NonzeroRemainder otherwise."""
@@ -305,17 +329,17 @@ class LaurentPoly:
             return LaurentPoly()
         # reduce to ordinary polynomial division; the normalized
         # representations both have nonzero constant term after the shift
-        quot = _divide(self.coeffs, g.coeffs)
+        quot = _divide(self.nums, self.den, g.nums, g.den)
         if quot is None:
             raise NonzeroRemainder(f"{self!r} not divisible by {g!r}")
-        return LaurentPoly(self.lo - g.lo, quot)
+        return LaurentPoly._make(*quot, self._lo - g._lo)
 
     def __call__(self, zv: Rat) -> Fraction:
-        zv = _frac(zv)
+        zv = Fraction(zv)
         acc = Fraction(0)
-        for i, c in enumerate(self.coeffs):
-            acc += c * zv ** (self.lo + i)
-        return acc
+        for i, v in enumerate(self.nums, self._lo):
+            acc += v * zv ** i
+        return acc / self.den
 
     # -- symmetry ------------------------------------------------------
 
@@ -328,100 +352,73 @@ class LaurentPoly:
             return SymLaurentPoly()
         if not self.is_symmetric:
             raise ValueError(f"not symmetric under z -> 1/z: {self!r}")
-        return SymLaurentPoly([self.coeff(k) for k in range(self.hi + 1)])
+        # the z^0 .. z^hi half has the same entries, so the same content
+        return SymLaurentPoly._new(self.nums[-self._lo:], self.den)
 
 
-class SymLaurentPoly:
-    """f[z] = c[0] + sum_{k>=1} c[k] (z^k + z^-k).
+class SymLaurentPoly(_Poly):
+    """f[z] = coeffs[0] + sum_{k>=1} coeffs[k] (z^k + z^-k).
 
     Trailing zero coefficients are stripped; the zero polynomial is the
     empty tuple.  Closed under addition and multiplication.
     """
 
-    __slots__ = ("c",)
-
-    def __init__(self, c: Iterable[Rat] = ()):
-        cs = [_frac(v) for v in c]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "c", tuple(cs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SymLaurentPoly is immutable")
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.c
+    __slots__ = ()
 
     @property
     def degree(self) -> int:
         if self.is_zero:
             raise ValueError("zero polynomial has no degree")
-        return len(self.c) - 1
+        return len(self.nums) - 1
 
     def coeff(self, k: int) -> Fraction:
-        k = abs(k)
-        return self.c[k] if k < len(self.c) else Fraction(0)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SymLaurentPoly):
-            return NotImplemented
-        return self.c == other.c
-
-    def __hash__(self):
-        return hash(self.c)
-
-    def __bool__(self) -> bool:
-        return not self.is_zero
+        return self._at(abs(k))
 
     def __repr__(self) -> str:
         if self.is_zero:
             return "SymLaurentPoly(0)"
-        parts = [f"({self.c[0]})"] if self.c[0] else []
-        for k in range(1, len(self.c)):
-            if self.c[k]:
-                parts.append(f"({self.c[k]})*(z^{k}+z^-{k})")
+        c = self.coeffs
+        parts = [f"({c[0]})"] if c[0] else []
+        for k in range(1, len(c)):
+            if c[k]:
+                parts.append(f"({c[k]})*(z^{k}+z^-{k})")
         return "SymLaurentPoly(" + " + ".join(parts) + ")"
 
     def to_laurent(self) -> LaurentPoly:
         if self.is_zero:
             return LaurentPoly()
-        n = self.degree
-        cs = [Fraction(0)] * (2 * n + 1)
-        cs[n] = self.c[0]
-        for k in range(1, n + 1):
-            cs[n + k] = self.c[k]
-            cs[n - k] = self.c[k]
-        return LaurentPoly(-n, cs)
-
-    def __add__(self, other: "SymLaurentPoly") -> "SymLaurentPoly":
-        return SymLaurentPoly(_add(self.c, other.c))
-
-    def __neg__(self) -> "SymLaurentPoly":
-        return SymLaurentPoly([-v for v in self.c])
-
-    def __sub__(self, other: "SymLaurentPoly") -> "SymLaurentPoly":
-        return SymLaurentPoly(_add(self.c, other.c, sign=-1))
+        nums = self.nums
+        return LaurentPoly._new(nums[:0:-1] + nums, self.den, 1 - len(nums))
 
     def __mul__(self, other: "SymLaurentPoly") -> "SymLaurentPoly":
+        """Product in the basis 1, z^k + z^-k.
+
+        With a_k = a_-k, the z^m coefficient (m >= 0) of the product is the
+        convolution of the halves plus the terms pairing z^-s in one factor
+        with z^(m+s) in the other (s >= 1).  Those are the entries of the
+        convolution of the reversed tail a[:0:-1] with the tail b[1:], at lag
+        m and -m, so lag 0 counts twice.
+        """
         if self.is_zero or other.is_zero:
             return SymLaurentPoly()
-        return SymLaurentPoly(_sym_mul(self.c, other.c))
-
-    def scale(self, r: Rat) -> "SymLaurentPoly":
-        r = _frac(r)
-        if r == 0:
-            return SymLaurentPoly()
-        return SymLaurentPoly([v * r for v in self.c])
+        na, nb = self.nums, other.nums
+        out = _convolve(na, nb)
+        if len(na) > 1 and len(nb) > 1:
+            cross = _convolve(na[:0:-1], nb[1:])
+            mid = len(na) - 2                  # the index of lag 0
+            for lag, v in enumerate(cross, -mid):
+                out[abs(lag)] += v
+            out[0] += cross[mid]
+        return SymLaurentPoly._make(out, self.den * other.den)
 
     def __call__(self, zv: Rat) -> Fraction:
-        zv = _frac(zv)
+        zv = Fraction(zv)
         if self.is_zero:
             return Fraction(0)
-        acc = self.c[0]
-        for k in range(1, len(self.c)):
-            acc += self.c[k] * (zv ** k + zv ** (-k))
-        return acc
+        acc = Fraction(self.nums[0])
+        for k in range(1, len(self.nums)):
+            acc += self.nums[k] * (zv ** k + zv ** (-k))
+        return acc / self.den
 
     @classmethod
     def x_power(cls, j: int) -> "SymLaurentPoly":
@@ -437,43 +434,19 @@ class SymLaurentPoly:
         return sym_to_x(self)
 
 
-class XPoly:
+class XPoly(_Poly):
     """Ordinary polynomial in x; coeffs[i] is the coefficient of x^i."""
 
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable[Rat] = ()):
-        cs = [_frac(v) for v in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("XPoly is immutable")
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
+    __slots__ = ()
 
     @property
     def degree(self) -> int:
         if self.is_zero:
             raise ValueError("zero polynomial has no degree")
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     def coeff(self, k: int) -> Fraction:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, XPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __bool__(self) -> bool:
-        return not self.is_zero
+        return self._at(k)
 
     def __repr__(self) -> str:
         if self.is_zero:
@@ -481,35 +454,20 @@ class XPoly:
         return "XPoly(" + " + ".join(
             f"({c})*x^{i}" for i, c in enumerate(self.coeffs) if c) + ")"
 
-    def __add__(self, other: "XPoly") -> "XPoly":
-        return XPoly(_add(self.coeffs, other.coeffs))
-
-    def __neg__(self) -> "XPoly":
-        return XPoly([-v for v in self.coeffs])
-
-    def __sub__(self, other: "XPoly") -> "XPoly":
-        return XPoly(_add(self.coeffs, other.coeffs, sign=-1))
-
     def __mul__(self, other: "XPoly") -> "XPoly":
         if self.is_zero or other.is_zero:
             return XPoly()
-        return XPoly(_mul(self.coeffs, other.coeffs))
-
-    def scale(self, r: Rat) -> "XPoly":
-        r = _frac(r)
-        if r == 0:
-            return XPoly()
-        return XPoly([v * r for v in self.coeffs])
+        return XPoly._make(_convolve(self.nums, other.nums), self.den * other.den)
 
     def shift_x(self, k: int) -> "XPoly":
         """Multiply by x^k."""
         if self.is_zero:
             return self
-        return XPoly((Fraction(0),) * k + self.coeffs)
+        return XPoly._new((0,) * k + self.nums, self.den)
 
     @classmethod
     def x_power(cls, j: int) -> "XPoly":
-        return XPoly((Fraction(0),) * j + (Fraction(1),))
+        return XPoly._new((0,) * j + (1,), 1)
 
     def mul_x(self) -> "XPoly":
         return self.shift_x(1)
@@ -519,33 +477,37 @@ class XPoly:
 
     def compose_scale(self, r: Rat) -> "XPoly":
         """Substitute x -> r*x."""
-        return XPoly(_scale_powers(self.coeffs, _frac(r), 0))
+        if self.is_zero:
+            return self
+        return XPoly._make(*_scale_powers(self.nums, self.den, Fraction(r), 0))
 
     def derivative(self) -> "XPoly":
-        return XPoly([i * c for i, c in enumerate(self.coeffs)][1:])
+        return XPoly._make([i * v for i, v in enumerate(self.nums)][1:], self.den)
 
     def divide_x_exact(self) -> "XPoly":
         """Divide by x, requiring a zero constant term."""
         if self.is_zero:
             return self
-        if self.coeffs[0] != 0:
+        if self.nums[0] != 0:
             raise NonzeroRemainder("constant term nonzero, x does not divide")
-        return XPoly(self.coeffs[1:])
+        return XPoly._new(self.nums[1:], self.den)
 
     def divide_exact(self, g: "XPoly") -> "XPoly":
         """Return h with self == g*h, raising NonzeroRemainder otherwise."""
-        q = LaurentPoly(0, self.coeffs).divide_exact(LaurentPoly(0, g.coeffs))
+        q = LaurentPoly._make(self.nums, self.den).divide_exact(
+            LaurentPoly._make(g.nums, g.den))
         if q.is_zero:
             return XPoly()
         if q.lo < 0:
             raise NonzeroRemainder("quotient is not a polynomial")
-        return XPoly((Fraction(0),) * q.lo + q.coeffs)
+        return XPoly._new((0,) * q.lo + q.nums, q.den)
 
     def __call__(self, xv: Rat) -> Fraction:
+        xv = Fraction(xv)
         acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * _frac(xv) + c
-        return acc
+        for v in reversed(self.nums):
+            acc = acc * xv + v
+        return acc / self.den
 
 
 # -- conversions between the x and z pictures ---------------------------
@@ -559,7 +521,7 @@ class XPoly:
 #                     (row 0 is the constant 1), from the Chebyshev
 #                     recurrence 2T_{k+1} = 2x * 2T_k - 2T_{k-1}, 2T_0 = 2.
 #
-# A degree-k conversion is then O(k^2) integer products and k divisions.
+# A degree-k conversion is then O(k^2) integer products and one gcd.
 
 _X_POWERS: list = [(1,)]
 _SYM_BASIS: list = [(1,), (0, 2)]
@@ -584,28 +546,27 @@ def _sym_basis_row(k: int) -> tuple:
     return _SYM_BASIS[k]
 
 
-def _combine(coeffs, rows) -> list:
-    """sum_k coeffs[k] * rows[k] for integer rows no longer than coeffs.
+def combine(cls, weights: Sequence[Rat], rows: Sequence[Sequence[int]], den: int = 1):
+    """The ``cls`` polynomial sum_k weights[k] * rows[k] / den, for integer
+    rows no longer than weights.
 
-    The sum runs over one common denominator, so each output coefficient
-    costs one gcd instead of one per term.  A row of Fractions enters as
-    _ints(row, den) with its coefficient divided by den.
+    The weights are read over one common denominator, so the whole sum is
+    integer arithmetic with one gcd at the end.
     """
-    den = _lcd(coeffs)
-    acc = [0] * len(coeffs)
-    for c, row in zip(coeffs, rows):
-        if c:
-            m = c.numerator * (den // c.denominator)
+    nums, wden = _cleared(weights)
+    acc = [0] * len(nums)
+    for m, row in zip(nums, rows):
+        if m:
             for i, v in enumerate(row):
                 if v:
                     acc[i] += m * v
-    return _fracs(acc, den)
+    return cls._make(acc, wden * den)
 
 
 def x_monomial_sym(n: int) -> SymLaurentPoly:
     """x^n written as a symmetric Laurent polynomial, x = (z + 1/z)/2:
     x^n = 2^-n sum_j C(n, j) z^(n-2j)."""
-    return SymLaurentPoly([Fraction(v, 1 << n) for v in _x_power_row(n)])
+    return SymLaurentPoly._make(_x_power_row(n), 1 << n)
 
 
 def x_to_sym(p: XPoly) -> SymLaurentPoly:
@@ -613,9 +574,10 @@ def x_to_sym(p: XPoly) -> SymLaurentPoly:
     x^n = 2^-n sum_j C(n, j) z^(n-2j) from a cached binomial table."""
     if p.is_zero:
         return SymLaurentPoly()
-    coeffs = [c / (1 << n) for n, c in enumerate(p.coeffs)]
-    rows = [_x_power_row(n) for n in range(len(coeffs))]
-    return SymLaurentPoly(_combine(coeffs, rows))
+    top = len(p.nums) - 1
+    weights = [v << (top - n) for n, v in enumerate(p.nums)]    # over 2^top
+    rows = [_x_power_row(n) for n in range(top + 1)]
+    return combine(SymLaurentPoly, weights, rows, p.den << top)
 
 
 def sym_to_x(f: SymLaurentPoly) -> XPoly:
@@ -626,8 +588,8 @@ def sym_to_x(f: SymLaurentPoly) -> XPoly:
     """
     if f.is_zero:
         return XPoly()
-    rows = [_sym_basis_row(k) for k in range(len(f.c))]
-    return XPoly(_combine(f.c, rows))
+    rows = [_sym_basis_row(k) for k in range(len(f.nums))]
+    return combine(XPoly, f.nums, rows, f.den)
 
 
 def divide_exact(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
@@ -635,10 +597,10 @@ def divide_exact(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
 
 
 #: z - 1/z, the divisor appearing in every divided-difference operator
-Z_MINUS_ZINV = LaurentPoly(-1, (Fraction(-1), Fraction(0), Fraction(1)))
+Z_MINUS_ZINV = LaurentPoly(-1, (-1, 0, 1))
 
 #: x = (z + 1/z)/2 on the symmetric side
-_X_SYM = SymLaurentPoly([Fraction(0), Fraction(1, 2)])
+_X_SYM = SymLaurentPoly([0, Fraction(1, 2)])
 
 #: the polynomial type of each space name ("sym": symmetric Laurent in z,
 #: "x": ordinary in x); both share x_power, mul_x and to_x

@@ -17,7 +17,7 @@ from typing import Callable, Union
 
 from .families import (FamilySpec, AW, JACOBI, CQJ49, CQJ09, CQU, BIGQ,
                        cqjacobi_aw_spec, cqultra_aw_spec)
-from .laurent import SPACES, LaurentPoly, SymLaurentPoly, XPoly, Z_MINUS_ZINV, _frac
+from .laurent import SPACES, LaurentPoly, SymLaurentPoly, XPoly, Z_MINUS_ZINV
 
 Poly = Union[SymLaurentPoly, XPoly]
 
@@ -54,14 +54,11 @@ class PolyOperator:
         return SPACES[self.space].x_power(j)
 
     def column(self, j: int) -> tuple:
-        """x-coordinates of the image of x^j (padded by the caller)."""
+        """x-coordinates of the image of x^j, without trailing zeros."""
         col = self._columns.get(j)
         if col is None:
             col = self._columns[j] = self(self.basis(j)).to_x().coeffs
         return col
-
-    def matrix(self, n_cols: int) -> tuple:
-        return tuple(self.column(j) for j in range(n_cols + 1))
 
     def __repr__(self):
         return f"PolyOperator({self.name or 'anonymous'}, space={self.space})"
@@ -89,24 +86,6 @@ def commutator(D: PolyOperator, X: PolyOperator) -> PolyOperator:
                         f"[{D.name},{X.name}]")
 
 
-def operators_agree(op1: PolyOperator, op2: PolyOperator, max_col: int):
-    """First column where the two matrices differ, or None if they agree."""
-    for j in range(max_col + 1):
-        a, b = op1.column(j), op2.column(j)
-        width = max(len(a), len(b))
-        pa = a + (Fraction(0),) * (width - len(a))
-        pb = b + (Fraction(0),) * (width - len(b))
-        if pa != pb:
-            return j
-    return None
-
-
-def gamma_slope(op: PolyOperator, n: int) -> Fraction:
-    """Coefficient of x^(n+1) in op(x^n)."""
-    col = op.column(n)
-    return col[n + 1] if len(col) > n + 1 else Fraction(0)
-
-
 # ----------------------------------------------------------------------
 # divided-shift skeleton shared by every symmetric-Laurent L
 # ----------------------------------------------------------------------
@@ -119,7 +98,7 @@ def divided_shift_op(v: LaurentPoly, step: Fraction, name: str) -> PolyOperator:
     NonzeroRemainder.
     """
     v_inv = v.invert_z()
-    inv_step = 1 / _frac(step)
+    inv_step = 1 / Fraction(step)
 
     def act(f: SymLaurentPoly) -> SymLaurentPoly:
         fl = f.to_laurent()
@@ -133,7 +112,7 @@ def _linear_factors(zeros_scaled, extra=()):
     """Product of (1 - r z) over r plus extra Laurent factors."""
     acc = LaurentPoly(0, (Fraction(1),))
     for r in zeros_scaled:
-        acc = acc * LaurentPoly(0, (Fraction(1), -_frac(r)))
+        acc = acc * LaurentPoly(0, (Fraction(1), -Fraction(r)))
     for e in extra:
         acc = acc * e
     return acc

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Union
 
-from .laurent import SymLaurentPoly, XPoly, Z_MINUS_ZINV, _frac
+from .laurent import SymLaurentPoly, XPoly, Z_MINUS_ZINV
 
 Rat = Union[int, Fraction]
 
@@ -20,7 +20,7 @@ def q_pochhammer(a: Rat, q: Rat, n: int) -> Fraction:
     """(a; q)_n = prod_{j=0}^{n-1} (1 - a q^j), with (a; q)_0 = 1."""
     if n < 0:
         raise ValueError("q_pochhammer needs n >= 0")
-    a, q = _frac(a), _frac(q)
+    a, q = Fraction(a), Fraction(q)
     acc = Fraction(1)
     aq = a
     for _ in range(n):
@@ -39,7 +39,7 @@ def q_pochhammer_multi(bases: Iterable[Rat], q: Rat, n: int) -> Fraction:
 
 def q_bracket(n: int, q: Rat) -> Fraction:
     """(1 - q^n) / (1 - q)."""
-    q = _frac(q)
+    q = Fraction(q)
     if q == 1:
         raise ValueError("q must differ from 1")
     return (1 - q ** n) / (1 - q)
@@ -50,7 +50,7 @@ def q_derivative(f: XPoly, q: Rat) -> XPoly:
 
     On monomials: D_q x^n = (1-q^n)/(1-q) x^(n-1); extended linearly.
     """
-    q = _frac(q)
+    q = Fraction(q)
     if q == 1:
         raise ValueError("q must differ from 1")
     return XPoly([f.coeffs[k] * q_bracket(k, q) for k in range(1, len(f.coeffs))])
@@ -58,7 +58,7 @@ def q_derivative(f: XPoly, q: Rat) -> XPoly:
 
 def central_q_derivative(f: XPoly, q: Rat) -> XPoly:
     """(d_q f)(x) = (f(qx) - f(x/q)) / ((q - 1/q) x)."""
-    q = _frac(q)
+    q = Fraction(q)
     if q in (0, 1, -1):
         raise ValueError("q must lie outside {0, 1, -1}")
     denom = q - 1 / q
@@ -73,7 +73,7 @@ def divided_q_difference(g: SymLaurentPoly, q_half: Rat) -> SymLaurentPoly:
     rational.  Lowers the symmetric degree by exactly one; contracts to
     d/dx as q -> 1.
     """
-    s = _frac(q_half)
+    s = Fraction(q_half)
     if s in (0, 1, -1):
         raise ValueError("q_half must lie outside {0, 1, -1}")
     if g.is_zero:

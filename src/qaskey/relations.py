@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable
 
 from . import operators as ops
@@ -25,7 +25,7 @@ from .families import (AW, BIGQ, CQJ09, CQJ49, CQU, JACOBI, FamilyData,
                        _polys_from_recurrence, cqjacobi_polynomials)
 from .inner_product import skew_symmetry_residual, symmetry_residual
 from .laurent import (LaurentPoly, NonzeroRemainder, SymLaurentPoly, XPoly,
-                      Z_MINUS_ZINV, _ints, _lcd)
+                      Z_MINUS_ZINV)
 
 
 class NoSolution(RuntimeError):
@@ -65,11 +65,8 @@ def _entry(n, resid) -> ResidualEntry:
         return ResidualEntry(n, False, 0, (resid,))
     if resid.is_zero:
         return ResidualEntry(n, True)
-    if isinstance(resid, LaurentPoly):
-        return ResidualEntry(n, False, resid.hi, resid.coeffs)
-    if isinstance(resid, SymLaurentPoly):
-        return ResidualEntry(n, False, resid.degree, resid.c)
-    return ResidualEntry(n, False, resid.degree, resid.coeffs)
+    top = resid.hi if isinstance(resid, LaurentPoly) else resid.degree
+    return ResidualEntry(n, False, top, resid.coeffs)
 
 
 def _close(identity_id, fd_or_spec, entries, info=False, **notes) -> VerificationReport:
@@ -714,8 +711,9 @@ class DerivedQDiff:
 def _nullspace(rows, width):
     """Exact nullspace basis of the given linear system, fraction-free.
 
-    Each nonzero row is cleared to integers once (``_lcd``/``_ints``) and
-    eliminated Gauss-Jordan style in ``int``: a row becomes
+    Each nonzero row is cleared to integers once, as the numerators of the
+    :class:`XPoly` it forms padded to ``width``, and eliminated
+    Gauss-Jordan style in ``int``: a row becomes
     (pv/g) row - (f/g) pivot_row with g = gcd(pv, f), divided by its
     content so that it stays primitive.  Pivots are chosen as in Fraction
     elimination (the first nonzero entry of the column at or below the
@@ -725,7 +723,7 @@ def _nullspace(rows, width):
     exactly the one Fraction elimination gives, with one ``Fraction``
     built per basis entry.
     """
-    mat = [_ints(row, _lcd(row)) for row in rows if any(row)]
+    mat = [list(p.nums) + [0] * (width - len(p.nums)) for p in map(XPoly, rows) if p]
     pivots = []
     r = 0
     for col in range(width):
@@ -793,29 +791,38 @@ def _derive_qdiff_at_degree(fd: FamilyData, w: int, max_rows: int) -> DerivedQDi
         plain = lambda p: p
         nA, nE = 2 * (w + 1), w + 1        # A and C on 0..w, E on 0..w
     def row_block(n, Fslot, width):
-        """Linear equations: A*(S+ p - p) + C*(S- p - p) - F_n*p = 0."""
+        """Linear equations: A*(S+ p - p) + C*(S- p - p) - F_n*p = 0, each
+        row scaled by the common denominator of the three polynomials."""
         up, dn, pl = shift_up(fd.polys[n]), shift_dn(fd.polys[n]), plain(fd.polys[n])
         g1 = up - pl
         g2 = dn - pl
+        den = lcm(g1.den, g2.den, pl.den)
+
+        def at(p):
+            """exponent -> numerator of p over den."""
+            f, lo = den // p.den, (p.lo if sym else 0)
+            return {k: v * f for k, v in enumerate(p.nums, lo) if v}.get
+
+        c1, c2, cp = at(g1), at(g2), at(pl)
         rows = []
         if sym:
             for m in range(-(n + w) - 1, n + w + 2):
-                row = [Fraction(0)] * width
+                row = [0] * width
                 for j in range(-w, w + 1):
                     # A_j z^j from A, and A_j z^-j from C = A(1/z)
-                    row[j + w] += g1.coeff(m - j) + g2.coeff(m + j)
+                    row[j + w] += c1(m - j, 0) + c2(m + j, 0)
                 for kk in range(nE):
-                    val = pl.coeff(m - kk) + (pl.coeff(m + kk) if kk else Fraction(0))
+                    val = cp(m - kk, 0) + (cp(m + kk, 0) if kk else 0)
                     row[nA + Fslot * nE + kk] -= val
                 rows.append(row)
             return rows
         for m in range(0, n + w + 2):
-            row = [Fraction(0)] * width
+            row = [0] * width
             for j in range(w + 1):
-                row[j] += g1.coeff(m - j)
-                row[w + 1 + j] += g2.coeff(m - j)
+                row[j] += c1(m - j, 0)
+                row[w + 1 + j] += c2(m - j, 0)
             for kk in range(nE):
-                row[nA + Fslot * nE + kk] -= pl.coeff(m - kk)
+                row[nA + Fslot * nE + kk] -= cp(m - kk, 0)
             rows.append(row)
         return rows
 

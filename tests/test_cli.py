@@ -102,6 +102,25 @@ class TestVerify:
         assert run(["verify", "--family", "askey-wilson", "--identity", "eq18",
                     "--params", "a=1/3"]) == 2
 
+    @pytest.mark.parametrize("value", ["1/0", "x"])
+    def test_bad_param_value_names_the_flag(self, value, capsys):
+        assert run(["verify", "--family", "askey-wilson", "--identity", "eq18",
+                    "--params", f"a=1/3,b=1/4,c=1/5,d=1/6,q={value}"]) == 2
+        assert "--params q" in capsys.readouterr().err
+
+    def test_param_no_family_takes_rejected(self, tmp_path, capsys):
+        rep = tmp_path / "r.json"
+        assert run(["verify", "--family", "jacobi", "--identity", "eq26",
+                    "--params", "alpha=1/2,beta=1/3,gamma=5", "--report", str(rep)]) == 2
+        assert "--params gamma" in capsys.readouterr().err
+        assert not rep.exists()
+
+    def test_family_all_takes_every_familys_params(self, tmp_path):
+        # one combined --params serves all five families
+        assert run(["verify", "--family", "all", "--identity", "eq28", "--n-max", "2",
+                    "--params", "a=1/3,b=1/4,c=1/5,d=1/6,q=1/2,alpha=1,beta=2,s=1/2,u=1/3",
+                    "--no-timestamp", "--report", str(tmp_path / "r.json")]) == 0
+
     @pytest.mark.parametrize("flag,value", [("--n-max", "0"), ("--n-max", "-3"),
                                             ("--samples", "0"), ("--degree-cap", "-1")])
     def test_empty_range_rejected(self, flag, value, capsys):
@@ -178,6 +197,24 @@ class TestConfig:
         cfg.write_text("just a line without equals\n")
         assert run(["verify", "--config", str(cfg)]) == 2
 
+    @pytest.mark.parametrize("line,name", [("n-maxx=3", "n-maxx"), ("n_max=abc", "n_max")])
+    def test_bad_config_key_named(self, line, name, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        assert run(["verify", "--config", str(cfg)]) == 2
+        assert name in capsys.readouterr().err
+
+    def test_config_serves_both_subcommands(self, tmp_path):
+        # limits keys in a file read by verify, and verify keys read by limits
+        rep, out = tmp_path / "r.json", tmp_path / "t.csv"
+        cfg = tmp_path / "both.cfg"
+        cfg.write_text("family=jacobi\nidentity=eq26\nsamples=1\nn-max=2\n"
+                       "no-timestamp=true\neps-steps=2\n")
+        assert run(["verify", "--config", str(cfg), "--report", str(rep)]) == 0
+        assert run(["limits", "--which", "aw-to-bigq", "--config", str(cfg),
+                    "--out", str(out)]) == 0
+        assert len(out.read_text().strip().split("\n")) == 3
+
 
 class TestLimitsCommand:
     def test_cqjacobi_table(self, tmp_path):
@@ -212,6 +249,13 @@ class TestLimitsCommand:
         out = tmp_path / "t.csv"
         assert run(["limits", *argv, "--out", str(out)]) == 2
         assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--a", "--q"])
+    def test_zero_denominator_names_the_flag(self, flag, tmp_path, capsys):
+        out = tmp_path / "t.csv"
+        assert run(["limits", "--which", "aw-to-bigq", flag, "1/0", "--out", str(out)]) == 2
+        assert f"{flag} must be" in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_which(self, capsys):

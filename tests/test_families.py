@@ -390,7 +390,7 @@ def _sym_matches(poly, laurent):
     """A SymLaurentPoly equals a symmetric {exponent: coefficient} dict."""
     n = max(e for e, v in laurent.items() if v)
     assert all(laurent.get(e, 0) == laurent.get(-e, 0) for e in laurent)
-    return list(poly.c) == [laurent.get(e, 0) for e in range(n + 1)]
+    return list(poly.coeffs) == [laurent.get(e, 0) for e in range(n + 1)]
 
 
 ORACLE_HI = 16

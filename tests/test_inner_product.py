@@ -13,6 +13,14 @@ AW = fam.aw_spec(F(1, 3), F(1, 4), F(1, 5), F(-1, 6), q=F(1, 2))
 JAC = fam.jacobi_spec(1, 2)
 
 
+def _reconstruct(fd, coeffs):
+    """sum_n coeffs[n] p_n in x coordinates."""
+    out = XPoly()
+    for p, c in zip(fd.polys_x, coeffs):
+        out = out + p.scale(c)
+    return out
+
+
 @pytest.fixture(scope="module")
 def aw_fd():
     return fam.build_family(AW, 10)
@@ -39,7 +47,7 @@ class TestExpansion:
             f = XPoly([F(rng.randrange(-9, 10), rng.randrange(1, 8))
                        for _ in range(11)])
             co = jac_fd.expand(f)
-            assert jac_fd.reconstruct(co) == f
+            assert _reconstruct(jac_fd, co) == f
 
     def test_roundtrip_random_sym(self, aw_fd):
         from qaskey.laurent import sym_to_x
@@ -48,7 +56,7 @@ class TestExpansion:
             f = SymLaurentPoly([F(rng.randrange(-5, 6), rng.randrange(1, 5))
                                 for _ in range(10)])
             co = aw_fd.expand(f)
-            assert aw_fd.reconstruct(co) == sym_to_x(f)
+            assert _reconstruct(aw_fd, co) == sym_to_x(f)
 
     def test_degree_cap(self, jac_fd):
         with pytest.raises(fam.ExpansionError):

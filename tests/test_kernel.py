@@ -4,17 +4,23 @@ Every reference below works coefficient by coefficient in ``Fraction``
 arithmetic, as the engine did before its ring operations, dilations and
 nullspace solver moved to integer numerators over a common denominator;
 the two must agree exactly, including on which divisions leave a
-remainder.
+remainder.  The last tests pin the integer normal form every polynomial
+is stored in, and that no other module reaches into it.
 """
 
+import ast
 from fractions import Fraction as F
+from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, strategies as st
 
+import qaskey
 from qaskey import families as fam, relations as rel
 from qaskey.inner_product import _pairing_table
-from qaskey.laurent import LaurentPoly, NonzeroRemainder, SymLaurentPoly, XPoly
+from qaskey.laurent import (LaurentPoly, NonzeroRemainder, SymLaurentPoly, XPoly,
+                            sym_to_x, x_to_sym)
 
 
 # -- naive references -----------------------------------------------------
@@ -49,7 +55,7 @@ def ref_mul(f, g):
 
 
 def ref_sym_add(f, g, sign=1):
-    n = max(len(f.c), len(g.c))
+    n = max(len(f.coeffs), len(g.coeffs))
     return SymLaurentPoly([f.coeff(k) + sign * g.coeff(k) for k in range(n)])
 
 
@@ -177,7 +183,7 @@ class TestRingOperations:
     def test_sym_product_is_the_laurent_round_trip(self, f, g):
         prod = f * g
         assert prod.to_laurent() == f.to_laurent() * g.to_laurent()
-        assert all(isinstance(c, F) for c in prod.c)
+        assert all(isinstance(c, F) for c in prod.coeffs)
 
     def test_operands_of_unequal_length(self):
         f = SymLaurentPoly([F(1, 3), F(-2, 5), 0, F(7, 4)])
@@ -286,3 +292,69 @@ def test_pairing_table_is_the_naive_triple_sum(first_points):
             for j in range(max_deg + 1):
                 want = sum((a * b * h for a, b, h in zip(cols[i], basis[j], fd.h)), F(0))
                 assert table[i, j] == want, (fd.family, i, j)
+
+
+# -- the normal form ----------------------------------------------------------
+
+def assert_normal(p):
+    """Integer numerators over den > 0 with gcd(content, den) = 1, no
+    trailing zero (no leading zero either for a LaurentPoly), and the zero
+    polynomial as () over 1 at lo 0."""
+    assert type(p.nums) is tuple and all(type(v) is int for v in p.nums)
+    assert type(p.den) is int and p.den > 0
+    if not p.nums:
+        assert p.den == 1
+        assert not isinstance(p, LaurentPoly) or p.lo == 0
+        return
+    assert gcd(p.den, *p.nums) == 1
+    assert p.nums[-1] != 0
+    if isinstance(p, LaurentPoly):
+        assert p.nums[0] != 0
+    assert p.coeffs == tuple(F(v, p.den) for v in p.nums)
+
+
+class TestNormalForm:
+    @given(_LAURENT, _LAURENT, _divisor(), _RATIO)
+    def test_laurent(self, f, g, d, r):
+        sym = f + f.invert_z()
+        for p in (f, g, f + g, f - g, f - f, f * g, f.scale(r), f.scale(0),
+                  f.dilate(r), (d * f).divide_exact(d), sym, sym.to_sym()):
+            assert_normal(p)
+
+    @given(_SYM, _SYM, _RATIO)
+    def test_sym(self, f, g, r):
+        for p in (f, g, f + g, f - g, f - f, f * g, f.scale(r), f.scale(0),
+                  f.to_laurent(), sym_to_x(f)):
+            assert_normal(p)
+
+    @given(_XPOLY, _XPOLY, _divisor(), st.one_of(_RATIO, st.just(0)))
+    def test_xpoly(self, f, g, d, r):
+        dx = XPoly(d.coeffs)
+        for p in (f, g, f + g, f - g, f - f, f * g, f.scale(r), f.compose_scale(r),
+                  (dx * f).divide_exact(dx), x_to_sym(f)):
+            assert_normal(p)
+
+
+@pytest.mark.parametrize("resid,degree,coeffs", [
+    (LaurentPoly(-2, [1, 0, 5]), 0, [1, 0, 5]),                 # z^-2 + 5
+    (SymLaurentPoly([F(1, 2), 0, 3]), 2, [F(1, 2), 0, 3]),
+    (XPoly([0, F(-2, 3)]), 1, [0, F(-2, 3)]),
+    (F(3, 4), 0, [F(3, 4)]),
+])
+def test_entry_of_each_flavour(resid, degree, coeffs):
+    entry = rel._entry(4, resid)
+    assert (entry.n, entry.zero, entry.degree) == (4, False, degree)
+    assert list(entry.coeffs) == coeffs
+    assert all(type(c) is F for c in entry.coeffs)
+
+
+def test_no_private_laurent_import_outside_laurent():
+    # the coefficient format is laurent.py's own: every other module reads
+    # polynomials through their public names
+    for path in Path(qaskey.__file__).parent.glob("*.py"):
+        if path.name == "laurent.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module in ("laurent", "qaskey.laurent"):
+                private = [a.name for a in node.names if a.name.startswith("_")]
+                assert not private, (path.name, private)
