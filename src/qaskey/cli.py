@@ -471,6 +471,10 @@ def run_verify(args, jobs: int = 1) -> int:
     return 1 if failed else 0
 
 
+#: the limit transitions ``limits --which`` tabulates
+LIMITS = ("cqjacobi-to-jacobi", "aw-to-bigq")
+
+
 def run_limits(args) -> int:
     _check_ranges(("--n", args.n, 0))
     if args.which == "cqjacobi-to-jacobi":
@@ -512,8 +516,8 @@ def make_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     v.add_argument("--no-timestamp", action="store_true", dest="no_timestamp")
 
     l = sub.add_parser("limits", help="limit-transition convergence tables")
-    l.add_argument("--which", required=True,
-                   choices=["cqjacobi-to-jacobi", "aw-to-bigq"])
+    # not required=True: a config file may supply it (see main)
+    l.add_argument("--which", choices=LIMITS)
     l.add_argument("--alpha", type=int, default=1)
     l.add_argument("--beta", type=int, default=2)
     l.add_argument("--n", type=int, default=3)
@@ -547,14 +551,23 @@ def usable_cpus() -> int:
 def main(argv=None, jobs: int = 1) -> int:
     """Run one subcommand; ``verify`` spreads its points over ``jobs``
     processes (see :func:`_verify_forked`)."""
-    args = make_parser().parse_args(argv)
+    parser = make_parser()
+    args = parser.parse_args(argv)
     if args.config:
         try:
             defaults = load_config(args.config)
         except (OSError, ValueError) as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return 2
-        args = make_parser(defaults).parse_args(argv)
+        parser = make_parser(defaults)
+        args = parser.parse_args(argv)
+    if args.command == "limits":
+        # argparse checks neither presence nor choices of a config default
+        if args.which is None:
+            parser.error("the following arguments are required: --which")
+        if args.which not in LIMITS:
+            parser.error(f"argument --which: invalid choice: {args.which!r} "
+                         f"(choose from {', '.join(LIMITS)})")
     try:
         if args.command == "verify":
             return run_verify(args, jobs)

@@ -24,14 +24,16 @@ combination of those shared rows (:func:`aw_polynomials`,
 them).  Prefactors, norms and recurrence coefficients are running
 products over n.
 
-Each FamilyData also owns the point's operators L and D and its derived
-second-order q-difference equation, built on first use and dropped with
-the FamilyData, so every check at one point shares them.
+Each FamilyData also owns the point's operators L and D, its derived
+second-order q-difference equation, the expansions of x^0 .. x^(n_max+1)
+in its basis and the Gram matrix <x^i, x^j> of its monomials, each built
+on first use and dropped with the FamilyData, so every check at one
+point shares them.
 
 Families whose literature data stops at the recurrence (big q-Jacobi
 beyond the hypergeometric sum, the middle recurrence coefficient of
-continuous q-Jacobi) source the missing numbers from exact expansion,
-never from guesses.
+continuous q-Jacobi) read the missing numbers off the top coefficients
+of x p_n and check the whole three-term relation exactly, never guess.
 """
 
 from __future__ import annotations
@@ -40,7 +42,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import prod
+from math import gcd, prod
+from operator import mul
 from typing import Mapping, Sequence, Union
 
 from .laurent import SPACES, SymLaurentPoly, XPoly, combine, sym_to_x
@@ -459,28 +462,76 @@ class FamilyData:
         from . import relations
         return relations.derive_second_order_qdiff(self)
 
+    # The basis change to the family and the pairing of monomials: built
+    # on first use from the polynomials and norms, dropped with the point.
+
+    @cached_property
+    def expansions(self) -> tuple:
+        """(rows, den) with x^m = sum_j rows[m][j] p_j / den for every
+        m <= n_max + 1 (:func:`_expansion_table`)."""
+        return _expansion_table(self.polys_x)
+
+    @cached_property
+    def gram(self) -> tuple:
+        """(rows, den) with <x^i, x^j> = rows[i][j] / den for i, j <= n_max + 1.
+
+        <x^i, x^j> = sum_n E[i][n] E[j][n] h_n, with E the rows of
+        :attr:`expansions` and n over the degrees that carry a norm
+        (n <= n_max), as one integer dot product per entry.
+        """
+        rows, den = self.expansions
+        h = XPoly(self.h)
+        weighted = [[v * w for v, w in zip(row, h.nums)] for row in rows]
+        gram = [[sum(map(mul, wi, row)) for row in rows] for wi in weighted]
+        gden = den * den * h.den
+        g = gcd(gden, *(v for row in gram for v in row))
+        if g > 1:
+            gram = [[v // g for v in row] for row in gram]
+            gden //= g
+        return gram, gden
+
     def expand(self, f) -> list:
-        """Coefficients of f in the family basis, by leading-term elimination."""
-        return _expand_x(self.polys_x, self.k, f.to_x())
+        """Coefficients of f in the family basis: the rows of
+        :attr:`expansions` combined with f's x-coefficients as weights."""
+        fx = f.to_x()
+        if fx.is_zero:
+            return []
+        rows, den = self.expansions
+        if len(fx.nums) > len(rows):
+            raise ExpansionError(f"degree {fx.degree} exceeds the available family data")
+        return list(combine(XPoly, fx.nums, rows, fx.den * den).coeffs)
 
 
-def _expand_x(polys_x: Sequence[XPoly], k: Sequence[Fraction], f: XPoly) -> list:
-    if f.is_zero:
-        return []
-    deg = f.degree
-    if deg >= len(polys_x):
-        raise ExpansionError(f"degree {deg} exceeds the available family data")
-    rem = list(f.coeffs)
-    out = [Fraction(0)] * (deg + 1)
-    for m in range(deg, -1, -1):
-        c = rem[m] / k[m]
-        out[m] = c
-        if c:
-            for i, v in enumerate(polys_x[m].coeffs):
-                rem[i] -= c * v
-    if any(rem):
-        raise ExpansionError("expansion left a nonzero residual")
-    return out
+def _expansion_table(polys_x: Sequence[XPoly]) -> tuple:
+    """(rows, den): row m holds the integer numerators over den of the
+    family-basis coefficients of x^m, for m < len(polys_x).
+
+    A fraction-free forward substitution on the integer numerators a_i of
+    p_m = sum_i a_i x^i / d: x^m = (d p_m - sum_{i<m} a_i x^i) / a_m, so
+    with the earlier rows over den the new row is d den e_m - sum a_i rows[i]
+    over den a_m.  The earlier rows are rescaled to that denominator and
+    the table is kept reduced by its content.
+    """
+    rows, den = [], 1
+    for m, p in enumerate(polys_x):
+        a = p.nums
+        row = [0] * (m + 1)
+        row[m] = p.den * den
+        for ai, prev in zip(a, rows):
+            if ai:
+                for j, v in enumerate(prev):
+                    row[j] -= ai * v
+        lead = a[m]
+        if lead < 0:
+            lead, row = -lead, [-v for v in row]
+        rows = [[v * lead for v in r] for r in rows]
+        rows.append(row)
+        den *= lead
+        g = gcd(den, *(v for r in rows for v in r))
+        if g > 1:
+            rows = [[v // g for v in r] for r in rows]
+            den //= g
+    return tuple(tuple(r) for r in rows), den
 
 
 def _polys_from_recurrence(A, B, C, n_hi, space):
@@ -652,8 +703,7 @@ def _build_cqjacobi(spec, n_max):
     AC = [cqjacobi_AC(n, spec) for n in range(n_max + 1)]
     A = tuple(v[0] for v in AC)
     C = tuple(v[1] for v in AC)
-    B = tuple(_expand_x(polys_x, k, polys_x[n].shift_x(1))[n]
-              for n in range(n_max + 1))
+    B = tuple(_recurrence_row(polys_x, n)[1] for n in range(n_max + 1))
     # eigenvalues of the q^(1/2)-step operator through the restriction
     s = spec.base
     ea, eb = int(2 * spec.params["alpha"]), int(2 * spec.params["beta"])
@@ -692,7 +742,7 @@ def _build_bigq(spec, n_max):
     hi = n_max + 1
     polys = tuple(bigq_polynomials(hi, spec))
     k = _leading_k(polys)
-    ABC = [_recurrence_row(polys, k, n) for n in range(n_max + 1)]
+    ABC = [_recurrence_row(polys, n) for n in range(n_max + 1)]
     A = tuple(v[0] for v in ABC)
     B = tuple(v[1] for v in ABC)
     C = tuple(v[2] for v in ABC)
@@ -709,20 +759,32 @@ def _build_bigq(spec, n_max):
                       tuple(gamma[:n_max + 1]))
 
 
-def _recurrence_row(polys_x, k, n):
-    coeffs = _expand_x(polys_x, k, polys_x[n].shift_x(1))
-    A = coeffs[n + 1]
-    B = coeffs[n]
-    C = coeffs[n - 1] if n >= 1 else Fraction(0)
-    for i, v in enumerate(coeffs):
-        if v and abs(i - n) > 1:
-            raise ExpansionError("x p_n expands outside its three neighbours")
+def _recurrence_row(polys_x: Sequence[XPoly], n: int) -> tuple:
+    """(A_n, B_n, C_n) with x p_n = A_n p_(n+1) + B_n p_n + C_n p_(n-1).
+
+    The top three coefficients of x p_n fix them in turn: A_n = k_n / k_(n+1),
+    then B_n and C_n once A_n p_(n+1) and B_n p_n are peeled off.  The
+    whole of x p_n minus the three terms must then vanish, or x p_n has a
+    component outside the three neighbours.
+    """
+    p, up = polys_x[n], polys_x[n + 1]
+    A = p.coeff(n) / up.coeff(n + 1)
+    B = (p.coeff(n - 1) - A * up.coeff(n)) / p.coeff(n)
+    rest = p.shift_x(1) - up.scale(A) - p.scale(B)
+    C = Fraction(0)
+    if n >= 1:
+        down = polys_x[n - 1]
+        C = (p.coeff(n - 2) - A * up.coeff(n - 1) - B * p.coeff(n - 1)) / down.coeff(n - 1)
+        rest = rest - down.scale(C)
+    if rest:
+        raise ExpansionError("x p_n expands outside its three neighbours")
     return A, B, C
 
 
 def recurrence_from_expansion(fd: FamilyData, n: int):
-    """(A_n, B_n, C_n) recovered from expanding x * p_n in the family basis."""
-    return _recurrence_row(fd.polys_x, fd.k, n)
+    """(A_n, B_n, C_n), the expansion of x * p_n in the family basis, read
+    off its top three coefficients and checked (:func:`_recurrence_row`)."""
+    return _recurrence_row(fd.polys_x, n)
 
 
 # ----------------------------------------------------------------------

@@ -27,7 +27,9 @@ class PolyOperator:
 
     Each operator memoizes what it computes: ``op(f)`` keeps the image of
     every input f (polynomials are immutable and hashable), and
-    ``column(j)`` keeps the x-coordinates of the image of x^j.  Both caches
+    ``column(j)`` keeps the image of x^j in x coordinates, as an
+    :class:`~qaskey.laurent.XPoly` (integer numerators over one
+    denominator; read entries with ``coeff(k)``).  Both caches
     live exactly as long as the operator.  A family's own L and D belong
     to its :class:`~qaskey.families.FamilyData`, so the checks at one
     parameter point share their images, and both are dropped with the
@@ -40,7 +42,7 @@ class PolyOperator:
         self.space = space            # "sym" or "x"
         self.degree_shift = degree_shift
         self.name = name
-        self._columns: dict[int, tuple] = {}
+        self._columns: dict[int, XPoly] = {}
         self._images: dict = {}
 
     def __call__(self, f: Poly) -> Poly:
@@ -53,11 +55,11 @@ class PolyOperator:
         """x^j in the operator's space."""
         return SPACES[self.space].x_power(j)
 
-    def column(self, j: int) -> tuple:
-        """x-coordinates of the image of x^j, without trailing zeros."""
+    def column(self, j: int) -> XPoly:
+        """The image of x^j in x coordinates."""
         col = self._columns.get(j)
         if col is None:
-            col = self._columns[j] = self(self.basis(j)).to_x().coeffs
+            col = self._columns[j] = self(self.basis(j)).to_x()
         return col
 
     def __repr__(self):

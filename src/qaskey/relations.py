@@ -382,7 +382,7 @@ def check_sklyanin(spec: FamilySpec, e: Fraction, max_deg: int, perturb=None) ->
                           ops.aw_L(aw_spec(q * a, q * b, c * e / q, d / (e * q), q=q)))
     entries = []
     for j in range(max_deg + 1):
-        diff = XPoly(lhs.column(j)) - XPoly(rhs.column(j))
+        diff = lhs.column(j) - rhs.column(j)
         entries.append(_entry(j, diff))
     return _close("sklyanin", spec, entries, e=str(e))
 
@@ -541,7 +541,7 @@ def check_commutator(fd: FamilyData, max_deg: int, perturb=None) -> Verification
     L = fd.L
     entries = []
     for j in range(max_deg + 1):
-        entries.append(_entry(j, XPoly(comm.column(j)) - XPoly(L.column(j))))
+        entries.append(_entry(j, comm.column(j) - L.column(j)))
     return _close("commutator", fd, entries)
 
 
@@ -556,7 +556,7 @@ def check_d_from_l(fd: FamilyData, max_deg: int, perturb=None) -> VerificationRe
     const = None
     entries = []
     for j in range(max_deg + 1):
-        diff = XPoly(D2.column(j)) - XPoly(D1.column(j))
+        diff = D2.column(j) - D1.column(j)
         off_diag = diff - XPoly((Fraction(0),) * j + (diff.coeff(j),))
         entries.append(_entry(j, off_diag))
         cj = diff.coeff(j)

@@ -263,6 +263,33 @@ class TestLimitsCommand:
             run(["limits"])
         assert exc.value.code == 2
 
+    def test_which_from_config(self, tmp_path):
+        cfg, out = tmp_path / "w.cfg", tmp_path / "t.csv"
+        cfg.write_text("which=aw-to-bigq\neps-steps=2\n")
+        assert run(["limits", "--config", str(cfg), "--out", str(out)]) == 0
+        assert len(out.read_text().strip().split("\n")) == 3
+
+    @pytest.mark.parametrize("lines", ["", "eps-steps=2\n"])
+    def test_which_nowhere_names_the_flag(self, lines, tmp_path, capsys):
+        argv = ["limits"]
+        if lines:
+            cfg = tmp_path / "n.cfg"
+            cfg.write_text(lines)
+            argv += ["--config", str(cfg)]
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        assert "--which" in capsys.readouterr().err
+
+    def test_bad_which_in_config_names_the_flag(self, tmp_path, capsys):
+        cfg, out = tmp_path / "w.cfg", tmp_path / "t.csv"
+        cfg.write_text("which=aw-to-jacobi\n")
+        with pytest.raises(SystemExit) as exc:
+            run(["limits", "--config", str(cfg), "--out", str(out)])
+        assert exc.value.code == 2
+        assert "--which" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_precision_flag_gone(self, capsys):
         # the q -> 1 table is exact, so there is no working precision to set
         with pytest.raises(SystemExit) as exc:

@@ -2,13 +2,15 @@
 
 Every reference below works coefficient by coefficient in ``Fraction``
 arithmetic, as the engine did before its ring operations, dilations and
-nullspace solver moved to integer numerators over a common denominator;
-the two must agree exactly, including on which divisions leave a
-remainder.  The last tests pin the integer normal form every polynomial
+nullspace solver moved to integer numerators over a common denominator,
+and as the family-basis expansions did before they moved to one integer
+table per point; the two must agree exactly, including on which
+divisions leave a remainder.  The last tests pin the integer normal form every polynomial
 is stored in, and that no other module reaches into it.
 """
 
 import ast
+import dataclasses
 from fractions import Fraction as F
 from math import gcd
 from pathlib import Path
@@ -19,8 +21,9 @@ from hypothesis import assume, given, strategies as st
 import qaskey
 from qaskey import families as fam, relations as rel
 from qaskey.inner_product import _pairing_table
-from qaskey.laurent import (LaurentPoly, NonzeroRemainder, SymLaurentPoly, XPoly,
+from qaskey.laurent import (SPACES, LaurentPoly, NonzeroRemainder, SymLaurentPoly, XPoly,
                             sym_to_x, x_to_sym)
+from qaskey.operators import op_x
 
 
 # -- naive references -----------------------------------------------------
@@ -281,17 +284,97 @@ class TestNullspace:
             rel.derive_second_order_qdiff(fam.build_family(spec, 6))
 
 
-def test_pairing_table_is_the_naive_triple_sum(first_points):
+# -- the expansion table, the Gram pairing and the recurrence rows -----------
+
+def ref_expand(fd, f):
+    """Coefficients of f in the family basis by leading-term elimination,
+    one Fraction subtraction and product per entry."""
+    fx = f.to_x()
+    if fx.is_zero:
+        return []
+    rem = list(fx.coeffs)
+    out = [F(0)] * len(rem)
+    for m in range(len(rem) - 1, -1, -1):
+        p = fd.polys_x[m].coeffs
+        c = out[m] = rem[m] / p[m]
+        for i, v in enumerate(p):
+            rem[i] -= c * v
+    assert not any(rem)
+    return out
+
+
+@pytest.fixture(scope="module")
+def degree16():
+    """The first seed-1 point of each family, continuous q-Jacobi in both
+    embeddings, built to degree 16 (n_max 15)."""
+    specs = [fam.sample_specs(f, 1, seed=1, n_max=15)[0] for f in fam.CLI_FAMILIES]
+    cqj = next(s for s in specs if s.family == fam.CQJ49)
+    specs.append(fam.cqjacobi_spec(cqj.params["alpha"], cqj.params["beta"], cqj.base,
+                                   embedding=9))
+    return {s.family: fam.build_family(s, 15) for s in specs}
+
+
+def _random_poly(rng, space, deg):
+    coeffs = [F(rng.randrange(-40, 41), rng.randrange(1, 30)) for _ in range(deg)]
+    return SPACES[space](coeffs + [F(rng.randrange(1, 9), rng.randrange(1, 9))])
+
+
+def test_expand_is_the_naive_elimination(degree16):
+    import random
+    rng = random.Random(16)
+    assert len(degree16) == 6
+    for fd in degree16.values():
+        top = fd.n_max + 1
+        for deg in (0, 1, 2, 7, top, top):
+            f = _random_poly(rng, fd.space, deg)
+            got = fd.expand(f)
+            assert got == ref_expand(fd, f), (fd.family, deg)
+            assert len(got) == deg + 1 and all(type(c) is F for c in got)
+        for m, p in enumerate(fd.polys):
+            assert fd.expand(p) == ref_expand(fd, p) == [0] * m + [1], (fd.family, m)
+        assert fd.expand(SPACES[fd.space]()) == []
+        with pytest.raises(fam.ExpansionError):
+            fd.expand(SPACES[fd.space].x_power(top + 1))
+
+
+def test_pairing_table_is_the_naive_triple_sum(degree16):
     max_deg = 5
-    for fd in first_points.values():
-        op = fd.L
-        cols = [fd.expand(op(op.basis(i))) for i in range(max_deg + 1)]
-        basis = [fd.expand(op.basis(j)) for j in range(max_deg + 1)]
-        table = _pairing_table(op, fd, max_deg)
-        for i in range(max_deg + 1):
-            for j in range(max_deg + 1):
-                want = sum((a * b * h for a, b, h in zip(cols[i], basis[j], fd.h)), F(0))
-                assert table[i, j] == want, (fd.family, i, j)
+    for fd in degree16.values():
+        for op in (fd.L, fd.D, op_x(fd.space)):
+            cols = [ref_expand(fd, op(op.basis(i))) for i in range(max_deg + 1)]
+            basis = [ref_expand(fd, op.basis(j)) for j in range(max_deg + 1)]
+            table = _pairing_table(op, fd, max_deg)
+            for i in range(max_deg + 1):
+                for j in range(max_deg + 1):
+                    want = sum((a * b * h for a, b, h in zip(cols[i], basis[j], fd.h)), F(0))
+                    assert table[i, j] == want, (fd.family, op.name, i, j)
+
+
+@pytest.mark.parametrize("family", [fam.BIGQ, fam.CQJ49, fam.CQJ09])
+def test_recurrence_rows_are_the_naive_elimination(family, degree16):
+    fd = degree16[family]
+    for n in range(fd.n_max + 1):
+        co = ref_expand(fd, fd.polys_x[n].shift_x(1))
+        assert all(not c for i, c in enumerate(co) if abs(i - n) > 1), n
+        want = (co[n + 1], co[n], co[n - 1] if n else 0)
+        assert fam.recurrence_from_expansion(fd, n) == want, n
+        assert fd.B[n] == co[n]
+        if family == fam.BIGQ:
+            assert (fd.A[n], fd.C[n]) == (want[0], want[2])
+
+
+def test_recurrence_rows_catch_a_perturbed_neighbour(degree16):
+    # p_5 + 1 keeps the top three coefficients of every row, so only the
+    # check of the whole of x p_n can see it, in each row that reads p_5
+    fd = degree16[fam.BIGQ]
+    polys = list(fd.polys_x)
+    polys[5] = polys[5] + XPoly([1])
+    bad = dataclasses.replace(fd, polys_x=tuple(polys))
+    for n in (4, 5, 6):
+        with pytest.raises(fam.ExpansionError, match="three neighbours"):
+            fam.recurrence_from_expansion(bad, n)
+    for n in (2, 3, 7):
+        assert fam.recurrence_from_expansion(bad, n) == fam.recurrence_from_expansion(fd, n)
 
 
 # -- the normal form ----------------------------------------------------------
