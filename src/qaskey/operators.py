@@ -1,6 +1,7 @@
-"""Operators on graded polynomial spaces: X, the skew operators L, and
-the symmetric second-order operators D, plus the generic commutator and
-the reconstruction of D from L.
+"""Operators on graded polynomial spaces: X, the skew operators L, the
+symmetric second-order operators D and the left sides of the
+q-ultraspherical displays, plus the generic commutator and the
+reconstruction of D from L.
 
 A :class:`PolyOperator` wraps an exact action together with its matrix
 columns in the graded monomial basis {1, x, x^2, ...} (for symmetric
@@ -108,6 +109,18 @@ def divided_shift_op(v: LaurentPoly, step: Fraction, name: str) -> PolyOperator:
         return num.divide_exact(Z_MINUS_ZINV).to_sym()
 
     return PolyOperator(act, "sym", 1, name)
+
+
+def shift_op(u: LaurentPoly, step: Fraction, name: str, degree_shift: int) -> PolyOperator:
+    """f[z] -> u(z) f[step*z] + u(1/z) f[z/step], symmetric for symmetric f."""
+    u_inv = u.invert_z()
+    inv_step = 1 / Fraction(step)
+
+    def act(f: SymLaurentPoly) -> SymLaurentPoly:
+        fl = f.to_laurent()
+        return (u * fl.dilate(step) + u_inv * fl.dilate(inv_step)).to_sym()
+
+    return PolyOperator(act, "sym", degree_shift, name)
 
 
 def _linear_factors(zeros_scaled, extra=()):
@@ -236,16 +249,24 @@ def cqultra_nonskew_op(spec: FamilySpec) -> PolyOperator:
     but not skew symmetric.
     """
     t = spec.params["t"]
-    m1 = LaurentPoly(-1, (Fraction(1),)) - LaurentPoly(1, (t,))
-    m2 = m1.invert_z()
-    step = spec.qpow(Fraction(1, 2))
-    inv_step = 1 / step
+    return shift_op(LaurentPoly(-1, (1, 0, -t)), spec.qpow(Fraction(1, 2)), "T_cqultra", 1)
 
-    def act(f: SymLaurentPoly) -> SymLaurentPoly:
-        fl = f.to_laurent()
-        return (m1 * fl.dilate(step) + m2 * fl.dilate(inv_step)).to_sym()
 
-    return PolyOperator(act, "sym", 1, "T_cqultra")
+def cqultra_web(spec: FamilySpec) -> dict:
+    """The left sides of the q-ultraspherical displays, step q^(1/2), by
+    key: eq51, eq52 and eq55 divide by z - 1/z, eq53 (the operator of
+    :func:`cqultra_nonskew_op`) and qdiff2 do not."""
+    qh = spec.qpow(Fraction(1, 2))
+    t = spec.params["t"]
+    one_minus_tz2 = LaurentPoly(0, (1, 0, -t))
+    return {
+        "eq51": divided_shift_op(LaurentPoly(-2, (1, 0, -t)), qh, "eq51"),        # z^-2 - t
+        "eq52": divided_shift_op(one_minus_tz2, qh, "eq52"),
+        "eq53": cqultra_nonskew_op(spec),
+        "eq55": divided_shift_op(one_minus_tz2 * LaurentPoly(-2, (-1, 0, -1)),    # -(1 + z^-2)
+                                 qh, "eq55"),
+        "qdiff2": shift_op(one_minus_tz2 * LaurentPoly(-2, (-1, 0, 1)), qh, "qdiff2", 2),
+    }
 
 
 # ----------------------------------------------------------------------

@@ -4,8 +4,16 @@ Every checker computes an exact residual polynomial; a check passes iff
 the residual is the zero polynomial.  Residuals are kept (not reduced
 to booleans) so a failure is diagnosable, and each checker accepts a
 ``perturb`` slot name that adds 1 to a single coefficient, the mutation
-hook used by the negative-control tests.  A per-degree checker rejects
-any degree outside its domain (:func:`_degrees`).
+hook used by the negative-control tests.
+
+Every per-degree relation has one shape: its left side applied to p_n
+equals plus p_{n+1} + mid(x) p_n + minus p_{n-1}.  :func:`_residuals`
+is the one place that forms that residual: it rejects any degree outside
+the check's domain (:func:`_degrees`) and reads p_{-1} as zero.  A
+display supplies only its left side (the point's L or D, another
+operator, or a map of p_n) and a coefficient function
+(n, perturb) -> (plus, mid, minus), where mid holds the coefficients
+(m_0, m_1, ...) of a polynomial in x and the slots are applied inside.
 
 The identity keys, with each one's families, degree domain and perturb
 slots, are listed once, in :data:`qaskey.cli.IDENTITIES`.
@@ -15,12 +23,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache, partial
 from math import gcd, lcm
 from typing import Iterable
 
 from . import operators as ops
 from .families import (AW, BIGQ, CQJ09, CQJ49, CQU, JACOBI, FamilyData,
-                       FamilySpec, cqjacobi_AC, cqjacobi_gamma,
+                       FamilySpec, aw_spec, cqjacobi_AC, cqjacobi_gamma,
                        cqjacobi_gamma_tilde, recurrence_from_expansion,
                        _polys_from_recurrence, cqjacobi_polynomials)
 from .inner_product import skew_symmetry_residual, symmetry_residual
@@ -92,37 +101,60 @@ def _degrees(identity: str, fd: FamilyData, ns: Iterable[int], lo: int = 0) -> l
     return ns
 
 
-def _below(fd: FamilyData, n: int):
-    """p_{n-1}, read as the zero polynomial at n = 0 (the convention C_0 = 0)."""
-    return fd.polys[n - 1] if n else type(fd.polys[0])()
+# ----------------------------------------------------------------------
+# the three-term residual
+# ----------------------------------------------------------------------
+
+def _times(mid, p):
+    """mid(x) p, for the coefficients mid = (m_0, m_1, ...) of a polynomial in x."""
+    out = p.scale(mid[-1])
+    for m in reversed(mid[:-1]):
+        out = out.mul_x() + p.scale(m)
+    return out
 
 
-def _xminusB(fd: FamilyData, n: int):
-    """(x - B_n) p_n."""
-    return fd.polys[n].mul_x() - fd.polys[n].scale(fd.B[n])
+def _residuals(ident: str, fd: FamilyData, ns: Iterable[int], perturb, lhs, *coeffs):
+    """(n, lhs(p_n) - plus p_{n+1} - mid(x) p_n - minus p_{n-1}) for each
+    degree n of ns and, at each n, each coefficient function in turn, with
+    (plus, mid, minus) = coeffs(n, perturb); p_{-1} is zero (C_0 = 0)."""
+    polys = fd.polys
+    for n in _degrees(ident, fd, ns):
+        left = lhs(polys[n])
+        for fn in coeffs:
+            plus, mid, minus = fn(n, perturb)
+            resid = left - polys[n + 1].scale(plus)
+            if mid:
+                resid = resid - _times(mid, polys[n])
+            if n:
+                resid = resid - polys[n - 1].scale(minus)
+            yield n, resid
+
+
+def _relation(ident: str, fd: FamilyData, ns: Iterable[int], perturb, lhs, coeffs,
+              info: bool = False) -> VerificationReport:
+    """One display's report: one residual entry per degree."""
+    return _close(ident, fd, [_entry(n, r) for n, r in
+                              _residuals(ident, fd, ns, perturb, lhs, coeffs)], info)
+
+
+def _plus_minus(plus, minus, perturb):
+    """A structure relation's coefficients, with the slots plus and minus."""
+    return _p1(plus, perturb, "plus"), (), _p1(minus, perturb, "minus")
+
+
+def _affine(s, b):
+    """The coefficients of s (x - b)."""
+    return -s * b, s
 
 
 # ----------------------------------------------------------------------
 # structure, lowering, raising
 # ----------------------------------------------------------------------
 
-def _structure(ident: str, fd: FamilyData, L, ns: Iterable[int], perturb,
-               coeffs) -> VerificationReport:
-    """L p_n - plus_n p_{n+1} - minus_n p_{n-1} with (plus_n, minus_n) =
-    coeffs(n), one residual entry per degree; the slots are plus and minus."""
-    entries = []
-    for n in _degrees(ident, fd, ns):
-        plus, minus = coeffs(n)
-        plus = _p1(plus, perturb, "plus")
-        minus = _p1(minus, perturb, "minus")
-        resid = L(fd.polys[n]) - fd.polys[n + 1].scale(plus) - _below(fd, n).scale(minus)
-        entries.append(_entry(n, resid))
-    return _close(ident, fd, entries)
-
-
 def check_structure(fd: FamilyData, ns: Iterable[int], perturb=None) -> VerificationReport:
-    return _structure("eq28", fd, fd.L, ns, perturb,
-                      lambda n: (fd.gamma[n] * fd.A[n], -fd.gamma[n - 1] * fd.C[n]))
+    """L p_n = gamma_n A_n p_{n+1} - gamma_{n-1} C_n p_{n-1}."""
+    return _relation("eq28", fd, ns, perturb, fd.L, lambda n, pt: _plus_minus(
+        fd.gamma[n] * fd.A[n], -fd.gamma[n - 1] * fd.C[n], pt))
 
 
 #: the explicit structure relation's display for each family
@@ -174,8 +206,8 @@ def _explicit_coeffs(spec: FamilySpec, n: int):
 def check_explicit_structure(fd: FamilyData, ns: Iterable[int], perturb=None) -> VerificationReport:
     """The family's explicit structure relation with its closed-form
     right-hand coefficients (one residual entry per degree)."""
-    return _structure(_EXPLICIT_ID[fd.family], fd, fd.L, ns, perturb,
-                      lambda n: _explicit_coeffs(fd.spec, n))
+    return _relation(_EXPLICIT_ID[fd.family], fd, ns, perturb, fd.L,
+                     lambda n, pt: _plus_minus(*_explicit_coeffs(fd.spec, n), pt))
 
 
 def check_coefficient_match(fd: FamilyData, ns: Iterable[int], perturb=None) -> VerificationReport:
@@ -193,11 +225,12 @@ def check_coefficient_match(fd: FamilyData, ns: Iterable[int], perturb=None) -> 
         entries.append(_entry(n, plus - fd.gamma[n] * fd.A[n]))
         entries.append(_entry(n, minus + fd.gamma[n - 1] * fd.C[n]))
         if fd.spec.family == AW:
-            mult, rhs = _aw_lowering_pieces(fd, n)
-            entries.append(_entry(n, 2 * mult - fd.gamma[n]))
+            # eq76's slope is 2 mult = gamma_n, eq77's is -2 mult = -gamma_{n-1}
+            _, mid, rhs = _aw_lowering(fd, n)
+            entries.append(_entry(n, mid[1] - fd.gamma[n]))
             entries.append(_entry(n, rhs + (fd.gamma[n] + fd.gamma[n - 1]) * fd.C[n]))
-            mult, rhs = _aw_raising_pieces(fd, n)
-            entries.append(_entry(n, 2 * mult - fd.gamma[n - 1]))
+            rhs, mid, _ = _aw_raising(fd, n)
+            entries.append(_entry(n, -mid[1] - fd.gamma[n - 1]))
             entries.append(_entry(n, rhs - (fd.gamma[n] + fd.gamma[n - 1]) * fd.A[n]))
         if fd.spec.family == JACOBI:
             # the classical coefficients are the skew ones shifted by the
@@ -214,36 +247,29 @@ def check_coefficient_match(fd: FamilyData, ns: Iterable[int], perturb=None) -> 
 def check_structure_tilde(fd: FamilyData, ns: Iterable[int], perturb=None) -> VerificationReport:
     """The whole-q-step structure relation for continuous q-Jacobi."""
     spec = fd.spec
-    return _structure("eq59t", fd, ops.cqjacobi_Ltilde(spec), ns, perturb,
-                      lambda n: (cqjacobi_gamma_tilde(n, spec) * fd.A[n],
-                                 -cqjacobi_gamma_tilde(n - 1, spec) * fd.C[n]))
+    return _relation("eq59t", fd, ns, perturb, ops.cqjacobi_Ltilde(spec), lambda n, pt: _plus_minus(
+        cqjacobi_gamma_tilde(n, spec) * fd.A[n], -cqjacobi_gamma_tilde(n - 1, spec) * fd.C[n], pt))
 
 
 def check_lowering(fd: FamilyData, ns: Iterable[int], perturb=None) -> VerificationReport:
-    L = fd.L
-    entries = []
-    for n in _degrees("eq31", fd, ns):
+    """L p_n = gamma_n (x - B_n) p_n - (gamma_n + gamma_{n-1}) C_n p_{n-1}."""
+    def coeffs(n, pt):
         g, gm = fd.gamma[n], fd.gamma[n - 1]
-        rhs = _p1(-(g + gm) * fd.C[n], perturb, "rhs")
-        slope = _p1(g, perturb, "slope")
-        resid = _xminusB(fd, n).scale(-slope) + L(fd.polys[n]) - _below(fd, n).scale(rhs)
-        entries.append(_entry(n, resid))
-    return _close("eq31", fd, entries)
+        return 0, _affine(_p1(g, pt, "slope"), fd.B[n]), _p1(-(g + gm) * fd.C[n], pt, "rhs")
+    return _relation("eq31", fd, ns, perturb, fd.L, coeffs)
 
 
 def check_raising(fd: FamilyData, ns: Iterable[int], perturb=None) -> VerificationReport:
-    L = fd.L
-    entries = []
-    for n in _degrees("eq32", fd, ns):
+    """L p_n = (gamma_n + gamma_{n-1}) A_n p_{n+1} - gamma_{n-1} (x - B_n) p_n."""
+    def coeffs(n, pt):
         g, gm = fd.gamma[n], fd.gamma[n - 1]
-        rhs = _p1((g + gm) * fd.A[n], perturb, "rhs")
-        slope = _p1(gm, perturb, "slope")
-        resid = _xminusB(fd, n).scale(slope) + L(fd.polys[n]) - fd.polys[n + 1].scale(rhs)
-        entries.append(_entry(n, resid))
-    return _close("eq32", fd, entries)
+        return _p1((g + gm) * fd.A[n], pt, "rhs"), _affine(-_p1(gm, pt, "slope"), fd.B[n]), 0
+    return _relation("eq32", fd, ns, perturb, fd.L, coeffs)
 
 
-def _aw_lowering_pieces(fd: FamilyData, n: int):
+def _aw_lowering(fd: FamilyData, n: int, perturb=None):
+    """eq76: L p_n = 2 mult (x - B_n) p_n + <six factors> p_{n-1} with
+    mult = abcd q^n - q^-n; the slots are mult and rhs."""
     a, b, c, d, q = (fd.spec.params[k] for k in "abcdq")
     abcd = a * b * c * d
     mult = abcd * q ** n - q ** (-n)              # gamma_n / 2
@@ -251,42 +277,25 @@ def _aw_lowering_pieces(fd: FamilyData, n: int):
     for p in (a * b, a * c, a * d, b * c, b * d, c * d):
         six *= 1 - p * q ** (n - 1)
     rhs = six * (1 + q) * (1 - q ** n) / (q ** n * (1 - abcd * q ** (2 * n - 2)))
-    return mult, rhs
+    return 0, _affine(2 * _p1(mult, perturb, "mult"), fd.B[n]), _p1(rhs, perturb, "rhs")
 
 
-def _aw_raising_pieces(fd: FamilyData, n: int):
+def _aw_raising(fd: FamilyData, n: int, perturb=None):
+    """eq77: L p_n = rhs p_{n+1} - 2 mult (x - B_n) p_n with
+    mult = abcd q^(n-1) - q^(1-n); the slots are mult and rhs."""
     a, b, c, d, q = (fd.spec.params[k] for k in "abcdq")
     abcd = a * b * c * d
     mult = abcd * q ** (n - 1) - q ** (1 - n)     # gamma_{n-1} / 2
     rhs = -(1 + q) * (1 - abcd * q ** (n - 1)) / (q ** n * (1 - abcd * q ** (2 * n)))
-    return mult, rhs
+    return _p1(rhs, perturb, "rhs"), _affine(-2 * _p1(mult, perturb, "mult"), fd.B[n]), 0
 
 
 def check_aw_lowering(fd: FamilyData, ns: Iterable[int], perturb=None) -> VerificationReport:
-    """L p_n - (abcd q^n - q^-n)(z + 1/z - 2 B_n) p_n = <six factors> p_{n-1}."""
-    L = fd.L
-    entries = []
-    for n in _degrees("eq76", fd, ns):
-        mult, rhs = _aw_lowering_pieces(fd, n)
-        mult = _p1(mult, perturb, "mult")
-        rhs = _p1(rhs, perturb, "rhs")
-        resid = (L(fd.polys[n]) - _xminusB(fd, n).scale(2 * mult)
-                 - _below(fd, n).scale(rhs))
-        entries.append(_entry(n, resid))
-    return _close("eq76", fd, entries)
+    return _relation("eq76", fd, ns, perturb, fd.L, partial(_aw_lowering, fd))
 
 
 def check_aw_raising(fd: FamilyData, ns: Iterable[int], perturb=None) -> VerificationReport:
-    L = fd.L
-    entries = []
-    for n in _degrees("eq77", fd, ns):
-        mult, rhs = _aw_raising_pieces(fd, n)
-        mult = _p1(mult, perturb, "mult")
-        rhs = _p1(rhs, perturb, "rhs")
-        resid = (L(fd.polys[n]) + _xminusB(fd, n).scale(2 * mult)
-                 - fd.polys[n + 1].scale(rhs))
-        entries.append(_entry(n, resid))
-    return _close("eq77", fd, entries)
+    return _relation("eq77", fd, ns, perturb, fd.L, partial(_aw_raising, fd))
 
 
 def check_bangerezako(fd: FamilyData, ns: Iterable[int], perturb=None) -> VerificationReport:
@@ -297,23 +306,17 @@ def check_bangerezako(fd: FamilyData, ns: Iterable[int], perturb=None) -> Verifi
     identity is checked in the full Laurent space.
     """
     D = fd.D
-    L = fd.L
     q = fd.spec.q
     gz = (LaurentPoly(1, (Fraction(1),)) - LaurentPoly(-1, (q,))).scale((1 - 1 / q) / 2)
-    entries = []
-    for n in _degrees("bangerezako", fd, ns):
+
+    @cache
+    def extra(n):
         lam = _p1(fd.lam[n], perturb, "lambda")
-        eigen = D(fd.polys[n]) - fd.polys[n].scale(lam)
-        extra = gz * eigen.to_laurent()
-        mult, rhs = _aw_lowering_pieces(fd, n)
-        low = (L(fd.polys[n]) - _xminusB(fd, n).scale(2 * mult)
-               - _below(fd, n).scale(rhs)).to_laurent() + extra
-        entries.append(_entry(n, low))
-        mult, rhs = _aw_raising_pieces(fd, n)
-        high = (L(fd.polys[n]) + _xminusB(fd, n).scale(2 * mult)
-                - fd.polys[n + 1].scale(rhs)).to_laurent() + extra
-        entries.append(_entry(n, high))
-    return _close("bangerezako", fd, entries)
+        return gz * (D(fd.polys[n]) - fd.polys[n].scale(lam)).to_laurent()
+
+    halves = _residuals("bangerezako", fd, ns, None, fd.L,
+                        partial(_aw_lowering, fd), partial(_aw_raising, fd))
+    return _close("bangerezako", fd, [_entry(n, r.to_laurent() + extra(n)) for n, r in halves])
 
 
 # ----------------------------------------------------------------------
@@ -323,17 +326,10 @@ def check_bangerezako(fd: FamilyData, ns: Iterable[int], perturb=None) -> Verifi
 def check_bispectral(fd: FamilyData, ns: Iterable[int], perturb=None) -> VerificationReport:
     """[D, X] p_n against the sequence-side commutator
     A_n (lam_{n+1} - lam_n) p_{n+1} + C_n (lam_{n-1} - lam_n) p_{n-1}."""
-    D = fd.D
-    X = ops.op_x(fd.space)
-    entries = []
-    for n in _degrees("eq71", fd, ns):
-        lhs = D(X(fd.polys[n])) - X(D(fd.polys[n]))
-        lam_up = _p1(fd.lam[n + 1], perturb, "lambda")
-        rhs = fd.polys[n + 1].scale(fd.A[n] * (lam_up - fd.lam[n]))
-        if n >= 1:
-            rhs = rhs + fd.polys[n - 1].scale(fd.C[n] * (fd.lam[n - 1] - fd.lam[n]))
-        entries.append(_entry(n, lhs - rhs))
-    return _close("eq71", fd, entries)
+    D, X, lam = fd.D, ops.op_x(fd.space), fd.lam
+    return _relation("eq71", fd, ns, perturb, lambda p: D(X(p)) - X(D(p)),
+                     lambda n, pt: (fd.A[n] * (_p1(lam[n + 1], pt, "lambda") - lam[n]), (),
+                                    fd.C[n] * (lam[n - 1] - lam[n])))
 
 
 def residual_q_bispectral(fd: FamilyData, ns: Iterable[int], perturb=None) -> VerificationReport:
@@ -343,19 +339,15 @@ def residual_q_bispectral(fd: FamilyData, ns: Iterable[int], perturb=None) -> Ve
     exponent (build the Askey-Wilson point with q = s^2).
     """
     sq = fd.spec.qpow(Fraction(1, 2))
-    D = fd.D
-    X = ops.op_x(fd.space)
-    entries = []
-    for n in _degrees("eq73", fd, ns):
-        lhs = D(X(fd.polys[n])).scale(sq) - X(D(fd.polys[n])).scale(1 / sq)
-        lam_up = _p1(fd.lam[n + 1], perturb, "lambda")
-        rhs = fd.polys[n + 1].scale(fd.A[n] * (sq * lam_up - fd.lam[n] / sq))
-        rhs = rhs + fd.polys[n].scale(fd.B[n] * fd.lam[n] * (sq - 1 / sq))
-        if n >= 1:
-            rhs = rhs + fd.polys[n - 1].scale(fd.C[n] * (sq * fd.lam[n - 1] - fd.lam[n] / sq))
-        entries.append(_entry(n, lhs - rhs))
-    rep = _close("eq73", fd, entries, info=True)
-    rep.notes["all_zero"] = all(e.zero for e in entries)
+    D, X, lam = fd.D, ops.op_x(fd.space), fd.lam
+
+    def coeffs(n, pt):
+        return (fd.A[n] * (sq * _p1(lam[n + 1], pt, "lambda") - lam[n] / sq),
+                (fd.B[n] * lam[n] * (sq - 1 / sq),),
+                fd.C[n] * (sq * lam[n - 1] - lam[n] / sq))
+    rep = _relation("eq73", fd, ns, perturb, lambda p: D(X(p)).scale(sq) - X(D(p)).scale(1 / sq),
+                    coeffs, info=True)
+    rep.notes["all_zero"] = all(e.zero for e in rep.entries)
     return rep
 
 
@@ -364,95 +356,53 @@ def residual_q_bispectral(fd: FamilyData, ns: Iterable[int], perturb=None) -> Ve
 # ----------------------------------------------------------------------
 
 def check_sklyanin(spec: FamilySpec, e: Fraction, max_deg: int, perturb=None) -> VerificationReport:
-    """L_{a,b,ce,d/e} L_{qa,qb,c/q,d/q} = L_{a,b,c,d} L_{qa,qb,ce/q,d/(eq)}."""
-    from .families import aw_spec
+    """L_{a,b,ce,d/e} L_{qa,qb,c/q,d/q} = L_{a,b,c,d} L_{qa,qb,ce/q,d/(eq)};
+    the slot shift builds the left side with e + 1."""
     if e == 0:
         raise ValueError("the shift parameter e must be nonzero")
     a, b, c, d, q = (spec.params[k] for k in "abcdq")
-    if perturb == "shift":
-        e = e + 1
-        lhs = ops.compose(ops.aw_L(aw_spec(a, b, c * e, d / e, q=q)),
-                          ops.aw_L(aw_spec(q * a, q * b, c / q, d / q, q=q)))
-        rhs = ops.compose(ops.aw_L(spec),
-                          ops.aw_L(aw_spec(q * a, q * b, c * (e - 1) / q, d / ((e - 1) * q), q=q)))
-    else:
-        lhs = ops.compose(ops.aw_L(aw_spec(a, b, c * e, d / e, q=q)),
-                          ops.aw_L(aw_spec(q * a, q * b, c / q, d / q, q=q)))
-        rhs = ops.compose(ops.aw_L(spec),
-                          ops.aw_L(aw_spec(q * a, q * b, c * e / q, d / (e * q), q=q)))
-    entries = []
-    for j in range(max_deg + 1):
-        diff = lhs.column(j) - rhs.column(j)
-        entries.append(_entry(j, diff))
-    return _close("sklyanin", spec, entries, e=str(e))
+    el = _p1(e, perturb, "shift")
+    lhs = ops.compose(ops.aw_L(aw_spec(a, b, c * el, d / el, q=q)),
+                      ops.aw_L(aw_spec(q * a, q * b, c / q, d / q, q=q)))
+    rhs = ops.compose(ops.aw_L(spec),
+                      ops.aw_L(aw_spec(q * a, q * b, c * e / q, d / (e * q), q=q)))
+    return _close("sklyanin", spec, [_entry(j, lhs.column(j) - rhs.column(j))
+                                     for j in range(max_deg + 1)], e=str(el))
 
 
 # ----------------------------------------------------------------------
 # the continuous q-ultraspherical web
 # ----------------------------------------------------------------------
 
-def _cqu_pieces(fd: FamilyData):
-    t = fd.spec.params["t"]
+def _cqu_coeffs(fd: FamilyData, which: str, n: int, perturb=None):
+    """The coefficients of one q-ultraspherical display, whose left side
+    is ``ops.cqultra_web(fd.spec)[which]``; the slot is rhs."""
+    t, q = fd.spec.params["t"], fd.spec.q
     qh = fd.spec.qpow(Fraction(1, 2))
-    one = LaurentPoly(0, (Fraction(1),))
-    tz2 = LaurentPoly(2, (t,))
-    tzm2 = LaurentPoly(-2, (t,))
-    z2 = LaurentPoly(2, (Fraction(1),))
-    zm2 = LaurentPoly(-2, (Fraction(1),))
-    return t, qh, one, tz2, tzm2, z2, zm2
+    qn, qin = qh ** n, qh ** (-n)                  # q^(n/2), q^(-n/2)
+    up, down = 1 - q ** (n + 1), 1 - t * t * q ** (n - 1)
+    # eq51 and eq52 add q^(-n/2) (z + 1/z) C_n = 2 q^(-n/2) x C_n to the operator
+    if which == "eq51":
+        return 0, (0, -2 * qin), _p1(qin - t * t * qn / q, perturb, "rhs")
+    if which == "eq52":
+        return _p1(qin - qn * q, perturb, "rhs"), (0, -2 * qin), 0
+    if which == "eq53":
+        return _p1(qin * up, perturb, "rhs"), (), -qin * down
+    if which == "eq55":
+        coef = _p1((qin + t * qn) / (1 - t * q ** n), perturb, "rhs")
+        return coef * up, (), coef * down
+    if which == "qdiff2":     # the weight (1 - z^2)(1 - z^-2) is 4 - 4 x^2
+        coef = _p1(qin + t * qn, perturb, "rhs")
+        return 0, (4 * coef, 0, -4 * coef), 0
+    raise ValueError(which)
 
 
 def check_cqultra_relation(fd: FamilyData, ns: Iterable[int], which: str,
                            perturb=None) -> VerificationReport:
     """One of the lowering/raising/structure relations eq51/eq52/eq53/eq55
     or the second-order q-difference formula qdiff2."""
-    t, qh, one, tz2, tzm2, z2, zm2 = _cqu_pieces(fd)
-    q = fd.spec.q
-    zpz = LaurentPoly(-1, (Fraction(1), Fraction(0), Fraction(1)))   # z + 1/z
-    entries = []
-    for n in _degrees(which, fd, ns):
-        Cn = fd.polys[n].to_laurent()
-        up = Cn.dilate(qh)
-        dn = Cn.dilate(1 / qh)
-        qn = qh ** n               # q^(n/2)
-        qin = qh ** (-n)           # q^(-n/2)
-        if which == "eq51":
-            num = (zm2 - LaurentPoly(0, (t,))) * up + (LaurentPoly(0, (t,)) - z2) * dn
-            lhs = num.divide_exact(Z_MINUS_ZINV) + (zpz * Cn).scale(qin)
-            rhs = _below(fd, n).to_laurent().scale(
-                _p1(qin - t * t * qn / q, perturb, "rhs"))
-            entries.append(_entry(n, lhs - rhs))
-        elif which == "eq52":
-            num = (one - tz2) * up + (tzm2 - one) * dn
-            lhs = num.divide_exact(Z_MINUS_ZINV) + (zpz * Cn).scale(qin)
-            rhs = fd.polys[n + 1].to_laurent().scale(
-                _p1(qin - qn * q, perturb, "rhs"))
-            entries.append(_entry(n, lhs - rhs))
-        elif which == "eq53":
-            m1 = LaurentPoly(-1, (Fraction(1),)) - LaurentPoly(1, (t,))
-            lhs = m1 * up + m1.invert_z() * dn
-            rhs = (fd.polys[n + 1].to_laurent().scale(
-                _p1(qin * (1 - q ** (n + 1)), perturb, "rhs"))
-                - _below(fd, n).to_laurent().scale(qin * (1 - t * t * q ** (n - 1))))
-            entries.append(_entry(n, lhs - rhs))
-        elif which == "eq55":
-            a1 = one - tz2
-            b1 = one + zm2
-            num = (a1 * b1).scale(-1) * up + (a1 * b1).invert_z() * dn
-            lhs = num.divide_exact(Z_MINUS_ZINV)
-            coef = _p1((qin + t * qn) / (1 - t * q ** n), perturb, "rhs")
-            rhs = (fd.polys[n + 1].to_laurent().scale(coef * (1 - q ** (n + 1)))
-                   + _below(fd, n).to_laurent().scale(coef * (1 - t * t * q ** (n - 1))))
-            entries.append(_entry(n, lhs - rhs))
-        elif which == "qdiff2":
-            a1 = (one - tz2) * (one - zm2)
-            lhs = a1 * up + a1.invert_z() * dn
-            wt = (one - z2) * (one - zm2)
-            rhs = (wt * Cn).scale(_p1(qin + t * qn, perturb, "rhs"))
-            entries.append(_entry(n, lhs - rhs))
-        else:
-            raise ValueError(which)
-    return _close(which, fd, entries)
+    return _relation(which, fd, ns, perturb, ops.cqultra_web(fd.spec)[which],
+                     partial(_cqu_coeffs, fd, which))
 
 
 def check_cqultra_combination(fd: FamilyData, ns: Iterable[int], perturb=None) -> VerificationReport:
@@ -464,38 +414,29 @@ def check_cqultra_combination(fd: FamilyData, ns: Iterable[int], perturb=None) -
     pairing fails, and that nonzero residual is recorded here as a
     negative control.
     """
-    t, p, one, tz2, tzm2, z2, zm2 = _cqu_pieces(fd)   # p = q^(1/2)
-    q = fd.spec.q
+    t, q = fd.spec.params["t"], fd.spec.q
+    p = fd.spec.qpow(Fraction(1, 2))
     u, v = (p - 1) / 2, -(p + 1) / 2
     u = _p1(u, perturb, "u")
-    L = fd.L
+    web = ops.cqultra_web(fd.spec)
     entries = []
     printed_ok = True
     for n in _degrees("combo54", fd, ns):
-        Cn = fd.polys[n].to_laurent()
-        up, dn = Cn.dilate(p), Cn.dilate(1 / p)
-        a1 = one - tz2
-        b1 = one + zm2
-        lhs55 = ((a1 * b1).scale(-1) * up + (a1 * b1).invert_z() * dn).divide_exact(Z_MINUS_ZINV)
-        m1 = LaurentPoly(-1, (Fraction(1),)) - LaurentPoly(1, (t,))
-        lhs53 = m1 * up + m1.invert_z() * dn
-        lhs54 = L(fd.polys[n]).to_laurent()
+        pn = fd.polys[n]
+        lhs54, lhs55, lhs53 = fd.L(pn), web["eq55"](pn), web["eq53"](pn)
         entries.append(_entry(n, lhs54 - lhs55.scale(u) - lhs53.scale(v)))
         # right-hand sides must combine with the same constants
-        qn, qin = p ** n, p ** (-n)
         r54p, r54m = _explicit_coeffs(fd.spec, n)
-        c55 = (qin + t * qn) / (1 - t * q ** n)
-        entries.append(_entry(n, r54p - (u * c55 * (1 - q ** (n + 1))
-                                         + v * qin * (1 - q ** (n + 1)))))
-        entries.append(_entry(n, r54m - (u * c55 * (1 - t * t * q ** (n - 1))
-                                         - v * qin * (1 - t * t * q ** (n - 1)))))
+        p55, _, m55 = _cqu_coeffs(fd, "eq55", n)
+        p53, _, m53 = _cqu_coeffs(fd, "eq53", n)
+        entries.append(_entry(n, r54p - (u * p55 + v * p53)))
+        entries.append(_entry(n, r54m - (u * m55 + v * m53)))
         if lhs54 == lhs55.scale((q - 1) / 2) + lhs53.scale((q + 1) / 2):
             printed_ok = False   # would contradict the computed constants
-    # operator-level decomposition eq53 = eq52 - eq51, parameter-free
-    m52a, m51a = one - tz2, LaurentPoly(0, (t,)) - zm2
-    lhs_op = m52a + m51a            # coefficient of C_n[q^(1/2) z] times (z-1/z)
-    entries.append(_entry(-1, lhs_op - (LaurentPoly(-1, (Fraction(1),))
-                                        - LaurentPoly(1, (t,))) * Z_MINUS_ZINV))
+    # operator-level decomposition eq53 = eq52 - eq51, parameter-free: the
+    # shift coefficients 1 - t z^2 and z^-2 - t differ by (z^-1 - t z)(z - 1/z)
+    v52, v51, u53 = (LaurentPoly(lo, (1, 0, -t)) for lo in (0, -2, -1))
+    entries.append(_entry(-1, v52 - v51 - u53 * Z_MINUS_ZINV))
     return _close("combo54", fd, entries,
                   u=str(u), v=str(v), printed_constants_fail=printed_ok)
 
@@ -514,20 +455,15 @@ def check_cqultra_nonskew(fd: FamilyData, max_deg: int, perturb=None) -> Verific
 # ----------------------------------------------------------------------
 
 def check_eigen(fd: FamilyData, ns: Iterable[int], perturb=None) -> VerificationReport:
-    D = fd.D
-    entries = []
-    for n in _degrees("eigen", fd, ns):
-        lam = _p1(fd.lam[n], perturb, "lambda")
-        entries.append(_entry(n, D(fd.polys[n]) - fd.polys[n].scale(lam)))
-    return _close("eigen", fd, entries)
+    """D p_n = lam_n p_n."""
+    return _relation("eigen", fd, ns, perturb, fd.D,
+                     lambda n, pt: (0, (_p1(fd.lam[n], pt, "lambda"),), 0))
 
 
 def check_gamma_lambda(fd: FamilyData, ns: Iterable[int], perturb=None) -> VerificationReport:
-    entries = []
-    for n in _degrees("gamma-lambda", fd, ns):
-        g = _p1(fd.gamma[n], perturb, "gamma")
-        entries.append(_entry(n, g - (fd.lam[n + 1] - fd.lam[n])))
-    return _close("gamma-lambda", fd, entries)
+    return _close("gamma-lambda", fd, [
+        _entry(n, _p1(fd.gamma[n], perturb, "gamma") - (fd.lam[n + 1] - fd.lam[n]))
+        for n in _degrees("gamma-lambda", fd, ns)])
 
 
 def check_commutator(fd: FamilyData, max_deg: int, perturb=None) -> VerificationReport:
@@ -538,11 +474,8 @@ def check_commutator(fd: FamilyData, max_deg: int, perturb=None) -> Verification
         inner_D = D
         D = ops.PolyOperator(lambda f: inner_D(f).scale(2), inner_D.space, 0, "2D")
     comm = ops.commutator(D, ops.op_x(D.space))
-    L = fd.L
-    entries = []
-    for j in range(max_deg + 1):
-        entries.append(_entry(j, comm.column(j) - L.column(j)))
-    return _close("commutator", fd, entries)
+    return _close("commutator", fd, [_entry(j, comm.column(j) - fd.L.column(j))
+                                     for j in range(max_deg + 1)])
 
 
 def check_d_from_l(fd: FamilyData, max_deg: int, perturb=None) -> VerificationReport:
@@ -575,11 +508,8 @@ def check_string_jacobi(spec: FamilySpec, max_deg: int, perturb=None) -> Verific
     mult = XPoly([-1, 0, 1])
     if perturb == "shape":
         mult = mult + XPoly([1])
-    entries = []
-    for j in range(max_deg + 1):
-        basis = XPoly((Fraction(0),) * j + (Fraction(1),))
-        entries.append(_entry(j, comm(basis) - mult * basis))
-    return _close("string", spec, entries)
+    return _close("string", spec, [_entry(j, comm(XPoly.x_power(j)) - mult.shift_x(j))
+                                   for j in range(max_deg + 1)])
 
 
 def check_skew_l(fd: FamilyData, max_deg: int, perturb=None) -> VerificationReport:
@@ -618,11 +548,10 @@ def check_orthogonality(fd: FamilyData, max_deg: int, perturb=None) -> Verificat
         co = fd.expand(fd.polys[m])
         bad = sum(abs(c) for i, c in enumerate(co) if i != m) + abs(co[m] - 1)
         entries.append(_entry(m, bad))
+    rows = [recurrence_from_expansion(fd, n) for n in range(max_deg + 1)]
     h = Fraction(1)
     for n in range(1, max_deg + 1):
-        An1 = recurrence_from_expansion(fd, n - 1)[0]
-        Cn = recurrence_from_expansion(fd, n)[2]
-        h = h * Cn / An1
+        h = h * rows[n][2] / rows[n - 1][0]
         entries.append(_entry(n, h - _p1(fd.h[n], perturb, "h")))
     return _close("orthogonality", fd, entries)
 
@@ -634,19 +563,19 @@ def check_dual_path(fd: FamilyData, max_n: int, perturb=None) -> VerificationRep
     if spec.family in (AW, BIGQ, JACOBI, CQU):
         A = (_p1(fd.A[0], perturb, "A0"),) + fd.A[1:]
         rebuilt = _polys_from_recurrence(A, fd.B, fd.C, max_n, fd.space)
-        for n in range(max_n + 1):
-            entries.append(_entry(n, rebuilt[n] - fd.polys[n]))
+        entries += [_entry(n, rebuilt[n] - fd.polys[n]) for n in range(max_n + 1)]
     if spec.family in (CQJ49, CQJ09):
         # fd.polys is the build through the family's own embedding
         if spec.family == CQJ49:
             e49, e09 = fd.polys, cqjacobi_polynomials(max_n, spec, 9)
         else:
             e49, e09 = cqjacobi_polynomials(max_n, spec, 49), fd.polys
-        for n in range(max_n + 1):
-            entries.append(_entry(n, e49[n] - e09[n]))
+        # A_0 p_1 = (x - B_0) p_0 on both sides; the slot A0 moves e49's A_0
+        a0 = _p1(fd.A[0], perturb, "A0")
+        entries += [_entry(n, e49[1].scale(a0) - e09[1].scale(fd.A[0]) if n == 1
+                           else e49[n] - e09[n]) for n in range(max_n + 1)]
     if spec.family == BIGQ:
-        for n in range(max_n + 1):
-            entries.append(_entry(n, fd.polys[n](1) - 1))
+        entries += [_entry(n, fd.polys[n](1) - 1) for n in range(max_n + 1)]
     return _close("dual-path", fd, entries)
 
 
@@ -676,16 +605,11 @@ def check_classic_jacobi_structure(fd: FamilyData, ns: Iterable[int],
     """(1-x^2) P_n' against its three-term expansion with the classical
     closed-form coefficients."""
     one_minus_x2 = XPoly([1, 0, -1])
-    entries = []
-    for n in _degrees("eq02", fd, ns):
+
+    def coeffs(n, pt):
         plus, mid, minus = _classic_jacobi_coeffs(fd.spec, n)
-        mid = _p1(mid, perturb, "middle")
-        plus = _p1(plus, perturb, "plus")
-        lhs = one_minus_x2 * fd.polys[n].derivative()
-        rhs = (fd.polys[n + 1].scale(plus) + fd.polys[n].scale(mid)
-               + _below(fd, n).scale(minus))
-        entries.append(_entry(n, lhs - rhs))
-    return _close("eq02", fd, entries)
+        return _p1(plus, pt, "plus"), (_p1(mid, pt, "middle"),), minus
+    return _relation("eq02", fd, ns, perturb, lambda p: one_minus_x2 * p.derivative(), coeffs)
 
 
 # ----------------------------------------------------------------------
@@ -1003,25 +927,29 @@ def reduce_bigq_chain(fd: FamilyData, ns: Iterable[int], perturb=None) -> tuple:
     kappa = kappa_poly.coeff(0)
 
     from .qcalc import q_derivative
-    entries42, entries41 = [], []
-    for n in _degrees("the eq42/eq41 chain", fd, ns):
+
+    @cache
+    def table42(n):
+        """eq42's (plus, (beta, delta), minus), the middle coefficient
+        beta + delta x eliminated with the derived equation."""
         Sn = (J + M * (qd.B - qd.E.scale(qd.lambdas[n]))).scale(Fraction(-1))
         affine = Sn.divide_exact(qd.C).divide_x_exact()
         if not affine.is_zero and affine.degree > 1:
             raise VerificationFailure("middle coefficient is not affine in x")
-        delta, beta = affine.coeff(1) / kappa, affine.coeff(0) / kappa
-        plus, minus = _explicit_coeffs(fd.spec, n)
-        alpha_n, gamma_n = plus / kappa, minus / kappa
-        lhs = shape * q_derivative(fd.polys[n], q)
-        rhs42 = (fd.polys[n + 1].scale(_p1(alpha_n, perturb, "alpha"))
-                 + (XPoly([beta, delta]) * fd.polys[n])
-                 + _below(fd, n).scale(gamma_n))
-        entries42.append(_entry(n, lhs - rhs42))
-        at = alpha_n + delta * fd.A[n]
-        bt = beta + delta * fd.B[n]
-        ct = gamma_n + delta * fd.C[n]
-        at = _p1(at, perturb, "a-tilde")
-        rhs41 = (fd.polys[n + 1].scale(at) + fd.polys[n].scale(bt)
-                 + _below(fd, n).scale(ct))
-        entries41.append(_entry(n, lhs - rhs41))
-    return (_close("eq42", fd, entries42), _close("eq41", fd, entries41))
+        plus, minus = _explicit_coeffs(spec, n)
+        return plus / kappa, (affine.coeff(0) / kappa, affine.coeff(1) / kappa), minus / kappa
+
+    def eq42(n, pt):
+        plus, mid, minus = table42(n)
+        return _p1(plus, pt, "alpha"), mid, minus
+
+    def eq41(n, pt):
+        # x p_n = A_n p_{n+1} + B_n p_n + C_n p_{n-1} removes eq42's delta x
+        plus, (beta, delta), minus = table42(n)
+        return (_p1(plus + delta * fd.A[n], pt, "a-tilde"), (beta + delta * fd.B[n],),
+                minus + delta * fd.C[n])
+
+    pairs = list(_residuals("the eq42/eq41 chain", fd, ns, perturb,
+                            lambda p: shape * q_derivative(p, q), eq42, eq41))
+    return (_close("eq42", fd, [_entry(n, r) for n, r in pairs[0::2]]),
+            _close("eq41", fd, [_entry(n, r) for n, r in pairs[1::2]]))

@@ -208,21 +208,24 @@ class TestCriterion8Limits:
 
 class TestCriterion9NegativeControls:
     def test_every_checker_has_a_firing_mutation(self, grids):
-        # one control per (key, slot) of the registry, on the first sample of
-        # the key's first family, over the key's own domain at small flags
+        # one control per (key, family, slot) of the registry, on the first
+        # sample of every family the key covers, over the key's own domain
+        # at small flags
         args = cli.make_parser().parse_args(["verify", "--n-max", "2", "--degree-cap", "4"])
         fired = 0
         for key, (families, check) in cli.IDENTITIES.items():
-            fd, degrees = cli.DOMAINS[check.domain](grids[families[0]][0], args)
-            for slot in check.slots:
-                reports = [r for r in check.run(fd, degrees, perturb=slot)
-                           if r.identity_id == key]
-                assert reports, (key, slot)
-                for rep in reports:
-                    # informational reports never fail: the mutation must
-                    # surface in the recorded residuals
-                    assert not all(e.zero for e in rep.entries), (key, slot)
-                fired += 1
+            for family in families:
+                fd, degrees = cli.DOMAINS[check.domain](grids[family][0], args)
+                for slot in check.slots:
+                    reports = [r for r in check.run(fd, degrees, perturb=slot)
+                               if r.identity_id == key]
+                    assert reports, (key, family, slot)
+                    for rep in reports:
+                        # informational reports never fail: the mutation must
+                        # surface in the recorded residuals
+                        assert not all(e.zero for e in rep.entries), (key, family, slot)
+                    fired += 1
+        assert fired == 117
         _report(9, f"negative controls: {fired} single-coefficient +1 "
                    f"mutations each produce a nonzero residual")
 

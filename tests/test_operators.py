@@ -4,7 +4,7 @@ import pytest
 
 from qaskey import families as fam
 from qaskey import operators as ops
-from qaskey.laurent import SymLaurentPoly, XPoly, x_to_sym
+from qaskey.laurent import LaurentPoly, SymLaurentPoly, XPoly, x_to_sym
 
 
 AW = fam.aw_spec(F(1, 3), F(1, 4), F(1, 5), F(-1, 6), q=F(1, 2))
@@ -177,6 +177,23 @@ class TestNonskewOperator:
             rhs = (fd.polys[n + 1].scale(s ** (-2 * n) * (1 - q ** (n + 1)))
                    - fd.polys[n - 1].scale(s ** (-2 * n) * (1 - t * t * q ** (n - 1))))
             assert T(fd.polys[n]) == rhs
+
+
+class TestCqUltraWeb:
+    def test_left_sides_raise_degree_by_their_shift(self):
+        # at a sampled point every left side, and the bare shift
+        # f[q^(1/2) z] + f[z / q^(1/2)], sends x^j to a symmetric polynomial
+        # of degree exactly j + degree_shift
+        spec = fam.sample_specs(fam.CQU, 1, seed=1, n_max=8)[0]
+        web = ops.cqultra_web(spec)
+        assert {key: op.degree_shift for key, op in web.items()} == {
+            "eq51": 1, "eq52": 1, "eq53": 1, "eq55": 1, "qdiff2": 2}
+        bare = ops.shift_op(LaurentPoly(0, (1,)), spec.qpow(F(1, 2)), "S", 0)
+        for op in (*web.values(), bare):
+            for j in range(7):
+                out = op(SymLaurentPoly.x_power(j))
+                assert isinstance(out, SymLaurentPoly), op.name
+                assert out.degree == j + op.degree_shift, (op.name, j)
 
 
 class TestSklyanin:
