@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -34,9 +35,8 @@ from typing import Callable
 from . import families as fam
 from .families import AW, BIGQ, CLI_FAMILIES, CQJ, CQU, JACOBI as JAC
 from . import relations as rel
-from . import limits as lim
 from .laurent import NonzeroRemainder
-from .report import build_report, dump_report, summary_lines
+from .report import build_report, dump_csv, dump_report, summary_lines
 
 
 def _parse_fraction(text: str, flag: str) -> Fraction:
@@ -403,6 +403,23 @@ def _verify_forked(tasks, build_n, args, jobs) -> list:
     return reports
 
 
+def _open_outputs(args) -> list:
+    """The report file (None for stdout) and the CSV file (None without
+    --csv), opened for writing.  Where one cannot be opened, a ValueError
+    names its flag, and neither file is left behind."""
+    opened = []
+    for flag, path in (("--report", None if args.report == "-" else args.report),
+                       ("--csv", args.csv or None)):
+        try:
+            opened.append(None if path is None else open(path, "w", encoding="utf-8"))
+        except OSError as exc:
+            for fh in filter(None, opened):
+                fh.close()
+                os.remove(fh.name)
+            raise ValueError(f"{flag} {path}: {exc.strerror or exc}") from exc
+    return opened
+
+
 def run_verify(args, jobs: int = 1) -> int:
     _check_ranges(("--n-max", args.n_max, 1), ("--samples", args.samples, 1),
                   ("--degree-cap", args.degree_cap, 0))
@@ -451,22 +468,26 @@ def run_verify(args, jobs: int = 1) -> int:
 
     doc = build_report(reports, args.seed, args.degree_cap,
                        timestamp=not args.no_timestamp)
-    text = dump_report(doc)
     lines = summary_lines(reports)
-    if args.report == "-":
-        sys.stdout.write(text)
+    report_fh, csv_fh = _open_outputs(args)
+    with report_fh or nullcontext(), csv_fh or nullcontext():
+        if report_fh is not None:
+            dump_report(doc, report_fh)
+        else:
+            try:
+                dump_report(doc, sys.stdout)
+                sys.stdout.flush()
+            except BrokenPipeError:
+                # the reader stopped early (`qaskey verify | head`): the
+                # report ends there, not the run; later flushes, the one
+                # at exit included, go to /dev/null
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, sys.stdout.fileno())
+                os.close(devnull)
         for ln in lines:
-            print(ln, file=sys.stderr)
-    else:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        for ln in lines:
-            print(ln)
-    if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write("identity_id,family,n,status\n")
-            for r in doc["results"]:
-                fh.write(f"{r['identity_id']},{r['family']},{r['n']},{r['status']}\n")
+            print(ln, file=sys.stderr if report_fh is None else sys.stdout)
+        if csv_fh is not None:
+            dump_csv(doc, csv_fh)
     failed = any(r.status == "fail" for r in reports)
     return 1 if failed else 0
 
@@ -476,6 +497,8 @@ LIMITS = ("cqjacobi-to-jacobi", "aw-to-bigq")
 
 
 def run_limits(args) -> int:
+    from . import limits as lim
+
     _check_ranges(("--n", args.n, 0))
     if args.which == "cqjacobi-to-jacobi":
         _check_ranges(("--k-min", args.k_min, 0), ("--k-max", args.k_max, args.k_min))

@@ -81,6 +81,17 @@ class TestVerify:
         doc = json.loads(rep.read_text())
         assert {r["status"] for r in doc["results"]} == {"info"}
 
+    @pytest.mark.parametrize("flag", ["--report", "--csv"])
+    def test_unwritable_output_names_the_flag(self, flag, tmp_path, capsys):
+        paths = {"--report": tmp_path / "r.json", "--csv": tmp_path / "s.csv"}
+        paths[flag] = tmp_path / "missing" / "out"
+        assert run(["verify", "--family", "jacobi", "--identity", "eq26", "--samples", "1",
+                    "--n-max", "2", "--no-timestamp", "--report", str(paths["--report"]),
+                    "--csv", str(paths["--csv"])]) == 2
+        assert f"error: {flag} {paths[flag]}: " in capsys.readouterr().err
+        # neither output is left behind, as on any other exit 2
+        assert not any(p.exists() for p in paths.values())
+
     def test_unknown_identity(self):
         assert run(["verify", "--family", "jacobi", "--identity", "nope"]) == 2
 
@@ -298,13 +309,43 @@ class TestLimitsCommand:
         assert "--precision" in capsys.readouterr().err
 
 
-def test_cli_import_leaves_out_mpmath():
+def loaded_by_cli_import(modules) -> str:
+    """Those of ``modules`` that ``import qaskey.cli`` loads, in a fresh
+    interpreter."""
     src = Path(cli.__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=str(src))
     out = subprocess.run(
-        [sys.executable, "-c", "import sys, qaskey.cli; print('mpmath' in sys.modules)"],
-        env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+        [sys.executable, "-c", "import sys, qaskey.cli; "
+         f"print(sorted(m for m in {list(modules)!r} if m in sys.modules))"],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
+        check=True)
+    return out.stdout.strip()
+
+
+def test_report_to_closed_stdout_ends_quietly():
+    # the report is written as it goes, so a reader that stops early
+    # (`qaskey verify | head`) closes the pipe mid-report; about 400 kB,
+    # more than a pipe holds, so the writer must meet the closed end
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qaskey.cli", "verify", "--family", "jacobi",
+         "--identity", "eq26", "--samples", "200", "--no-timestamp", "--report", "-"],
+        env=dict(os.environ, PYTHONPATH=str(src)), stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE)
+    assert proc.stdout.read(2) == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=120) == 0
+    assert "Traceback" not in err and "BrokenPipe" not in err
+    assert "PASS eq26" in err
+
+
+def test_cli_import_leaves_out_mpmath():
+    assert loaded_by_cli_import(["mpmath"]) == "[]"
+
+
+def test_cli_import_leaves_out_limits_and_datetime():
+    # only `limits` needs the limit harnesses, and only a timestamp needs datetime
+    assert loaded_by_cli_import(["qaskey.limits", "datetime"]) == "[]"
 
 
 class TestFullGridSmoke:
@@ -346,3 +387,20 @@ class TestReportBytes:
                     "--samples", "1", "--seed", "1", "--no-timestamp",
                     "--report", str(rep)]) == 0
         assert hashlib.sha256(rep.read_bytes()).hexdigest() == self.HIGH_DEGREE_DIGEST
+
+    # sha256 of the report and the CSV of a recorded failure: an error
+    # entry (n null, residual with no coefficients) at an Askey-Wilson
+    # point where the qdiff derivation has no unique solution
+    FAILING = ["verify", "--family", "askey-wilson", "--identity", "qdiff-derive",
+               "--params", "a=-4/5,b=-1/2,c=-1/2,d=1/2,q=1/4", "--no-timestamp"]
+    FAILING_DIGEST = "57049761410c1ca635a0bf6ab22c4c8b0457eacc3e6ee6eb0e8af96f7c67019a"
+    FAILING_CSV_DIGEST = "b91c73291d7261e1fa614a4b5c6630433067b1110713a6dfaae83ab3dc825d2d"
+
+    def test_failing_report_digest(self, tmp_path, capsys):
+        rep, csvp = tmp_path / "fail.json", tmp_path / "fail.csv"
+        assert run([*self.FAILING, "--report", str(rep), "--csv", str(csvp)]) == 1
+        assert hashlib.sha256(rep.read_bytes()).hexdigest() == self.FAILING_DIGEST
+        assert hashlib.sha256(csvp.read_bytes()).hexdigest() == self.FAILING_CSV_DIGEST
+        capsys.readouterr()
+        assert run([*self.FAILING, "--report", "-"]) == 1
+        assert capsys.readouterr().out.encode() == rep.read_bytes()
