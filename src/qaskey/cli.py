@@ -25,12 +25,12 @@ explicit command-line flags win.
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
 from contextlib import nullcontext
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import families as fam
 from .families import AW, BIGQ, CLI_FAMILIES, CQJ, CQU, JACOBI as JAC
@@ -109,8 +109,7 @@ DOMAINS = {
 PER_DEGREE = ("1..n_max", "0..n_max", "q^2 re-anchor")
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     """One identity's checker with its degree domain, its perturb slots
     (the negative-control mutations ``fn`` accepts) and whether its
     reports are informational (recorded, never asserted).
@@ -403,21 +402,63 @@ def _verify_forked(tasks, build_n, args, jobs) -> list:
     return reports
 
 
-def _open_outputs(args) -> list:
-    """The report file (None for stdout) and the CSV file (None without
-    --csv), opened for writing.  Where one cannot be opened, a ValueError
-    names its flag, and neither file is left behind."""
-    opened = []
-    for flag, path in (("--report", None if args.report == "-" else args.report),
-                       ("--csv", args.csv or None)):
+def _output_files(args) -> list:
+    """(flag, path) of each output that goes to a file: the report unless
+    it is ``-`` (stdout), the CSV if given and not ``-``.  Both cannot go
+    to stdout, as their lines would interleave."""
+    if args.report == "-" and args.csv == "-":
+        raise ValueError("--csv -: the report already goes to stdout (--report -); "
+                         "give one of them a file")
+    files = [] if args.report == "-" else [("--report", args.report)]
+    if args.csv not in ("", "-"):
+        files.append(("--csv", args.csv))
+    return files
+
+
+def _check_outputs(args) -> None:
+    """A ValueError naming the flag where an output file's directory is
+    missing or not writable, or the path is a directory.  Nothing is
+    created or truncated."""
+    for flag, path in _output_files(args):
+        parent = os.path.dirname(path) or "."
+        if not os.path.isdir(parent):
+            code = errno.ENOENT
+        elif not os.access(parent, os.W_OK):
+            code = errno.EACCES
+        elif os.path.isdir(path):
+            code = errno.EISDIR
+        else:
+            continue
+        raise ValueError(f"{flag} {path}: {os.strerror(code)}")
+
+
+def _open_outputs(args) -> dict:
+    """flag -> the file of each output that goes to a file, opened for
+    writing.  Where one cannot be opened, a ValueError names its flag,
+    and neither file is left behind."""
+    opened = {}
+    for flag, path in _output_files(args):
         try:
-            opened.append(None if path is None else open(path, "w", encoding="utf-8"))
+            opened[flag] = open(path, "w", encoding="utf-8")
         except OSError as exc:
-            for fh in filter(None, opened):
+            for fh in opened.values():
                 fh.close()
                 os.remove(fh.name)
             raise ValueError(f"{flag} {path}: {exc.strerror or exc}") from exc
     return opened
+
+
+def _to_stdout(dump, doc) -> None:
+    """``dump(doc, sys.stdout)``.  A reader that stops early (`qaskey
+    verify | head`) ends the output there, not the run: later flushes,
+    the one at exit included, go to /dev/null."""
+    try:
+        dump(doc, sys.stdout)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def run_verify(args, jobs: int = 1) -> int:
@@ -434,6 +475,7 @@ def run_verify(args, jobs: int = 1) -> int:
     if extra:
         raise ValueError(f"--params {extra[0]} is a parameter of no family in "
                          f"--family {args.family}")
+    _check_outputs(args)
     build_n = max(args.n_max + 1, 11)
     tasks, plan_error = [], None
     for family, idents in plan:
@@ -469,25 +511,20 @@ def run_verify(args, jobs: int = 1) -> int:
     doc = build_report(reports, args.seed, args.degree_cap,
                        timestamp=not args.no_timestamp)
     lines = summary_lines(reports)
-    report_fh, csv_fh = _open_outputs(args)
+    files = _open_outputs(args)
+    report_fh, csv_fh = files.get("--report"), files.get("--csv")
     with report_fh or nullcontext(), csv_fh or nullcontext():
         if report_fh is not None:
             dump_report(doc, report_fh)
         else:
-            try:
-                dump_report(doc, sys.stdout)
-                sys.stdout.flush()
-            except BrokenPipeError:
-                # the reader stopped early (`qaskey verify | head`): the
-                # report ends there, not the run; later flushes, the one
-                # at exit included, go to /dev/null
-                devnull = os.open(os.devnull, os.O_WRONLY)
-                os.dup2(devnull, sys.stdout.fileno())
-                os.close(devnull)
+            _to_stdout(dump_report, doc)
+        # the summary goes to stdout unless the report or the CSV does
         for ln in lines:
-            print(ln, file=sys.stderr if report_fh is None else sys.stdout)
+            print(ln, file=sys.stderr if "-" in (args.report, args.csv) else sys.stdout)
         if csv_fh is not None:
             dump_csv(doc, csv_fh)
+        elif args.csv == "-":
+            _to_stdout(dump_csv, doc)
     failed = any(r.status == "fail" for r in reports)
     return 1 if failed else 0
 
@@ -534,7 +571,7 @@ def make_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     v.add_argument("--params", default="",
                    help="single parameter point, e.g. a=1/3,b=1/4,c=1/5,q=1/2")
     v.add_argument("--report", default="-", help="JSON report path ('-' = stdout)")
-    v.add_argument("--csv", default="", help="optional CSV summary path")
+    v.add_argument("--csv", default="", help="optional CSV summary path ('-' = stdout)")
     v.add_argument("--config", default="", help="flat key=value config file")
     v.add_argument("--no-timestamp", action="store_true", dest="no_timestamp")
 

@@ -39,12 +39,11 @@ of x p_n and check the whole three-term relation exactly, never guess.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, prod
 from operator import mul
-from typing import Mapping, Sequence, Union
+from typing import Mapping, NamedTuple, Sequence, Union
 
 from .laurent import SPACES, SymLaurentPoly, XPoly, combine, sym_to_x
 
@@ -73,8 +72,7 @@ class ExpansionError(ArithmeticError):
     """A basis expansion left a residual; the family data is corrupt."""
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(NamedTuple):
     family: str
     params: Mapping[str, Fraction]
     base: Fraction | None = None   # s with q = s**base_exp
@@ -413,14 +411,7 @@ def cqultra_polynomial(n: int, spec: FamilySpec) -> SymLaurentPoly:
 # family data
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FamilyData:
-    """Exact per-degree data for one family at one parameter point.
-
-    ``polys`` runs to degree n_max+1 and ``lam`` to index n_max+1 so
-    that every check at n <= n_max has its neighbours available.
-    """
-
+class _FamilyFields(NamedTuple):
     spec: FamilySpec
     space: str                       # "sym" or "x"
     n_max: int
@@ -433,6 +424,16 @@ class FamilyData:
     h: tuple                         # h_0 = 1
     lam: tuple                       # 0 .. n_max+1
     gamma: tuple                     # 0 .. n_max
+
+
+class FamilyData(_FamilyFields):
+    """Exact per-degree data for one family at one parameter point.
+
+    ``polys`` runs to degree n_max+1 and ``lam`` to index n_max+1 so
+    that every check at n <= n_max has its neighbours available.  The
+    fields are an immutable tuple; this subclass adds the instance dict
+    that holds the cached properties below.
+    """
 
     @property
     def family(self) -> str:

@@ -16,8 +16,8 @@ first row); steady ratios >= 1.5 certify the decay.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .families import (FamilySpec, aw_spec, bigq_polynomial, bigq_spec, build_family,
                        cqjacobi_polynomial, cqjacobi_spec, jacobi_spec)
@@ -27,8 +27,7 @@ from .qcalc import q_pochhammer_multi
 from .relations import _explicit_coeffs
 
 
-@dataclass
-class LimitRow:
+class LimitRow(NamedTuple):
     step: int
     parameter_value: float
     max_deviation: float

@@ -21,11 +21,10 @@ slots, are listed once, in :data:`qaskey.cli.IDENTITIES`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, partial
 from math import gcd, lcm
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from . import operators as ops
 from .families import (AW, BIGQ, CQJ09, CQJ49, CQU, JACOBI, FamilyData,
@@ -45,22 +44,33 @@ class VerificationFailure(RuntimeError):
     """A derived candidate equation failed at a higher degree."""
 
 
-@dataclass
-class ResidualEntry:
+class ResidualEntry(NamedTuple):
     n: int
     zero: bool
     degree: int | None = None
     coeffs: tuple | None = None
 
 
-@dataclass
 class VerificationReport:
-    identity_id: str
-    family: str
-    params: dict
-    entries: list
-    status: str = "pass"               # "pass" | "fail" | "info"
-    notes: dict = field(default_factory=dict)
+    """One identity's entries at one parameter point; ``status`` is
+    "pass", "fail" or "info", and checks add to ``notes`` after
+    construction."""
+
+    __slots__ = ("identity_id", "family", "params", "entries", "status", "notes")
+
+    def __init__(self, identity_id: str, family: str, params: dict, entries: list,
+                 status: str = "pass", notes: dict | None = None):
+        self.identity_id = identity_id
+        self.family = family
+        self.params = params
+        self.entries = entries
+        self.status = status
+        self.notes = {} if notes is None else notes
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, k) == getattr(other, k) for k in self.__slots__)
 
     @property
     def passed(self) -> bool:
@@ -616,20 +626,21 @@ def check_classic_jacobi_structure(fd: FamilyData, ns: Iterable[int],
 # second-order q-difference equation: derivation and the reduction chain
 # ----------------------------------------------------------------------
 
-@dataclass
 class DerivedQDiff:
     """A(.) p_n(shift+) + B(.) p_n + C(.) p_n(shift-) = lam_n E(.) p_n.
 
     ``alternates`` holds further independent equations of the same shape
     when the parameter point is degenerate enough to admit them (for
-    instance a four-parameter family containing the pair {a, -a}).
+    instance a four-parameter family containing the pair {a, -a}); it is
+    set once the derivation has found them all.
     """
-    A: object
-    B: object
-    C: object
-    E: object
-    lambdas: tuple
-    alternates: tuple = ()
+
+    __slots__ = ("A", "B", "C", "E", "lambdas", "alternates")
+
+    def __init__(self, A, B, C, E, lambdas: tuple):
+        self.A, self.B, self.C, self.E = A, B, C, E
+        self.lambdas = lambdas
+        self.alternates = ()
 
 
 def _nullspace(rows, width):

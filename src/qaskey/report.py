@@ -16,9 +16,11 @@ a report is a reproducible input.  With the timestamp suppressed, the
 same seed and configuration produce a byte-identical file.
 
 The file is written entry by entry, in the layout that
-``json.dumps(doc, indent=2, sort_keys=True)`` gives: each entry's text
-is built once, in place at depth 2 of the document, and no entry dict
-or whole-report string is ever made.
+``json.dumps(doc, indent=2, sort_keys=True)`` gives.  The texts that
+every entry of one report shares (its identity, family and params) are
+built once per report; an entry's own text (its n, residual and status)
+is rendered as it is written, so no entry dict, entry text or
+whole-report string is ever held.
 """
 
 from __future__ import annotations
@@ -26,7 +28,9 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import lru_cache
+from itertools import groupby
 from json.encoder import encode_basestring_ascii as _str
+from operator import itemgetter
 
 #: json.dumps of an int or None; typed, so that True never reads as 1
 _num = lru_cache(maxsize=256, typed=True)(json.dumps)
@@ -61,44 +65,49 @@ def build_report(reports, seed, degree_cap, timestamp: bool = True) -> tuple:
     """``(run, rows)``: the text of the run object, and one row per entry
     in report order.
 
-    A row is ``(key, text, n, status)``.  ``key`` is (identity_id, family,
-    the params' ``json.dumps(..., sort_keys=True)``, n or -1), and the
-    rows are stably sorted by it; ``text`` is the entry as it stands in
-    the report; ``n`` and ``status`` complete the CSV line.
+    A row is ``(form, entry)``: ``entry`` is the report's
+    :class:`~qaskey.relations.ResidualEntry` and ``form``, shared by every
+    entry of one report, is ``(identity_id, family, head, mid, statuses)``.
+    ``head`` is the entry's text up to its n, ``mid`` the text between n
+    and the residual, and ``statuses[entry.zero]`` its status.  Reports
+    are stably sorted by (identity_id, family, the params'
+    ``json.dumps(..., sort_keys=True)``); the entries of the reports that
+    share such a key are then stably sorted by n, None first.
     """
     run = [f'"degree_cap": {_num(degree_cap)}', f'"seed": {_num(seed)}']
     if timestamp:
         from datetime import datetime, timezone
 
         run.append(f'"timestamp": {_str(datetime.now(timezone.utc).isoformat())}')
-    rows = []
+    keyed = []
     for rep in reports:
         params = {k: frac_str(v) for k, v in sorted(rep.params.items())}
-        pkey = json.dumps(params, sort_keys=True)
         head = (f'    {{\n      "family": {_str(rep.family)},\n'
                 f'      "identity_id": {_str(rep.identity_id)},\n      "n": ')
         mid = (",\n      \"params\": "
                + _block([f"{_str(k)}: {_str(v)}" for k, v in params.items()], " " * 8, "{}")
                + ',\n      "residual": ')
-        for e in rep.entries:
-            status = rep.status if rep.status == "info" else ("pass" if e.zero else "fail")
-            rows.append(((rep.identity_id, rep.family, pkey, -1 if e.n is None else e.n),
-                         f"{head}{_num(e.n)}{mid}{_residual(e)}{_STATUS_TAIL[status]}",
-                         e.n, status))
-    rows.sort(key=lambda row: row[0])
+        statuses = ("info", "info") if rep.status == "info" else ("fail", "pass")
+        keyed.append(((rep.identity_id, rep.family, json.dumps(params, sort_keys=True)),
+                      (rep.identity_id, rep.family, head, mid, statuses), rep.entries))
+    keyed.sort(key=itemgetter(0))
+    rows = []
+    for _, group in groupby(keyed, itemgetter(0)):
+        block = [(form, e) for _, form, entries in group for e in entries]
+        block.sort(key=lambda row: -1 if row[1].n is None else row[1].n)
+        rows += block
     return _block(run, " " * 4, "{}"), rows
 
 
 def dump_report(doc: tuple, fh) -> None:
     """Write the report ``doc`` of :func:`build_report` to the text file
-    ``fh``, one entry at a time."""
+    ``fh``, rendering each entry's text as it goes."""
     run, rows = doc
     write = fh.write
     write('{\n  "results": [')
     sep = "\n"
-    for row in rows:
-        write(sep)
-        write(row[1])
+    for (_, _, head, mid, statuses), e in rows:
+        write(f"{sep}{head}{_num(e.n)}{mid}{_residual(e)}{_STATUS_TAIL[statuses[e.zero]]}")
         sep = ",\n"
     write("\n  ],\n" if rows else "],\n")
     write(f'  "run": {run}\n}}\n')
@@ -107,8 +116,8 @@ def dump_report(doc: tuple, fh) -> None:
 def dump_csv(doc: tuple, fh) -> None:
     """Write one ``identity_id,family,n,status`` line per report entry."""
     fh.write("identity_id,family,n,status\n")
-    for (ident, family, _, _), _, n, status in doc[1]:
-        fh.write(f"{ident},{family},{n},{status}\n")
+    for (ident, family, _, _, statuses), e in doc[1]:
+        fh.write(f"{ident},{family},{e.n},{statuses[e.zero]}\n")
 
 
 def summary_lines(reports) -> list:

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import os
@@ -92,6 +91,44 @@ class TestVerify:
         # neither output is left behind, as on any other exit 2
         assert not any(p.exists() for p in paths.values())
 
+    @pytest.mark.parametrize("flag", ["--report", "--csv"])
+    @pytest.mark.parametrize("target,reason", [("missing/out", "No such file or directory"),
+                                               (".", "Is a directory")])
+    def test_unwritable_output_found_before_any_point(self, flag, target, reason, tmp_path,
+                                                      capsys, monkeypatch):
+        def no_point(*_):
+            raise AssertionError("a point ran before the output paths were checked")
+
+        monkeypatch.setattr(cli, "_verify_point", no_point)
+        paths = {"--report": tmp_path / "r.json", "--csv": tmp_path / "s.csv"}
+        paths[flag] = tmp_path / target
+        assert run(["verify", "--family", "jacobi", "--identity", "eq26", "--samples", "1",
+                    "--report", str(paths["--report"]), "--csv", str(paths["--csv"])]) == 2
+        assert f"error: {flag} {paths[flag]}: {reason}" in capsys.readouterr().err
+        assert not any(p.is_file() for p in paths.values())
+
+    def test_csv_dash_is_stdout(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        rep, csvp = tmp_path / "r.json", tmp_path / "s.csv"
+        argv = ["verify", "--family", "jacobi", "--identity", "eq26", "--samples", "1",
+                "--n-max", "2", "--no-timestamp", "--report", str(rep)]
+        assert run([*argv, "--csv", str(csvp)]) == 0
+        capsys.readouterr()
+        assert run([*argv, "--csv", "-"]) == 0
+        out, err = capsys.readouterr()
+        # the CSV alone on stdout, the summary on stderr, no file named "-"
+        assert out == csvp.read_text()
+        assert "PASS eq26" in err
+        assert not (tmp_path / "-").exists()
+
+    def test_csv_and_report_both_stdout_rejected(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run(["verify", "--family", "jacobi", "--identity", "eq26", "--samples", "1",
+                    "--report", "-", "--csv", "-"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: --csv -: ")
+        assert not (tmp_path / "-").exists()
+
     def test_unknown_identity(self):
         assert run(["verify", "--family", "jacobi", "--identity", "nope"]) == 2
 
@@ -179,7 +216,7 @@ class TestVerify:
         assert [r.status for r in runner(fd, args)] == ["pass"]
         lam = list(fd.lam)
         lam[3] += 1
-        bad = dataclasses.replace(fd, lam=tuple(lam))
+        bad = fd._replace(lam=tuple(lam))
         reports = runner(bad, args)
         assert [r.status for r in reports] == ["fail"]
         assert [e.n for e in reports[0].entries if not e.zero] == [3]
@@ -346,6 +383,12 @@ def test_cli_import_leaves_out_mpmath():
 def test_cli_import_leaves_out_limits_and_datetime():
     # only `limits` needs the limit harnesses, and only a timestamp needs datetime
     assert loaded_by_cli_import(["qaskey.limits", "datetime"]) == "[]"
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    # the records are NamedTuples and __slots__ classes; dataclasses would
+    # also load inspect, ast, dis and tokenize on every cold start
+    assert loaded_by_cli_import(["dataclasses", "inspect"]) == "[]"
 
 
 class TestFullGridSmoke:

@@ -200,6 +200,20 @@ class TestBigQJacobi:
             assert fd.lam[n + 1] == fd.lam[n] + fd.gamma[n]
 
 
+def test_replace_keeps_a_family_data_with_its_cached_properties(aw_fd):
+    lam = list(aw_fd.lam)
+    lam[2] += 1
+    bad = aw_fd._replace(lam=tuple(lam))
+    assert type(bad) is fam.FamilyData and bad.family == fam.AW
+    assert bad.lam[2] == aw_fd.lam[2] + 1 and bad.polys == aw_fd.polys
+    # the copy builds its own cached data, which agrees with the original's
+    assert bad.expansions == aw_fd.expansions and bad.gram == aw_fd.gram
+    assert "expansions" in vars(bad) and bad.L is not aw_fd.L
+    p = aw_fd.polys[3]
+    assert bad.expand(p) == aw_fd.expand(p) == [0, 0, 0, 1]
+    assert bad.L(p) == aw_fd.L(p)
+
+
 class TestSampler:
     @pytest.mark.parametrize("family", fam.CLI_FAMILIES)
     def test_deterministic_and_admissible(self, family):

@@ -10,7 +10,6 @@ is stored in, and that no other module reaches into it.
 """
 
 import ast
-import dataclasses
 from fractions import Fraction as F
 from math import gcd
 from pathlib import Path
@@ -369,7 +368,7 @@ def test_recurrence_rows_catch_a_perturbed_neighbour(degree16):
     fd = degree16[fam.BIGQ]
     polys = list(fd.polys_x)
     polys[5] = polys[5] + XPoly([1])
-    bad = dataclasses.replace(fd, polys_x=tuple(polys))
+    bad = fd._replace(polys_x=tuple(polys))
     for n in (4, 5, 6):
         with pytest.raises(fam.ExpansionError, match="three neighbours"):
             fam.recurrence_from_expansion(bad, n)

@@ -7,12 +7,13 @@ share of whichever worker runs that point: task k of the plan runs on
 worker k % jobs, and worker 0 is the calling process.
 """
 
-import dataclasses
 import hashlib
 import os
+import pickle
 import signal
 import subprocess
 import sys
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
@@ -74,6 +75,22 @@ def test_cli_import_leaves_out_pickle_and_multiprocessing():
     assert out.stdout.strip() == "[]"
 
 
+def test_reports_survive_the_pickle_a_worker_sends():
+    rep = rel.VerificationReport(
+        "eq53-nonskew", fam.CQU, {"q": F(1, 4), "u": F(-2, 3)},
+        [rel.ResidualEntry(2, False, 1, (F(-1, 3), F(4))), rel.ResidualEntry(None, False),
+         rel.ResidualEntry(3, True)], "fail", {"error": "NoSolution: none", "e": "1/2"})
+    back = pickle.loads(pickle.dumps([rep], pickle.HIGHEST_PROTOCOL))[0]
+    assert type(back) is rel.VerificationReport and back == rep
+    assert back.notes == {"error": "NoSolution: none", "e": "1/2"}
+    assert back.entries[0] == (2, False, 1, (F(-1, 3), 4))
+    assert type(back.entries[0]) is rel.ResidualEntry
+    # the default notes are one fresh dict per report
+    a, b = (rel.VerificationReport("eq28", fam.JACOBI, {}, []) for _ in range(2))
+    a.notes["x"] = 1
+    assert b.notes == {}
+
+
 def fault_at(monkeypatch, faults, ident="eq26"):
     """Make ``ident``'s checker call ``faults[k]()`` at point k of POINTS."""
     fams, check = cli.IDENTITIES[ident]
@@ -84,7 +101,7 @@ def fault_at(monkeypatch, faults, ident="eq26"):
                 fault()
         return check.fn(fd, degrees, perturb)
 
-    monkeypatch.setitem(cli.IDENTITIES, ident, (fams, dataclasses.replace(check, fn=fn)))
+    monkeypatch.setitem(cli.IDENTITIES, ident, (fams, check._replace(fn=fn)))
 
 
 def run(tmp_path, capsys, jobs):
@@ -171,7 +188,7 @@ def test_plan_error_after_earlier_points(tmp_path, capsys, monkeypatch, jobs):
         return check.fn(fd, degrees, perturb)
 
     monkeypatch.setitem(cli.IDENTITIES, "eq28", (fam.CLI_FAMILIES,
-                                                 dataclasses.replace(check, fn=fn)))
+                                                 check._replace(fn=fn)))
     outcomes = []
     for j in (1, jobs):
         code = cli.main([*argv, "--report", str(tmp_path / "r.json")], jobs=j)
