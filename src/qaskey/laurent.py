@@ -439,6 +439,9 @@ class XPoly(_Poly):
 
     __slots__ = ()
 
+    #: the exponent of nums[0], as on LaurentPoly; always 0 here
+    lo = 0
+
     @property
     def degree(self) -> int:
         if self.is_zero:

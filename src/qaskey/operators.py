@@ -298,23 +298,18 @@ def d_from_l(L: PolyOperator) -> PolyOperator:
     linearly via x-coordinates.
     """
     X = op_x(L.space)
-    zero = SPACES[L.space]()
-    cache: dict[int, Poly] = {}
-
-    def d_mono(n: int) -> Poly:
-        if n == 0:
-            return zero
-        got = cache.get(n)
-        if got is None:
-            got = L(L.basis(n - 1)) + X(d_mono(n - 1))
-            cache[n] = got
-        return got
+    # D(x^0), D(x^1), ...: a list extended in place, so that no closure
+    # refers to itself and the operator is freed without the cyclic collector
+    monos: list[Poly] = [SPACES[L.space]()]
 
     def act(f: Poly) -> Poly:
-        out = zero
-        for j, cj in enumerate(f.to_x().coeffs):
+        coeffs = f.to_x().coeffs
+        while len(monos) < len(coeffs):
+            monos.append(L(L.basis(len(monos) - 1)) + X(monos[-1]))
+        out = monos[0]
+        for cj, dj in zip(coeffs, monos):
             if cj:
-                out = out + d_mono(j).scale(cj)
+                out = out + dj.scale(cj)
         return out
 
     return PolyOperator(act, L.space, 0, f"D_from({L.name})")

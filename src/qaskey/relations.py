@@ -15,6 +15,10 @@ operator, or a map of p_n) and a coefficient function
 (n, perturb) -> (plus, mid, minus), where mid holds the coefficients
 (m_0, m_1, ...) of a polynomial in x and the slots are applied inside.
 
+The second-order q-difference equation is derived from the data, not
+stated: :func:`derive_second_order_qdiff` is one solver for both
+polynomial spaces, which differ only in one table, :data:`_QDIFF_SPACES`.
+
 The identity keys, with each one's families, degree domain and perturb
 slots, are listed once, in :data:`qaskey.cli.IDENTITIES`.
 """
@@ -24,7 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache, partial
 from math import gcd, lcm
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from . import operators as ops
 from .families import (AW, BIGQ, CQJ09, CQJ49, CQU, JACOBI, FamilyData,
@@ -626,21 +630,16 @@ def check_classic_jacobi_structure(fd: FamilyData, ns: Iterable[int],
 # second-order q-difference equation: derivation and the reduction chain
 # ----------------------------------------------------------------------
 
-class DerivedQDiff:
-    """A(.) p_n(shift+) + B(.) p_n + C(.) p_n(shift-) = lam_n E(.) p_n.
+class DerivedQDiff(NamedTuple):
+    """A(.) p_n(shift+) + B(.) p_n + C(.) p_n(shift-) = lam_n E(.) p_n,
+    with lam_0 = 0 and lam_1 = 1; A, B, C and E are Laurent polynomials in
+    z on the symmetric side and polynomials in x on the x side."""
 
-    ``alternates`` holds further independent equations of the same shape
-    when the parameter point is degenerate enough to admit them (for
-    instance a four-parameter family containing the pair {a, -a}); it is
-    set once the derivation has found them all.
-    """
-
-    __slots__ = ("A", "B", "C", "E", "lambdas", "alternates")
-
-    def __init__(self, A, B, C, E, lambdas: tuple):
-        self.A, self.B, self.C, self.E = A, B, C, E
-        self.lambdas = lambdas
-        self.alternates = ()
+    A: LaurentPoly | XPoly
+    B: LaurentPoly | XPoly
+    C: LaurentPoly | XPoly
+    E: LaurentPoly | XPoly
+    lambdas: tuple
 
 
 def _nullspace(rows, width):
@@ -691,92 +690,88 @@ def _nullspace(rows, width):
     return basis
 
 
-def derive_second_order_qdiff(fd: FamilyData, max_rows: int = 5,
-                              degree: int | None = None) -> DerivedQDiff:
+class _QDiffSpace(NamedTuple):
+    """How the q-difference ansatz reads in one polynomial space."""
+
+    lift: Callable        # p_n as the working type
+    shift: Callable       # (f, r) -> f at r times its argument
+    make: Callable        # (lo, coefficients) -> a polynomial of the working type
+    degrees: tuple        # the ansatz degrees, tried in turn
+    unknowns: Callable    # w -> (A and C unknowns, E unknowns), as (part, exponent) terms
+
+
+#: per space: on the symmetric side C = A(1/z) and E is symmetric, so
+#: A_j stands at z^j in A and z^-j in C, and E_k at z^k and z^-k
+_QDIFF_SPACES = {
+    "sym": _QDiffSpace(
+        SymLaurentPoly.to_laurent, LaurentPoly.dilate, LaurentPoly, (4, 5),
+        lambda w: ([(("A", j), ("C", -j)) for j in range(-w, w + 1)],
+                   [tuple(("E", e) for e in {k, -k}) for k in range(w + 1)])),
+    "x": _QDiffSpace(
+        XPoly.to_x, XPoly.compose_scale, lambda lo, cs: XPoly(cs).shift_x(lo), (2, 3),
+        lambda w: ([(("A", j),) for j in range(w + 1)] + [(("C", j),) for j in range(w + 1)],
+                   [(("E", k),) for k in range(w + 1)])),
+}
+
+
+def derive_second_order_qdiff(fd: FamilyData) -> DerivedQDiff:
     """Solve for the family's second-order q-difference equation.
 
-    Assembles the exact linear system from low-degree rows (adding rows
-    until the solution space is one-dimensional), then determines every
-    higher eigenvalue by exact division and verifies the equation for
-    all stored degrees.  Raises NoSolution if the ansatz degree is too
-    small even after escalation, VerificationFailure if a candidate
-    fails at higher degree.
+    At each ansatz degree of the space in turn, assembles the exact linear
+    system from the equations at n = 1, 2, ... (adding degrees until the
+    solution space is one-dimensional or stops shrinking), then takes the
+    first eigen-ray of that space (:func:`_eigen_rays`) whose eigenvalues
+    follow by exact division at every stored degree.  Raises NoSolution if
+    the last ansatz degree leaves no such ray, VerificationFailure if the
+    one candidate fails at a higher degree.
     """
-    degrees = (degree,) if degree else ((4, 5) if fd.space == "sym" else (2, 3))
-    last_exc = None
-    for d in degrees:
-        try:
-            return _derive_qdiff_at_degree(fd, d, max_rows)
-        except NoSolution as exc:
-            last_exc = exc
-    raise last_exc
-
-
-def _derive_qdiff_at_degree(fd: FamilyData, w: int, max_rows: int) -> DerivedQDiff:
+    sp = _QDIFF_SPACES[fd.space]
     q = fd.spec.q
-    sym = fd.space == "sym"
-    if sym:
-        shift_up = lambda p: p.to_laurent().dilate(q)
-        shift_dn = lambda p: p.to_laurent().dilate(1 / q)
-        plain = lambda p: p.to_laurent()
-        nA, nE = 2 * w + 1, w + 1          # A on -w..w (C = A(1/z)), E symmetric 0..w
-    else:
-        shift_up = lambda p: p.compose_scale(q)
-        shift_dn = lambda p: p.compose_scale(1 / q)
-        plain = lambda p: p
-        nA, nE = 2 * (w + 1), w + 1        # A and C on 0..w, E on 0..w
-    def row_block(n, Fslot, width):
-        """Linear equations: A*(S+ p - p) + C*(S- p - p) - F_n*p = 0, each
-        row scaled by the common denominator of the three polynomials."""
-        up, dn, pl = shift_up(fd.polys[n]), shift_dn(fd.polys[n]), plain(fd.polys[n])
-        g1 = up - pl
-        g2 = dn - pl
-        den = lcm(g1.den, g2.den, pl.den)
+    shifted = [(sp.shift(p, q), p, sp.shift(p, 1 / q)) for p in map(sp.lift, fd.polys)]
+    *first, last = sp.degrees
+    for w in first:
+        try:
+            return _derive_qdiff_at_degree(sp, shifted, fd.n_max, w)
+        except NoSolution:
+            pass
+    return _derive_qdiff_at_degree(sp, shifted, fd.n_max, last)
 
-        def at(p):
-            """exponent -> numerator of p over den."""
-            f, lo = den // p.den, (p.lo if sym else 0)
-            return {k: v * f for k, v in enumerate(p.nums, lo) if v}.get
 
-        c1, c2, cp = at(g1), at(g2), at(pl)
-        rows = []
-        if sym:
-            for m in range(-(n + w) - 1, n + w + 2):
-                row = [0] * width
-                for j in range(-w, w + 1):
-                    # A_j z^j from A, and A_j z^-j from C = A(1/z)
-                    row[j + w] += c1(m - j, 0) + c2(m + j, 0)
-                for kk in range(nE):
-                    val = cp(m - kk, 0) + (cp(m + kk, 0) if kk else 0)
-                    row[nA + Fslot * nE + kk] -= val
-                rows.append(row)
-            return rows
-        for m in range(0, n + w + 2):
-            row = [0] * width
-            for j in range(w + 1):
-                row[j] += c1(m - j, 0)
-                row[w + 1 + j] += c2(m - j, 0)
-            for kk in range(nE):
-                row[nA + Fslot * nE + kk] -= cp(m - kk, 0)
-            rows.append(row)
-        return rows
+def _row_block(shifted_n, unknowns):
+    """The equations A (S+ p - p) + C (S- p - p) - E p = 0 at one degree,
+    one integer row per power over the common denominator of the three
+    polynomials, with one entry per unknown."""
+    up, p, dn = shifted_n
+    parts = {"A": up - p, "C": dn - p, "E": -p}
+    den = lcm(*(g.den for g in parts.values()))
+    rows = {}
+    for col, terms in enumerate(unknowns):
+        for part, e in terms:
+            g = parts[part]
+            f = den // g.den
+            for m, v in enumerate(g.nums, g.lo + e):
+                if v:
+                    rows.setdefault(m, [0] * len(unknowns))[col] += v * f
+    return [rows[m] for m in sorted(rows)]
 
-    basis = None
+
+def _derive_qdiff_at_degree(sp: _QDiffSpace, shifted, n_max: int, w: int) -> DerivedQDiff:
+    ac, e = sp.unknowns(w)
+    unknowns, nA, nE = ac + e, len(ac), len(e)
+    # the columns are the A (and C) unknowns, then E = F_1, F_2, ... for the
+    # degrees n = 1, 2, ..., n_rows; each degree's block is formed once
+    blocks = []
     prev_dim = None
-    n_rows = 2
-    for n_rows in range(2, max_rows + 1):
-        width = nA + n_rows * nE           # unknowns: A (and C), F_1 .. F_{n_rows}
-        rows = []
-        for n in range(1, n_rows + 1):
-            rows += row_block(n, n - 1, width)
-        basis = _nullspace(rows, width)
-        if len(basis) == 0:
+    for n_rows in range(2, 6):
+        blocks += [_row_block(shifted[n], unknowns) for n in range(len(blocks) + 1, n_rows + 1)]
+        rows = [r[:nA] + [0] * (slot * nE) + r[nA:] + [0] * ((n_rows - 1 - slot) * nE)
+                for slot, block in enumerate(blocks) for r in block]
+        basis = _nullspace(rows, nA + n_rows * nE)
+        if not basis:
             raise NoSolution(f"ansatz degree {w} admits no equation")
-        if len(basis) == 1:
-            break
         # a stable dimension > 1 signals a genuinely degenerate point with
         # several independent equations; split it into eigen-rays below
-        if prev_dim == len(basis) and n_rows >= 3:
+        if len(basis) in (1, prev_dim):
             break
         prev_dim = len(basis)
     if len(basis) > 2:
@@ -785,56 +780,31 @@ def _derive_qdiff_at_degree(fd: FamilyData, w: int, max_rows: int) -> DerivedQDi
     rays = _eigen_rays(basis, nA, nE)
     if not rays:
         raise NoSolution(f"no eigen-structured ray in a {len(basis)}-dim space")
-
-    solutions = []
     for vec in rays:
         lead = next(v for v in vec if v != 0)
-        vec = [v / lead for v in vec]
-        if sym:
-            Araw = LaurentPoly(-w, vec[:nA])
-            Craw = Araw.invert_z()
-            Epoly = SymLaurentPoly(vec[nA:nA + nE]).to_laurent()
-        else:
-            Araw = XPoly(vec[:w + 1])
-            Craw = XPoly(vec[w + 1:nA])
-            Epoly = XPoly(vec[nA:nA + nE])
-        if Epoly.is_zero or Araw.is_zero:
+        coeffs = {"A": {}, "C": {}, "E": {}}
+        for v, terms in zip(vec, unknowns):
+            for part, k in terms:
+                coeffs[part][k] = v / lead
+        A, C, E = (sp.make(min(c), [c[k] for k in sorted(c)]) for c in coeffs.values())
+        if E.is_zero or A.is_zero:
             continue
-        Braw = -(Araw + Craw)
-
-        def as_scalar(ratio):
-            if ratio.is_zero:
-                return Fraction(0)
-            if sym:
-                if ratio.lo == 0 and len(ratio.coeffs) == 1:
-                    return ratio.coeff(0)
-            elif ratio.degree == 0:
-                return ratio.coeff(0)
-            raise VerificationFailure("eigen-row is not a scalar multiple of E p_n")
-
+        B = -(A + C)
         # lambda_1 = 1 by the normalization E = F_1; recover the rest exactly
-        try:
-            lambdas = [Fraction(0), Fraction(1)]
-            for n in range(2, fd.n_max + 1):
-                lhs = (Araw * shift_up(fd.polys[n]) + Braw * plain(fd.polys[n])
-                       + Craw * shift_dn(fd.polys[n]))
-                lambdas.append(as_scalar(lhs.divide_exact(Epoly * plain(fd.polys[n]))))
-        except (VerificationFailure, NonzeroRemainder):
-            continue   # satisfied the sampled rows only; not a genuine ray
-        solutions.append(DerivedQDiff(Araw, Braw, Craw, Epoly, tuple(lambdas)))
-    if not solutions:
-        if len(basis) == 1:
-            raise VerificationFailure("candidate equation fails at higher degree")
-        raise NoSolution("no ray verifies at every stored degree")
-    # deterministic primary: the widest-support coefficient wins, then the
-    # lexicographically smallest normalized vector
-    def sort_key(sol):
-        width_a = len(sol.A.coeffs)
-        return (-width_a, [str(c) for c in sol.A.coeffs])
-    solutions.sort(key=sort_key)
-    primary = solutions[0]
-    primary.alternates = tuple(solutions[1:])
-    return primary
+        lambdas = [Fraction(0), Fraction(1)]
+        for up, p, dn in shifted[2:n_max + 1]:
+            try:
+                ratio = (A * up + B * p + C * dn).divide_exact(E * p)
+            except NonzeroRemainder:
+                break       # the ray satisfied the sampled rows only
+            if ratio.lo or len(ratio.nums) > 1:
+                break       # not a scalar multiple of E p_n
+            lambdas.append(ratio.coeff(0))
+        else:
+            return DerivedQDiff(A, B, C, E, tuple(lambdas))
+    if len(basis) == 1:
+        raise VerificationFailure("candidate equation fails at higher degree")
+    raise NoSolution("no ray verifies at every stored degree")
 
 
 def _rational_sqrt(v: Fraction):
@@ -896,24 +866,13 @@ def _eigen_rays(basis, nA, nE):
 
 
 def check_qdiff_recovery(fd: FamilyData, reference_lambdas, perturb=None) -> VerificationReport:
-    """Some derived equation's eigenvalues must be proportional to the
-    reference ones (degenerate points may carry extra equations; the
-    reference one has to be among them).  Uses the point's derived
-    equation, :attr:`FamilyData.qdiff`."""
-    qd = fd.qdiff
-    ref1 = reference_lambdas[1]
-    best = None
-    for cand in (qd,) + qd.alternates:
-        entries = []
-        for n in range(fd.n_max + 1):
-            ref_n = (_p1(reference_lambdas[n], perturb, "reference")
-                     if n == 2 else reference_lambdas[n])
-            entries.append(_entry(n, cand.lambdas[n] * ref1 - ref_n))
-        if all(e.zero for e in entries):
-            return _close("qdiff-derive", fd, entries,
-                          n_equations=1 + len(qd.alternates))
-        best = best or entries
-    return _close("qdiff-derive", fd, best, n_equations=1 + len(qd.alternates))
+    """The derived equation's eigenvalues must be proportional to the
+    reference ones: lam_n ref_1 = ref_n at every stored n (lam_1 = 1).
+    Uses the point's derived equation, :attr:`FamilyData.qdiff`."""
+    lam, ref = fd.qdiff.lambdas, reference_lambdas
+    return _close("qdiff-derive", fd, [
+        _entry(n, lam[n] * ref[1] - (_p1(ref[n], perturb, "reference") if n == 2 else ref[n]))
+        for n in range(fd.n_max + 1)])
 
 
 def reduce_bigq_chain(fd: FamilyData, ns: Iterable[int], perturb=None) -> tuple:

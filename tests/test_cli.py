@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -220,6 +221,20 @@ class TestVerify:
         reports = runner(bad, args)
         assert [r.status for r in reports] == ["fail"]
         assert [e.n for e in reports[0].entries if not e.zero] == [3]
+
+    @pytest.mark.parametrize("family", fam.CLI_FAMILIES)
+    def test_point_leaves_no_cyclic_garbage(self, family):
+        # a point's operators and caches are freed by reference counting
+        # as soon as its reports are made, not by the cyclic collector
+        spec = fam.sample_specs(family, 1, seed=1, n_max=5)[0]
+        args = cli.make_parser().parse_args(["verify", "--n-max", "4"])
+        gc.collect()
+        gc.disable()
+        try:
+            cli._verify_point(cli.identities_for(family, "all"), spec, 5, args)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestConfig:
