@@ -55,8 +55,10 @@ def _parse_params(text: str) -> dict:
             continue
         key, _, val = item.partition("=")
         if not _:
-            raise ValueError(f"bad parameter assignment {item!r}")
+            raise ValueError(f"--params: bad parameter assignment {item.strip()!r}")
         key = key.strip()
+        if key in out:
+            raise ValueError(f"--params {key} is given more than once")
         out[key] = _parse_fraction(val, f"--params {key}")
     return out
 
@@ -267,9 +269,9 @@ def _run_identity(ident: str, fd, args) -> list:
         return runner(fd, args)
     except CHECK_ERRORS as exc:
         text = f"{type(exc).__name__}: {exc}"
-        point = ",".join(f"{k}={v}" for k, v in fd.spec.sorted_params().items())
+        point = ",".join(f"{k}={v}" for k, v in fd.spec.params.items())
         print(f"error: {ident} on {fd.family} at {point}: {text}", file=sys.stderr)
-        return [rel.VerificationReport(ident, fd.family, fd.spec.sorted_params(),
+        return [rel.VerificationReport(ident, fd.family, fd.spec.params,
                                        [rel.ResidualEntry(None, False)], "fail",
                                        {"error": text})]
 
@@ -461,6 +463,20 @@ def _to_stdout(dump, doc) -> None:
         os.close(devnull)
 
 
+def _first_per_key(reports) -> list:
+    """The first report of each (identity, family, params) key.  Its own
+    function, so that the keys are freed before the report is built."""
+    seen = set()
+    unique = []
+    for r in reports:
+        key = (r.identity_id, r.family, tuple(sorted((k, str(v)) for k, v in r.params.items())))
+        if key in seen:
+            continue
+        seen.add(key)
+        unique.append(r)
+    return unique
+
+
 def run_verify(args, jobs: int = 1) -> int:
     _check_ranges(("--n-max", args.n_max, 1), ("--samples", args.samples, 1),
                   ("--degree-cap", args.degree_cap, 0))
@@ -498,15 +514,7 @@ def run_verify(args, jobs: int = 1) -> int:
         reports = _verify_forked(tasks, build_n, args, min(jobs, len(tasks)))
     if plan_error is not None:
         raise plan_error
-    seen = set()
-    unique = []
-    for r in reports:
-        key = (r.identity_id, r.family, tuple(sorted((k, str(v)) for k, v in r.params.items())))
-        if key in seen:
-            continue
-        seen.add(key)
-        unique.append(r)
-    reports = unique
+    reports = _first_per_key(reports)
 
     doc = build_report(reports, args.seed, args.degree_cap,
                        timestamp=not args.no_timestamp)

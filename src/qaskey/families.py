@@ -73,6 +73,10 @@ class ExpansionError(ArithmeticError):
 
 
 class FamilySpec(NamedTuple):
+    """One parameter point.  The constructors below give ``params`` in
+    sorted key order, and every report of the point holds this one
+    mapping as its params."""
+
     family: str
     params: Mapping[str, Fraction]
     base: Fraction | None = None   # s with q = s**base_exp
@@ -93,9 +97,6 @@ class FamilySpec(NamedTuple):
             raise InadmissibleParameters(
                 f"q^({e}) is not an integer power of the base scale s={self.base}")
         return self.base ** int(ex)
-
-    def sorted_params(self) -> dict:
-        return {k: self.params[k] for k in sorted(self.params)}
 
 
 # ----------------------------------------------------------------------
@@ -153,7 +154,7 @@ def cqultra_spec(u: Rat, s: Rat, m: int = 4) -> FamilySpec:
         raise InadmissibleParameters("u must satisfy 0 < |u| < 1")
     if not (0 < sv < 1):
         raise InadmissibleParameters("base scale s must lie in (0,1)")
-    return FamilySpec(CQU, {"t": uv * uv, "u": uv, "q": sv ** m},
+    return FamilySpec(CQU, {"q": sv ** m, "t": uv * uv, "u": uv},
                       base=sv, base_exp=m)
 
 

@@ -9,12 +9,14 @@ On monomials the pairing is the point's Gram matrix
 G[i][j] = <x^i, x^j> (:attr:`~qaskey.families.FamilyData.gram`), built
 once per point as integers over one denominator, so by linearity a
 pairing table needs only each operator column's x-coefficients: every
-skew and symmetry table at a point shares the one G.
+skew and symmetry table at a point shares the one G, and each table is
+integers over one denominator, so its residual is one Fraction.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from operator import mul
 
 from .families import ExpansionError, FamilyData
@@ -26,39 +28,45 @@ def inner(f, g, fd: FamilyData) -> Fraction:
     return sum((a * b * h for a, b, h in zip(cf, cg, fd.h)), Fraction(0))
 
 
-def _pairing_table(op: PolyOperator, fd: FamilyData, max_deg: int):
-    """inner(op e_i, e_j) for monomials e_i, e_j up to max_deg.
+def _pairing_rows(op: PolyOperator, fd: FamilyData, max_deg: int) -> tuple:
+    """(rows, den) with inner(op e_i, e_j) = rows[i][j] / den for monomials
+    e_i, e_j up to max_deg.
 
     With G the point's Gram matrix, <op e_i, e_j> = sum_k (op e_i)_k G[k][j],
     where (op e_i)_k are the x-coefficients of the cached column
-    ``op.column(i)``.  Both sides are integer numerators over one
-    denominator, so every entry is one integer dot product and one
-    Fraction, and it is exactly the rational the family-basis triple sum
-    gives.
+    ``op.column(i)``.  ``den`` is the lcm of the columns' denominators
+    times the Gram denominator, so every entry is one integer dot product
+    and one integer product, and rows[i][j] / den is exactly the rational
+    the family-basis triple sum gives.
     """
     gram, gden = fd.gram
     if max_deg >= len(gram):
         raise ExpansionError(f"degree {max_deg} exceeds the available family data")
-    table = {}
+    cols = []
     for i in range(max_deg + 1):
         col = op.column(i)
         if len(col.nums) > len(gram):
             raise ExpansionError(f"degree {col.degree} exceeds the available family data")
-        den = col.den * gden
-        for j in range(max_deg + 1):
-            table[i, j] = Fraction(sum(map(mul, col.nums, gram[j])), den)
-    return table
+        cols.append(col)
+    cden = lcm(*(col.den for col in cols))
+    rows = [[cden // col.den * sum(map(mul, col.nums, gram[j])) for j in range(max_deg + 1)]
+            for col in cols]
+    return rows, cden * gden
+
+
+def _max_pair(op: PolyOperator, fd: FamilyData, max_deg: int, sign: int) -> Fraction:
+    """max |<op e_i, e_j> + sign <e_i, op e_j>| over monomial pairs, as
+    one Fraction of the largest integer numerator."""
+    rows, den = _pairing_rows(op, fd, max_deg)
+    return Fraction(max(abs(a + sign * b) for row, col in zip(rows, zip(*rows))
+                        for a, b in zip(row, col)), den)
 
 
 def symmetry_residual(op: PolyOperator, fd: FamilyData, max_deg: int) -> Fraction:
     """max |<op e_i, e_j> - <e_i, op e_j>| over monomial pairs."""
-    t = _pairing_table(op, fd, max_deg)
-    return max(abs(t[i, j] - t[j, i])
-               for i in range(max_deg + 1) for j in range(max_deg + 1))
+    return _max_pair(op, fd, max_deg, -1)
 
 
 def skew_symmetry_residual(op: PolyOperator, fd: FamilyData, max_deg: int) -> Fraction:
     """max |<op e_i, e_j> + <e_i, op e_j>| over monomial pairs."""
-    t = _pairing_table(op, fd, max_deg)
-    return max(abs(t[i, j] + t[j, i])
-               for i in range(max_deg + 1) for j in range(max_deg + 1))
+    return _max_pair(op, fd, max_deg, 1)

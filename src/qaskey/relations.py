@@ -49,6 +49,10 @@ class VerificationFailure(RuntimeError):
 
 
 class ResidualEntry(NamedTuple):
+    """One degree's residual: whether it is zero and, when it is not, its
+    top degree and coefficients.  Every passing entry of degree n is the
+    one shared object :func:`_zero` gives; a nonzero entry keeps its own."""
+
     n: int
     zero: bool
     degree: int | None = None
@@ -81,21 +85,34 @@ class VerificationReport:
         return self.status == "pass"
 
 
+@cache
+def _zero(n) -> ResidualEntry:
+    """The passing entry of degree n, one object per n for every report:
+    a passing entry costs its report one list slot.  The records are
+    immutable and compare equal to fresh ones, and pickle keeps the
+    sharing within one blob."""
+    return ResidualEntry(n, True)
+
+
 def _entry(n, resid) -> ResidualEntry:
+    """The entry of the residual ``resid`` (a Fraction or a polynomial) at
+    degree n: the shared :func:`_zero` entry when it is zero."""
     if isinstance(resid, Fraction):
         if resid == 0:
-            return ResidualEntry(n, True)
+            return _zero(n)
         return ResidualEntry(n, False, 0, (resid,))
     if resid.is_zero:
-        return ResidualEntry(n, True)
+        return _zero(n)
     top = resid.hi if isinstance(resid, LaurentPoly) else resid.degree
     return ResidualEntry(n, False, top, resid.coeffs)
 
 
 def _close(identity_id, fd_or_spec, entries, info=False, **notes) -> VerificationReport:
+    """The report of ``entries``; its params are the point's own mapping,
+    so every report of one point shares it."""
     spec = fd_or_spec.spec if isinstance(fd_or_spec, FamilyData) else fd_or_spec
     status = "info" if info else ("pass" if all(e.zero for e in entries) else "fail")
-    return VerificationReport(identity_id, spec.family, spec.sorted_params(),
+    return VerificationReport(identity_id, spec.family, spec.params,
                               list(entries), status, notes)
 
 
@@ -460,7 +477,7 @@ def check_cqultra_nonskew(fd: FamilyData, max_deg: int, perturb=None) -> Verific
     when the skew residual is nonzero (entry.zero encodes "passed")."""
     op = fd.L if perturb == "op" else ops.cqultra_nonskew_op(fd.spec)
     res = skew_symmetry_residual(op, fd, max_deg)
-    entries = [ResidualEntry(max_deg, res != 0)]
+    entries = [_zero(max_deg) if res else ResidualEntry(max_deg, False)]
     return _close("eq53-nonskew", fd, entries, skew_residual=str(res))
 
 

@@ -16,11 +16,13 @@ a report is a reproducible input.  With the timestamp suppressed, the
 same seed and configuration produce a byte-identical file.
 
 The file is written entry by entry, in the layout that
-``json.dumps(doc, indent=2, sort_keys=True)`` gives.  The texts that
-every entry of one report shares (its identity, family and params) are
-built once per report; an entry's own text (its n, residual and status)
-is rendered as it is written, so no entry dict, entry text or
-whole-report string is ever held.
+``json.dumps(doc, indent=2, sort_keys=True)`` gives.  What the writer
+holds grows with reports and points, not entries: one row per report
+holds that report's entries, the identity and family text is built once
+per (identity, family) and the params text once per point, and an
+entry's own text (its n, residual and status) is rendered as it is
+written, so no entry dict, entry text or whole-report string is ever
+held.
 """
 
 from __future__ import annotations
@@ -62,40 +64,58 @@ def _residual(entry) -> str:
 
 
 def build_report(reports, seed, degree_cap, timestamp: bool = True) -> tuple:
-    """``(run, rows)``: the text of the run object, and one row per entry
-    in report order.
+    """``(run, rows)``: the text of the run object, and the entries in
+    report order as rows of one report each.
 
-    A row is ``(form, entry)``: ``entry`` is the report's
-    :class:`~qaskey.relations.ResidualEntry` and ``form``, shared by every
-    entry of one report, is ``(identity_id, family, head, mid, statuses)``.
-    ``head`` is the entry's text up to its n, ``mid`` the text between n
-    and the residual, and ``statuses[entry.zero]`` its status.  Reports
-    are stably sorted by (identity_id, family, the params'
-    ``json.dumps(..., sort_keys=True)``); the entries of the reports that
-    share such a key are then stably sorted by n, None first.
+    A row is ``(form, entries)``: ``entries`` are one report's
+    :class:`~qaskey.relations.ResidualEntry` records, sorted by n, and
+    ``form`` is ``(identity_id, family, head, mid, statuses)``.  ``head``
+    is an entry's text up to its n, ``mid`` the text between n and the
+    residual, and ``statuses[entry.zero]`` its status.  ``head`` is built
+    once per (identity, family), and ``mid`` and the sort key once per
+    params mapping, so the reports of one point share them.  Reports are
+    stably sorted by (identity_id, family, the params'
+    ``json.dumps(..., sort_keys=True)``); the entries of reports that
+    share such a key are then stably sorted by n, None first, each one
+    keeping its own report's form.  A report without entries gives no row.
     """
     run = [f'"degree_cap": {_num(degree_cap)}', f'"seed": {_num(seed)}']
     if timestamp:
         from datetime import datetime, timezone
 
         run.append(f'"timestamp": {_str(datetime.now(timezone.utc).isoformat())}')
+    heads, points = {}, {}
     keyed = []
     for rep in reports:
-        params = {k: frac_str(v) for k, v in sorted(rep.params.items())}
-        head = (f'    {{\n      "family": {_str(rep.family)},\n'
+        head = heads.get((rep.identity_id, rep.family))
+        if head is None:
+            head = heads[rep.identity_id, rep.family] = (
+                f'    {{\n      "family": {_str(rep.family)},\n'
                 f'      "identity_id": {_str(rep.identity_id)},\n      "n": ')
-        mid = (",\n      \"params\": "
-               + _block([f"{_str(k)}: {_str(v)}" for k, v in params.items()], " " * 8, "{}")
-               + ',\n      "residual": ')
+        # keyed by id, as the reports of one point share one params
+        # mapping; the value holds the mapping, so no other takes its id
+        point = points.get(id(rep.params))
+        if point is None:
+            params = {k: frac_str(v) for k, v in sorted(rep.params.items())}
+            mid = (",\n      \"params\": "
+                   + _block([f"{_str(k)}: {_str(v)}" for k, v in params.items()], " " * 8, "{}")
+                   + ',\n      "residual": ')
+            point = points[id(rep.params)] = (rep.params, json.dumps(params, sort_keys=True), mid)
+        _, key, mid = point
         statuses = ("info", "info") if rep.status == "info" else ("fail", "pass")
-        keyed.append(((rep.identity_id, rep.family, json.dumps(params, sort_keys=True)),
+        keyed.append(((rep.identity_id, rep.family, key),
                       (rep.identity_id, rep.family, head, mid, statuses), rep.entries))
     keyed.sort(key=itemgetter(0))
     rows = []
     for _, group in groupby(keyed, itemgetter(0)):
-        block = [(form, e) for _, form, entries in group for e in entries]
-        block.sort(key=lambda row: -1 if row[1].n is None else row[1].n)
-        rows += block
+        # the entries of the reports that share a key, stably by n; a row
+        # holds a run of consecutive entries of one report
+        for form, e in sorted(((form, e) for _, form, entries in group for e in entries),
+                              key=lambda row: -1 if row[1].n is None else row[1].n):
+            if rows and rows[-1][0] is form:
+                rows[-1][1].append(e)
+            else:
+                rows.append((form, [e]))
     return _block(run, " " * 4, "{}"), rows
 
 
@@ -106,9 +126,10 @@ def dump_report(doc: tuple, fh) -> None:
     write = fh.write
     write('{\n  "results": [')
     sep = "\n"
-    for (_, _, head, mid, statuses), e in rows:
-        write(f"{sep}{head}{_num(e.n)}{mid}{_residual(e)}{_STATUS_TAIL[statuses[e.zero]]}")
-        sep = ",\n"
+    for (_, _, head, mid, statuses), entries in rows:
+        for e in entries:
+            write(f"{sep}{head}{_num(e.n)}{mid}{_residual(e)}{_STATUS_TAIL[statuses[e.zero]]}")
+            sep = ",\n"
     write("\n  ],\n" if rows else "],\n")
     write(f'  "run": {run}\n}}\n')
 
@@ -116,8 +137,9 @@ def dump_report(doc: tuple, fh) -> None:
 def dump_csv(doc: tuple, fh) -> None:
     """Write one ``identity_id,family,n,status`` line per report entry."""
     fh.write("identity_id,family,n,status\n")
-    for (ident, family, _, _, statuses), e in doc[1]:
-        fh.write(f"{ident},{family},{e.n},{statuses[e.zero]}\n")
+    for (ident, family, _, _, statuses), entries in doc[1]:
+        for e in entries:
+            fh.write(f"{ident},{family},{e.n},{statuses[e.zero]}\n")
 
 
 def summary_lines(reports) -> list:

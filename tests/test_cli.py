@@ -164,6 +164,25 @@ class TestVerify:
         assert "--params gamma" in capsys.readouterr().err
         assert not rep.exists()
 
+    def test_param_without_value_names_the_flag(self, capsys):
+        assert run(["verify", "--family", "jacobi", "--identity", "eq26",
+                    "--params", "alpha=1,beta"]) == 2
+        assert "--params: bad parameter assignment 'beta'" in capsys.readouterr().err
+
+    def test_repeated_param_names_the_flag(self, tmp_path, capsys):
+        # alpha=3 must not silently overwrite alpha=1
+        rep = tmp_path / "r.json"
+        assert run(["verify", "--family", "jacobi", "--identity", "eq26",
+                    "--params", "alpha=1,beta=2,alpha=3", "--report", str(rep)]) == 2
+        assert "--params alpha" in capsys.readouterr().err
+        assert not rep.exists()
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("family=jacobi\nidentity=eq26\nparams=alpha=1,beta=2, alpha =3\n"
+                       f"report={rep}\n")
+        assert run(["verify", "--config", str(cfg)]) == 2
+        assert "--params alpha" in capsys.readouterr().err
+        assert not rep.exists()
+
     def test_family_all_takes_every_familys_params(self, tmp_path):
         # one combined --params serves all five families
         assert run(["verify", "--family", "all", "--identity", "eq28", "--n-max", "2",
@@ -235,6 +254,68 @@ class TestVerify:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+@pytest.fixture(scope="module", params=fam.CLI_FAMILIES)
+def point_reports(request):
+    """(spec, reports) of ``--identity all`` at the seed-1 point of a family."""
+    spec = fam.sample_specs(request.param, 1, seed=1, n_max=5)[0]
+    args = cli.make_parser().parse_args(["verify", "--n-max", "4"])
+    return spec, cli._verify_point(cli.identities_for(request.param, "all"), spec, 5, args)
+
+
+class TestPointMemory:
+    """What one point's reports hold grows with its reports, not its
+    passing entries."""
+
+    def test_zero_entries_are_shared_per_degree(self, point_reports):
+        _, reports = point_reports
+        zeros = [e for r in reports for e in r.entries if e.zero]
+        assert len(zeros) > 50
+        assert all(e is rel._zero(e.n) for e in zeros)
+        assert rel._zero(3) == rel.ResidualEntry(3, True)
+
+    def test_reports_share_the_points_params(self, point_reports):
+        # eq73 runs at its own point: the same a, b, c, d with q' = q^2
+        spec, reports = point_reports
+        here = [r for r in reports if r.identity_id != "eq73"]
+        assert all(r.params is spec.params for r in here)
+        assert list(spec.params) == sorted(spec.params)
+        for r in reports:
+            if r.identity_id == "eq73":
+                assert r.params == {**spec.params, "q": spec.params["q"] ** 2}
+
+    def test_failing_entries_keep_their_coefficients(self, point_reports):
+        spec, _ = point_reports
+        _, check = cli.IDENTITIES["eq28"]
+        fd = fam.build_family(spec, 5)
+        [rep] = check.run(fd, range(1, 5), "plus")
+        assert rep.status == "fail" and len(rep.entries) == 4
+        for e in rep.entries:
+            assert not e.zero and e.coeffs and e is not rel._zero(e.n)
+        assert len({e.coeffs for e in rep.entries}) == 4
+
+    def test_pickled_reports_write_the_same_bytes(self, point_reports):
+        import io
+        import pickle
+
+        from qaskey.report import build_report, dump_csv, dump_report
+
+        _, reports = point_reports
+        copy = pickle.loads(pickle.dumps(reports, pickle.HIGHEST_PROTOCOL))
+        assert copy == reports
+        # the round trip keeps the sharing within the blob
+        assert len({id(r.params) for r in copy}) == len({id(r.params) for r in reports})
+        zeros = {}
+        for e in (e for r in copy for e in r.entries if e.zero):
+            assert zeros.setdefault(e.n, e) is e
+        for dump in (dump_report, dump_csv):
+            texts = []
+            for reps in (reports, copy):
+                out = io.StringIO()
+                dump(build_report(reps, 1, 16, timestamp=False), out)
+                texts.append(out.getvalue())
+            assert texts[0] == texts[1]
 
 
 class TestConfig:

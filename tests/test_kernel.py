@@ -19,10 +19,10 @@ from hypothesis import assume, given, strategies as st
 
 import qaskey
 from qaskey import families as fam, relations as rel
-from qaskey.inner_product import _pairing_table
+from qaskey.inner_product import _pairing_rows, skew_symmetry_residual, symmetry_residual
 from qaskey.laurent import (SPACES, LaurentPoly, NonzeroRemainder, SymLaurentPoly, XPoly,
                             sym_to_x, x_to_sym)
-from qaskey.operators import op_x
+from qaskey.operators import PolyOperator, cqultra_nonskew_op, op_x
 
 
 # -- naive references -----------------------------------------------------
@@ -336,17 +336,46 @@ def test_expand_is_the_naive_elimination(degree16):
             fd.expand(SPACES[fd.space].x_power(top + 1))
 
 
+def ref_pairing(op, fd, max_deg):
+    """<op e_i, e_j> for monomials e_i, e_j up to max_deg, each one a
+    Fraction triple sum over the family basis."""
+    cols = [ref_expand(fd, op(op.basis(i))) for i in range(max_deg + 1)]
+    basis = [ref_expand(fd, op.basis(j)) for j in range(max_deg + 1)]
+    return [[sum((a * b * h for a, b, h in zip(cols[i], basis[j], fd.h)), F(0))
+             for j in range(max_deg + 1)] for i in range(max_deg + 1)]
+
+
 def test_pairing_table_is_the_naive_triple_sum(degree16):
     max_deg = 5
     for fd in degree16.values():
         for op in (fd.L, fd.D, op_x(fd.space)):
-            cols = [ref_expand(fd, op(op.basis(i))) for i in range(max_deg + 1)]
-            basis = [ref_expand(fd, op.basis(j)) for j in range(max_deg + 1)]
-            table = _pairing_table(op, fd, max_deg)
+            want = ref_pairing(op, fd, max_deg)
+            rows, den = _pairing_rows(op, fd, max_deg)
+            assert all(type(v) is int for row in rows for v in row)
             for i in range(max_deg + 1):
                 for j in range(max_deg + 1):
-                    want = sum((a * b * h for a, b, h in zip(cols[i], basis[j], fd.h)), F(0))
-                    assert table[i, j] == want, (fd.family, op.name, i, j)
+                    assert F(rows[i][j], den) == want[i][j], (fd.family, op.name, i, j)
+
+
+def test_integer_residuals_are_the_fraction_residuals(degree16):
+    # each operator with which of its (symmetry, skew) residuals is
+    # nonzero; those must be exact too, as eq53-nonskew reports its text
+    max_deg = 6
+    for fd in degree16.values():
+        L = fd.L
+        tested = [(L, (True, False)), (fd.D, (False, True)), (op_x(fd.space), (False, True)),
+                  (PolyOperator(lambda f: L(f) + f, L.space, L.degree_shift, "L+1"),
+                   (True, True))]
+        if fd.family == fam.CQU:
+            tested.append((cqultra_nonskew_op(fd.spec), (True, True)))
+        for op, nonzero in tested:
+            t = ref_pairing(op, fd, max_deg)
+            pairs = [(t[i][j], t[j][i]) for i in range(max_deg + 1) for j in range(max_deg + 1)]
+            got = (symmetry_residual(op, fd, max_deg), skew_symmetry_residual(op, fd, max_deg))
+            want = tuple(max(abs(a + sign * b) for a, b in pairs) for sign in (-1, 1))
+            assert all(type(v) is F for v in got), (fd.family, op.name)
+            assert got == want, (fd.family, op.name)
+            assert tuple(v != 0 for v in got) == nonzero, (fd.family, op.name)
 
 
 @pytest.mark.parametrize("family", [fam.BIGQ, fam.CQJ49, fam.CQJ09])

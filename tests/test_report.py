@@ -137,3 +137,33 @@ def test_empty_report():
     doc = report.build_report([], 0, 16, timestamp=False)
     assert written(doc) == naive_bytes(naive_doc([], 0, 16))
     assert written(doc, report.dump_csv) == "identity_id,family,n,status\n"
+
+
+def test_report_without_entries_next_to_others():
+    # an empty report gives no row; an empty run still writes "results": []
+    point = {"q": F(1, 2)}
+    empty = VerificationReport("eq28", "jacobi", point, [])
+    full = VerificationReport("eq41", "jacobi", point, [ResidualEntry(1, True)])
+    for reps in ([empty], [empty, full], [full, empty], [empty, full, empty]):
+        doc = report.build_report(reps, 3, 16, timestamp=False)
+        text = written(doc)
+        assert text == naive_bytes(naive_doc(reps, 3, 16)), reps
+        assert written(doc, report.dump_csv) == naive_csv(naive_doc(reps, 3, 16))
+    assert '"results": [],' in written(report.build_report([empty, empty], 3, 16,
+                                                             timestamp=False))
+
+
+def test_key_shared_by_info_and_pass_reports():
+    # one key, two statuses: each entry keeps its own report's status
+    point = {"a": F(1, 3), "q": F(1, 2)}
+    reps = [VerificationReport("eq73", "askey-wilson", point,
+                               [ResidualEntry(0, True), ResidualEntry(2, False, 0, (F(1, 5),))],
+                               "info"),
+            VerificationReport("eq73", "askey-wilson", dict(point),
+                               [ResidualEntry(1, True), ResidualEntry(2, True)])]
+    doc = report.build_report(reps, 7, 16, timestamp=False)
+    results = json.loads(written(doc))["results"]
+    assert [(r["n"], r["status"]) for r in results] == [
+        (0, "info"), (1, "pass"), (2, "info"), (2, "pass")]
+    assert written(doc) == naive_bytes(naive_doc(reps, 7, 16))
+    assert written(doc, report.dump_csv) == naive_csv(naive_doc(reps, 7, 16))
