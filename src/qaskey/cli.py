@@ -63,20 +63,19 @@ def _parse_params(text: str) -> dict:
     return out
 
 
-#: the --params names of each family, in the order its spec constructor takes them
-PARAM_NAMES = {AW: ("a", "b", "c", "d", "q"), JAC: ("alpha", "beta"),
-               CQJ: ("alpha", "beta", "s"), CQU: ("u", "s"), BIGQ: ("a", "b", "c", "q")}
-
-
-def spec_from_params(family: str, params: dict) -> fam.FamilySpec:
-    make = {AW: lambda a, b, c, d, q: fam.aw_spec(a, b, c, d, q=q), JAC: fam.jacobi_spec,
-            CQJ: fam.cqjacobi_spec, CQU: fam.cqultra_spec, BIGQ: fam.bigq_spec}.get(family)
-    if make is None:
-        raise ValueError(f"unknown family {family!r}")
-    missing = [k for k in PARAM_NAMES[family] if k not in params]
+def spec_from_params(family: str, params: dict, n_max: int) -> fam.FamilySpec:
+    """The point of ``family`` the parameter values give, admissible up to
+    degree n_max; a ValueError naming --params where there is none."""
+    row = fam.FAMILIES[family]
+    missing = [k for k in row.params if k not in params]
     if missing:
-        raise ValueError(f"family {family} is missing parameter {missing[0]!r}")
-    return make(*(params[k] for k in PARAM_NAMES[family]))
+        raise ValueError(f"--params: family {family} is missing parameter {missing[0]!r}")
+    try:
+        spec = row.make(*(params[k] for k in row.params))
+        fam.validate_spec(spec, n_max)
+    except fam.InadmissibleParameters as exc:
+        raise ValueError(f"--params: {exc}") from exc
+    return spec
 
 
 # ----------------------------------------------------------------------
@@ -487,7 +486,7 @@ def run_verify(args, jobs: int = 1) -> int:
         raise ValueError(f"--identity {args.identity} checks nothing on "
                          f"--family {args.family}")
     params = _parse_params(args.params)
-    extra = sorted(set(params).difference(*(PARAM_NAMES[f] for f in families)))
+    extra = sorted(set(params).difference(*(fam.FAMILIES[f].params for f in families)))
     if extra:
         raise ValueError(f"--params {extra[0]} is a parameter of no family in "
                          f"--family {args.family}")
@@ -497,7 +496,7 @@ def run_verify(args, jobs: int = 1) -> int:
     for family, idents in plan:
         try:
             if args.params:
-                specs = [spec_from_params(family, params)]
+                specs = [spec_from_params(family, params, build_n)]
             else:
                 specs = fam.sample_specs(family, args.samples, args.seed,
                                          n_max=build_n)
@@ -537,6 +536,9 @@ def run_verify(args, jobs: int = 1) -> int:
     return 1 if failed else 0
 
 
+#: the values of ``verify --family``
+FAMILY_CHOICES = (*CLI_FAMILIES, "all")
+
 #: the limit transitions ``limits --which`` tabulates
 LIMITS = ("cqjacobi-to-jacobi", "aw-to-bigq")
 
@@ -568,8 +570,7 @@ def make_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     v = sub.add_parser("verify", help="run identity checkers over a parameter grid")
-    v.add_argument("--family", default="all",
-                   choices=list(CLI_FAMILIES) + ["all"])
+    v.add_argument("--family", default="all", choices=FAMILY_CHOICES)
     v.add_argument("--identity", default="all",
                    help="identity key or 'all' (see README for the list)")
     v.add_argument("--n-max", type=int, default=10, dest="n_max")
@@ -629,13 +630,14 @@ def main(argv=None, jobs: int = 1) -> int:
             return 2
         parser = make_parser(defaults)
         args = parser.parse_args(argv)
-    if args.command == "limits":
-        # argparse checks neither presence nor choices of a config default
-        if args.which is None:
-            parser.error("the following arguments are required: --which")
-        if args.which not in LIMITS:
-            parser.error(f"argument --which: invalid choice: {args.which!r} "
-                         f"(choose from {', '.join(LIMITS)})")
+    # argparse checks neither presence nor choices of a config default
+    if args.command == "limits" and args.which is None:
+        parser.error("the following arguments are required: --which")
+    flag, value, choices = (("--which", args.which, LIMITS) if args.command == "limits"
+                            else ("--family", args.family, FAMILY_CHOICES))
+    if value not in choices:
+        parser.error(f"argument {flag}: invalid choice: {value!r} "
+                     f"(choose from {', '.join(choices)})")
     try:
         if args.command == "verify":
             return run_verify(args, jobs)

@@ -20,9 +20,11 @@ and the big q-Jacobi 3phi2 form their n-free term polynomials
 read every power of q from one table, and sum each p_n as one integer
 combination of those shared rows (:func:`aw_polynomials`,
 :func:`bigq_polynomials`, :func:`cqjacobi_polynomials`,
-:func:`cqultra_polynomials`; the single-degree functions are views of
-them).  Prefactors, norms and recurrence coefficients are running
-products over n.
+:func:`cqultra_polynomials`).  Prefactors, norms and recurrence
+coefficients are running products over n.
+
+Each family is one row of :data:`FAMILIES`: parameter names, constructor,
+sampler draw, admissibility check and builder.
 
 Each FamilyData also owns the point's operators L and D, its derived
 second-order q-difference equation, the expansions of x^0 .. x^(n_max+1)
@@ -43,7 +45,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, prod
 from operator import mul
-from typing import Mapping, NamedTuple, Sequence, Union
+from typing import Callable, Mapping, NamedTuple, Sequence, Union
 
 from .laurent import SPACES, SymLaurentPoly, XPoly, combine, sym_to_x
 
@@ -84,9 +86,7 @@ class FamilySpec(NamedTuple):
 
     @property
     def q(self) -> Fraction:
-        if "q" in self.params:
-            return self.params["q"]
-        raise KeyError(f"family {self.family} carries no q")
+        return self.params["q"]
 
     def qpow(self, e: Rat) -> Fraction:
         """q**e as an exact rational, via the base scale."""
@@ -139,23 +139,17 @@ def cqjacobi_spec(alpha: Rat, beta: Rat, s: Rat, embedding: int = 49) -> FamilyS
                       base=sv, base_exp=4)
 
 
-def cqultra_spec(u: Rat, s: Rat, m: int = 4) -> FamilySpec:
-    """Continuous q-ultraspherical with t = u^2 (so t^(1/2) stays rational).
-
-    The base convention is q = s^m with m = 4 or 2.  m = 4 makes q^(1/4)
-    rational, enabling the four-parameter restriction and the explicit
-    second-order operator; m = 2 covers points like q = 1/4 where only
-    q^(1/2) is needed (recurrence construction, D rebuilt from L).
-    """
+def cqultra_spec(u: Rat, s: Rat) -> FamilySpec:
+    """Continuous q-ultraspherical with t = u^2 (so t^(1/2) stays rational)
+    at q = s^4, so that q^(1/4), which the four-parameter restriction and
+    the explicit second-order operator need, is the power s of the base."""
     uv, sv = Fraction(u), Fraction(s)
-    if m not in (2, 4):
-        raise InadmissibleParameters("base exponent must be 2 or 4")
     if not (0 < abs(uv) < 1):
         raise InadmissibleParameters("u must satisfy 0 < |u| < 1")
     if not (0 < sv < 1):
         raise InadmissibleParameters("base scale s must lie in (0,1)")
-    return FamilySpec(CQU, {"q": sv ** m, "t": uv * uv, "u": uv},
-                      base=sv, base_exp=m)
+    return FamilySpec(CQU, {"q": sv ** 4, "t": uv * uv, "u": uv},
+                      base=sv, base_exp=4)
 
 
 def bigq_spec(a: Rat, b: Rat, c: Rat, q: Rat) -> FamilySpec:
@@ -181,9 +175,6 @@ def cqjacobi_aw_spec(spec: FamilySpec, embedding: int = 49) -> FamilySpec:
 
 def cqultra_aw_spec(spec: FamilySpec) -> FamilySpec:
     """AW quadruple (t^(1/2), -t^(1/2), q^(1/4), -q^(1/4)) at base q^(1/2)."""
-    if spec.base_exp != 4:
-        raise InadmissibleParameters(
-            "the four-parameter restriction needs q^(1/4), i.e. base q = s^4")
     s, u = spec.base, spec.params["u"]
     return aw_spec(u, -u, s, -s, s=s, m=2)
 
@@ -194,34 +185,30 @@ def cqultra_aw_spec(spec: FamilySpec) -> FamilySpec:
 
 def validate_spec(spec: FamilySpec, n_max: int = 16) -> None:
     """Reject parameter points that break any denominator up to degree n_max."""
-    if spec.family == JACOBI:
-        al, be = spec.params["alpha"], spec.params["beta"]
-        if al <= -1 or be <= -1:
-            raise InadmissibleParameters("alpha and beta must exceed -1")
-        return
-    q = spec.q
-    if not (0 < q < 1):
+    q = spec.params.get("q")
+    if q is not None and not (0 < q < 1):
         raise InadmissibleParameters("q must lie in (0,1)")
-    if spec.family == AW:
-        _validate_aw(spec.params, n_max)
-        # only the Askey-Wilson family itself reads B_0 from the closed
-        # form, which divides by 1 - abcd q^-2
-        if prod(spec.params[k] for k in "abcd") == q * q:
-            raise InadmissibleParameters("abcd = q^2 leaves B_0 undefined")
-    elif spec.family in (CQJ49, CQJ09):
-        _validate_aw(cqjacobi_aw_spec(spec, 49).params, n_max)
-        _validate_aw(cqjacobi_aw_spec(spec, 9).params, n_max)
-    elif spec.family == CQU:
-        if spec.base_exp == 4:
-            _validate_aw(cqultra_aw_spec(spec).params, n_max)
-        # with q, t in (0,1) every denominator 1 - t q^n is automatically safe
-    elif spec.family == BIGQ:
-        a, b, c = (spec.params[k] for k in "abc")
-        for n in range(1, n_max + 2):
-            if a * q ** n == 1 or c * q ** n == -1 or a * b * q ** n == 1:
-                raise InadmissibleParameters(f"degenerate denominator at n={n}")
-    else:
-        raise ValueError(f"unknown family {spec.family}")
+    FAMILIES[spec.family].check(spec, n_max)
+
+
+def _check_aw(spec: FamilySpec, n_max: int) -> None:
+    _validate_aw(spec.params, n_max)
+    # only the Askey-Wilson family itself reads B_0 from the closed form,
+    # which divides by 1 - abcd q^-2
+    if prod(spec.params[k] for k in "abcd") == spec.q ** 2:
+        raise InadmissibleParameters("abcd = q^2 leaves B_0 undefined")
+
+
+def _check_cqjacobi(spec: FamilySpec, n_max: int) -> None:
+    _validate_aw(cqjacobi_aw_spec(spec, 49).params, n_max)
+    _validate_aw(cqjacobi_aw_spec(spec, 9).params, n_max)
+
+
+def _check_bigq(spec: FamilySpec, n_max: int) -> None:
+    a, b, c, q = (spec.params[k] for k in "abcq")
+    for n in range(1, n_max + 2):
+        if a * q ** n == 1 or c * q ** n == -1 or a * b * q ** n == 1:
+            raise InadmissibleParameters(f"degenerate denominator at n={n}")
 
 
 def _validate_aw(params: Mapping[str, Fraction], n_max: int) -> None:
@@ -323,10 +310,6 @@ def aw_polynomials(hi: int, spec: FamilySpec, scale=None) -> list:
     return _aw_phi43s(hi, a, *_aw_tables(a, b, c, d, q, hi), scale)
 
 
-def aw_polynomial(n: int, spec: FamilySpec) -> SymLaurentPoly:
-    return aw_polynomials(n, spec)[n]
-
-
 def bigq_polynomials(hi: int, spec: FamilySpec) -> list:
     """3phi2(q^-n, abq^(n+1), x; aq, -cq; q, q), degree n in x, for n = 0..hi.
 
@@ -354,10 +337,6 @@ def bigq_polynomials(hi: int, spec: FamilySpec) -> list:
     return out
 
 
-def bigq_polynomial(n: int, spec: FamilySpec) -> XPoly:
-    return bigq_polynomials(n, spec)[n]
-
-
 def cqjacobi_polynomials(hi: int, spec: FamilySpec, embedding: int = 49) -> list:
     """Continuous q-Jacobi p_0 .. p_hi through the Askey-Wilson embedding
     (49 or 9): each is the restricted 4phi3 times
@@ -381,10 +360,6 @@ def cqjacobi_polynomials(hi: int, spec: FamilySpec, embedding: int = 49) -> list
     return aw_polynomials(hi, cqjacobi_aw_spec(spec, embedding), scale)
 
 
-def cqjacobi_polynomial(n: int, spec: FamilySpec, embedding: int = 49) -> SymLaurentPoly:
-    return cqjacobi_polynomials(n, spec, embedding)[n]
-
-
 def cqultra_polynomials(hi: int, spec: FamilySpec) -> list:
     """Continuous q-ultraspherical p_0 .. p_hi through the four-parameter
     restriction: each is the restricted 4phi3 times
@@ -404,10 +379,6 @@ def cqultra_polynomials(hi: int, spec: FamilySpec) -> list:
     return aw_polynomials(hi, cqultra_aw_spec(spec), scale)
 
 
-def cqultra_polynomial(n: int, spec: FamilySpec) -> SymLaurentPoly:
-    return cqultra_polynomials(n, spec)[n]
-
-
 # ----------------------------------------------------------------------
 # family data
 # ----------------------------------------------------------------------
@@ -418,7 +389,6 @@ class _FamilyFields(NamedTuple):
     n_max: int
     polys: tuple                     # native polynomials, 0 .. n_max+1
     polys_x: tuple                   # the same in x coordinates
-    k: tuple                         # leading x-coefficients, 0 .. n_max+1
     A: tuple                         # 0 .. n_max
     B: tuple
     C: tuple                         # C_0 = 0 by convention
@@ -439,6 +409,11 @@ class FamilyData(_FamilyFields):
     @property
     def family(self) -> str:
         return self.spec.family
+
+    @property
+    def k(self) -> tuple:
+        """The leading x-coefficients k_0 .. k_(n_max+1)."""
+        return tuple(p.coeff(p.degree) for p in self.polys_x)
 
     # The point's operators and derived equation: built on first use, kept
     # in the instance dict, and so dropped with the FamilyData.  The
@@ -547,10 +522,6 @@ def _polys_from_recurrence(A, B, C, n_hi, space):
     return polys
 
 
-def _leading_k(polys_x) -> tuple:
-    return tuple(p.coeff(p.degree) for p in polys_x)
-
-
 def _norms_recursive(A, C, n_hi) -> tuple:
     h = [Fraction(1)]
     for n in range(1, n_hi + 1):
@@ -657,17 +628,7 @@ def cqultra_coefficients(n: int, spec: FamilySpec):
 
 def build_family(spec: FamilySpec, n_max: int) -> FamilyData:
     validate_spec(spec, n_max)
-    if spec.family == AW:
-        return _build_aw(spec, n_max)
-    if spec.family == JACOBI:
-        return _build_jacobi(spec, n_max)
-    if spec.family in (CQJ49, CQJ09):
-        return _build_cqjacobi(spec, n_max)
-    if spec.family == CQU:
-        return _build_cqultra(spec, n_max)
-    if spec.family == BIGQ:
-        return _build_bigq(spec, n_max)
-    raise ValueError(f"unknown family {spec.family}")
+    return FAMILIES[spec.family].build(spec, n_max)
 
 
 def _build_aw(spec, n_max):
@@ -678,7 +639,7 @@ def _build_aw(spec, n_max):
     polys_x = tuple(sym_to_x(p) for p in polys)
     A, B, hs, lam, gamma = _aw_coefficients(n_max, a, b, c, d, qp, w, g)
     C = (Fraction(0),) + tuple(A[n - 1] * hs[n] / hs[n - 1] for n in range(1, n_max + 1))
-    return FamilyData(spec, "sym", n_max, polys, polys_x, _leading_k(polys_x),
+    return FamilyData(spec, "sym", n_max, polys, polys_x,
                       tuple(A), tuple(B), C, tuple(hs), tuple(lam), tuple(gamma))
 
 
@@ -691,7 +652,7 @@ def _build_jacobi(spec, n_max):
     polys = tuple(_polys_from_recurrence(A, B, C, hi, "x"))
     lam = tuple(c[3] for c in coef)
     gamma = tuple(c[4] for c in coef[:n_max + 1])
-    return FamilyData(spec, "x", n_max, polys, polys, _leading_k(polys),
+    return FamilyData(spec, "x", n_max, polys, polys,
                       A[:n_max + 1], B[:n_max + 1], C[:n_max + 1],
                       _norms_recursive(A, C, n_max), lam, gamma)
 
@@ -701,7 +662,6 @@ def _build_cqjacobi(spec, n_max):
     embedding = 49 if spec.family == CQJ49 else 9
     polys = tuple(cqjacobi_polynomials(hi, spec, embedding))
     polys_x = tuple(sym_to_x(p) for p in polys)
-    k = _leading_k(polys_x)
     AC = [cqjacobi_AC(n, spec) for n in range(n_max + 1)]
     A = tuple(v[0] for v in AC)
     C = tuple(v[1] for v in AC)
@@ -712,29 +672,24 @@ def _build_cqjacobi(spec, n_max):
     lam = tuple(2 * (s ** (-2 * n) - 1) * (1 - s ** (2 * n + ea + eb + 2))
                 / (1 - s ** (-2)) for n in range(hi + 1))
     gamma = tuple(cqjacobi_gamma(n, spec) for n in range(n_max + 1))
-    return FamilyData(spec, "sym", n_max, polys, polys_x, k, A, B, C,
+    return FamilyData(spec, "sym", n_max, polys, polys_x, A, B, C,
                       _norms_recursive(A, C, n_max), lam, gamma)
 
 
 def _build_cqultra(spec, n_max):
     hi = n_max + 1
-    coef = [cqultra_coefficients(n, spec) for n in range(hi + 1)]
+    coef = [cqultra_coefficients(n, spec) for n in range(n_max + 1)]
     A = tuple(v[0] for v in coef)
     B = tuple(v[1] for v in coef)
     C = tuple(v[2] for v in coef)
-    if spec.base_exp == 4:
-        polys = tuple(cqultra_polynomials(hi, spec))
-    else:
-        # q^(1/4) is not available at base q = s^2; the recurrence is
-        polys = tuple(_polys_from_recurrence(A, B, C, hi, "sym"))
+    polys = tuple(cqultra_polynomials(hi, spec))
     polys_x = tuple(sym_to_x(p) for p in polys)
     t = spec.params["t"]
     qh = spec.qpow(Fraction(1, 2))                 # q^(1/2)
     lam = tuple(2 * (qh ** (-n) - 1) * (1 - t * qh ** n)
                 / (1 - 1 / qh) for n in range(hi + 1))
     gamma = tuple(2 * (t * qh ** (n + 1) - qh ** (-n)) for n in range(n_max + 1))
-    return FamilyData(spec, "sym", n_max, polys, polys_x, _leading_k(polys_x),
-                      A[:n_max + 1], B[:n_max + 1], C[:n_max + 1],
+    return FamilyData(spec, "sym", n_max, polys, polys_x, A, B, C,
                       _norms_recursive(A, C, n_max), lam, gamma)
 
 
@@ -743,7 +698,6 @@ def _build_bigq(spec, n_max):
 
     hi = n_max + 1
     polys = tuple(bigq_polynomials(hi, spec))
-    k = _leading_k(polys)
     ABC = [_recurrence_row(polys, n) for n in range(n_max + 1)]
     A = tuple(v[0] for v in ABC)
     B = tuple(v[1] for v in ABC)
@@ -756,7 +710,7 @@ def _build_bigq(spec, n_max):
     lam = [Fraction(0)]
     for n in range(hi):
         lam.append(lam[-1] + gamma[n])
-    return FamilyData(spec, "x", n_max, polys, polys, k, A, B, C,
+    return FamilyData(spec, "x", n_max, polys, polys, A, B, C,
                       _norms_recursive(A, C, n_max), tuple(lam),
                       tuple(gamma[:n_max + 1]))
 
@@ -806,28 +760,60 @@ def _rat_signed(rng: random.Random, den_max: int = 8) -> Fraction:
     return -v if rng.random() < 0.5 else v
 
 
-def draw_spec(family: str, rng: random.Random) -> FamilySpec:
-    if family == AW:
-        return aw_spec(_rat_signed(rng), _rat_signed(rng), _rat_signed(rng),
-                       _rat_signed(rng), q=_rat01(rng))
-    if family == JACOBI:
-        return jacobi_spec(rng.randrange(0, 3) - 1 + _rat01(rng, 6),
-                           rng.randrange(0, 3) - 1 + _rat01(rng, 6))
-    if family in (CQJ49, CQJ09, CQJ):
-        emb = 49 if family != CQJ09 else 9
-        return cqjacobi_spec(rng.choice(_HALF_GRID), rng.choice(_HALF_GRID),
-                             _rat01(rng, 5), embedding=emb)
-    if family == CQU:
-        return cqultra_spec(_rat_signed(rng, 6), _rat01(rng, 5))
-    if family == BIGQ:
-        return bigq_spec(_rat01(rng), _rat01(rng), _rat01(rng), _rat01(rng))
-    raise ValueError(f"unknown family {family}")
+# ----------------------------------------------------------------------
+# the family table
+# ----------------------------------------------------------------------
+
+class Family(NamedTuple):
+    """One family: its ``--params`` names, the constructor that takes them in
+    that order, the sampler's draw (the order of its rng calls fixes the
+    sampled points), the check after the shared 0 < q < 1, and the builder."""
+
+    params: tuple
+    make: Callable                   # *params -> FamilySpec
+    draw: Callable                   # rng -> FamilySpec
+    check: Callable                  # (spec, n_max); raises InadmissibleParameters
+    build: Callable                  # (spec, n_max) -> FamilyData
+
+
+#: every family by name: the command-line names, and both continuous
+#: q-Jacobi embeddings under the command-line row
+FAMILIES = {
+    AW: Family(
+        ("a", "b", "c", "d", "q"), lambda a, b, c, d, q: aw_spec(a, b, c, d, q=q),
+        lambda rng: aw_spec(_rat_signed(rng), _rat_signed(rng), _rat_signed(rng),
+                            _rat_signed(rng), q=_rat01(rng)),
+        _check_aw, _build_aw),
+    # jacobi_spec, the only way to a Jacobi point, rejects alpha, beta <= -1
+    JACOBI: Family(
+        ("alpha", "beta"), jacobi_spec,
+        lambda rng: jacobi_spec(rng.randrange(0, 3) - 1 + _rat01(rng, 6),
+                                rng.randrange(0, 3) - 1 + _rat01(rng, 6)),
+        lambda spec, n_max: None, _build_jacobi),
+    CQJ: Family(
+        ("alpha", "beta", "s"), cqjacobi_spec,
+        lambda rng: cqjacobi_spec(rng.choice(_HALF_GRID), rng.choice(_HALF_GRID),
+                                  _rat01(rng, 5)),
+        _check_cqjacobi, _build_cqjacobi),
+    # with q, t in (0,1) every denominator 1 - t q^n of the recurrence is safe
+    CQU: Family(
+        ("u", "s"), cqultra_spec,
+        lambda rng: cqultra_spec(_rat_signed(rng, 6), _rat01(rng, 5)),
+        lambda spec, n_max: _validate_aw(cqultra_aw_spec(spec).params, n_max),
+        _build_cqultra),
+    BIGQ: Family(
+        ("a", "b", "c", "q"), bigq_spec,
+        lambda rng: bigq_spec(_rat01(rng), _rat01(rng), _rat01(rng), _rat01(rng)),
+        _check_bigq, _build_bigq),
+}
+FAMILIES[CQJ49] = FAMILIES[CQJ09] = FAMILIES[CQJ]
 
 
 def sample_specs(family: str, count: int, seed: int, n_max: int = 16):
     """Deterministically draw distinct admissible parameter points."""
     # string seeds hash deterministically across processes (unlike tuples)
     rng = random.Random(f"{seed}:{family}")
+    row = FAMILIES[family]
     out = []
     seen = set()
     guard = 0
@@ -836,7 +822,7 @@ def sample_specs(family: str, count: int, seed: int, n_max: int = 16):
         if guard > 500 * count:
             raise RuntimeError("sampler failed to find admissible parameters")
         try:
-            spec = draw_spec(family, rng)
+            spec = row.draw(rng)
             validate_spec(spec, n_max)
         except InadmissibleParameters:
             continue

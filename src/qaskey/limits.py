@@ -19,8 +19,9 @@ import sys
 from fractions import Fraction
 from typing import NamedTuple
 
-from .families import (FamilySpec, aw_spec, bigq_polynomial, bigq_spec, build_family,
-                       cqjacobi_polynomial, cqjacobi_spec, jacobi_spec)
+from .families import (FamilySpec, aw_polynomials, aw_spec, bigq_polynomials, bigq_spec,
+                       build_family, cqjacobi_polynomials, cqjacobi_spec, jacobi_spec,
+                       validate_spec)
 from .laurent import x_to_sym
 from .operators import cqjacobi_L, jacobi_L
 from .qcalc import q_pochhammer_multi
@@ -67,7 +68,7 @@ def limit_cqjacobi_to_jacobi(alpha: int, beta: int, n: int, k_range=range(3, 13)
     rows = []
     for k in k_range:
         spec = cqjacobi_spec(alpha, beta, 1 - Fraction(1, 2) ** (k + 2))
-        got = cqjacobi_L(spec)(cqjacobi_polynomial(n, spec)).scale(2 / (1 - spec.q))
+        got = cqjacobi_L(spec)(cqjacobi_polynomials(n, spec)[n]).scale(2 / (1 - spec.q))
         dev = max(abs(got.coeff(j) - target.coeff(j)) for j in range(n + 2))
         rows.append((k, spec.q, dev / scale))
     return _attach_ratios(rows)
@@ -85,11 +86,10 @@ def rescaled_aw_laurent(a, b, c, q, eps, n):
     """eps^n / (aq, -cq, -eps^2 b/c; q)_n * p_n[x/eps] as a Laurent
     polynomial in x; converges coefficient-wise to the big q-Jacobi
     polynomial (negative powers of x die out)."""
-    from .families import aw_polynomial, validate_spec
     spec = _aw_eps_spec(a, b, c, q, eps)
     validate_spec(spec, n)
     m = eps ** n / q_pochhammer_multi((a * q, -c * q, -eps * eps * b / c), q, n)
-    return aw_polynomial(n, spec).to_laurent().dilate(1 / eps).scale(m)
+    return aw_polynomials(n, spec)[n].to_laurent().dilate(1 / eps).scale(m)
 
 
 def limit_aw_to_bigq(a, b, c, q, n, eps_ks=range(4, 12)):
@@ -98,7 +98,7 @@ def limit_aw_to_bigq(a, b, c, q, n, eps_ks=range(4, 12)):
     coefficients rescaled by sigma(eps) = -eps/(a c q^2)."""
     a, b, c, q = Fraction(a), Fraction(b), Fraction(c), Fraction(q)
     spec = bigq_spec(a, b, c, q)
-    target = bigq_polynomial(n, spec)
+    target = bigq_polynomials(n, spec)[n]
     if n >= 1:
         tplus, tminus = _explicit_coeffs(spec, n)
     rows = []

@@ -315,24 +315,18 @@ def d_from_l(L: PolyOperator) -> PolyOperator:
     return PolyOperator(act, L.space, 0, f"D_from({L.name})")
 
 
+#: each family's (L, explicit D), with None where D is rebuilt from L
+_OPERATORS = {AW: (aw_L, aw_D), JACOBI: (jacobi_L, jacobi_D),
+              CQJ49: (cqjacobi_L, cqjacobi_D), CQJ09: (cqjacobi_L, cqjacobi_D),
+              CQU: (cqultra_L, cqultra_D), BIGQ: (bigq_L, None)}
+
+
 def family_L(spec: FamilySpec) -> PolyOperator:
-    return {AW: aw_L, JACOBI: jacobi_L, CQJ49: cqjacobi_L,
-            CQJ09: cqjacobi_L, CQU: cqultra_L, BIGQ: bigq_L}[spec.family](spec)
+    return _OPERATORS[spec.family][0](spec)
 
 
-def family_D(spec: FamilySpec, L: PolyOperator | None = None) -> PolyOperator:
-    """The explicit symmetric operator, or its reconstruction from L (the
-    given operator, else a fresh ``family_L(spec)``)."""
-    table = {AW: aw_D, JACOBI: jacobi_D, CQJ49: cqjacobi_D,
-             CQJ09: cqjacobi_D, CQU: cqultra_D}
-    if has_explicit_D(spec):
-        return table[spec.family](spec)
-    return d_from_l(L if L is not None else family_L(spec))
-
-
-def has_explicit_D(spec: FamilySpec) -> bool:
-    if spec.family == BIGQ:
-        return False
-    if spec.family == CQU and spec.base_exp != 4:
-        return False        # the explicit operator needs q^(1/4)
-    return True
+def family_D(spec: FamilySpec, L: PolyOperator) -> PolyOperator:
+    """The explicit symmetric operator, or its reconstruction from the
+    point's L."""
+    explicit = _OPERATORS[spec.family][1]
+    return d_from_l(L) if explicit is None else explicit(spec)

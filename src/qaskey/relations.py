@@ -718,10 +718,12 @@ class _QDiffSpace(NamedTuple):
 
 
 #: per space: on the symmetric side C = A(1/z) and E is symmetric, so
-#: A_j stands at z^j in A and z^-j in C, and E_k at z^k and z^-k
+#: A_j stands at z^j in A and z^-j in C, and E_k at z^k and z^-k.  Where two
+#: Askey-Wilson parameters are sqrt(q) and -sqrt(q), 1 - q z^2 cancels from
+#: the equation and degrees 4 and 5 leave several; degree 3 or 2 gives one.
 _QDIFF_SPACES = {
     "sym": _QDiffSpace(
-        SymLaurentPoly.to_laurent, LaurentPoly.dilate, LaurentPoly, (4, 5),
+        SymLaurentPoly.to_laurent, LaurentPoly.dilate, LaurentPoly, (4, 5, 3, 2),
         lambda w: ([(("A", j), ("C", -j)) for j in range(-w, w + 1)],
                    [tuple(("E", e) for e in {k, -k}) for k in range(w + 1)])),
     "x": _QDiffSpace(
@@ -844,40 +846,26 @@ def _eigen_rays(basis, nA, nE):
     v1, v2 = basis
     f1 = (v1[nA:nA + nE], v2[nA:nA + nE])
     f2 = (v1[nA + nE:nA + 2 * nE], v2[nA + nE:nA + 2 * nE])
-
-    def minors(t=None, at_infinity=False):
-        out = []
-        for i in range(nE):
-            for j in range(i + 1, nE):
-                if at_infinity:
-                    out.append(f2[1][i] * f1[1][j] - f2[1][j] * f1[1][i])
-                else:
-                    a = (f2[0][i] + t * f2[1][i]) * (f1[0][j] + t * f1[1][j])
-                    b = (f2[0][j] + t * f2[1][j]) * (f1[0][i] + t * f1[1][i])
-                    out.append(a - b)
-        return out
-
-    # each minor is a quadratic in t; collect candidate rational roots
+    # along v1 + t v2 each 2x2 minor of (F_2, F_1) is c2 t^2 + c1 t + c0;
+    # the ray at infinity (v2) is the one where every c2 vanishes
+    minors = [(f2[1][i] * f1[1][j] - f2[1][j] * f1[1][i],
+               f2[0][i] * f1[1][j] + f2[1][i] * f1[0][j]
+               - f2[0][j] * f1[1][i] - f2[1][j] * f1[0][i],
+               f2[0][i] * f1[0][j] - f2[0][j] * f1[0][i])
+              for i in range(nE) for j in range(i + 1, nE)]
     candidates = set()
-    for i in range(nE):
-        for j in range(i + 1, nE):
-            c2 = f2[1][i] * f1[1][j] - f2[1][j] * f1[1][i]
-            c1 = (f2[0][i] * f1[1][j] + f2[1][i] * f1[0][j]
-                  - f2[0][j] * f1[1][i] - f2[1][j] * f1[0][i])
-            c0 = f2[0][i] * f1[0][j] - f2[0][j] * f1[0][i]
-            if c2 == 0:
-                if c1 != 0:
-                    candidates.add(-c0 / c1)
-                continue
-            root = _rational_sqrt(c1 * c1 - 4 * c2 * c0)
-            if root is not None:
-                candidates.add((-c1 + root) / (2 * c2))
-                candidates.add((-c1 - root) / (2 * c2))
-    rays = []
-    for t in sorted(candidates):
-        if all(m == 0 for m in minors(t)):
-            rays.append([a + t * b for a, b in zip(v1, v2)])
-    if all(m == 0 for m in minors(at_infinity=True)):
+    for c2, c1, c0 in minors:
+        if c2 == 0:
+            if c1 != 0:
+                candidates.add(-c0 / c1)
+            continue
+        root = _rational_sqrt(c1 * c1 - 4 * c2 * c0)
+        if root is not None:
+            candidates.add((-c1 + root) / (2 * c2))
+            candidates.add((-c1 - root) / (2 * c2))
+    rays = [[a + t * b for a, b in zip(v1, v2)] for t in sorted(candidates)
+            if all((c2 * t + c1) * t + c0 == 0 for c2, c1, c0 in minors)]
+    if all(c2 == 0 for c2, _, _ in minors):
         rays.append(list(v2))
     return rays
 

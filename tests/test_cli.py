@@ -18,6 +18,17 @@ def run(argv):
     return cli.main(argv)
 
 
+def no_solution_in_qdiff_derive(monkeypatch):
+    """Make qdiff-derive's checker raise NoSolution, as a derivation that
+    finds no unique equation at a point does."""
+    fams, check = cli.IDENTITIES["qdiff-derive"]
+
+    def fn(fd, degrees, perturb=None):
+        raise rel.NoSolution("ansatz degree 5 leaves a 4-dim space")
+
+    monkeypatch.setitem(cli.IDENTITIES, "qdiff-derive", (fams, check._replace(fn=fn)))
+
+
 class TestVerify:
     def test_single_point_chain(self, tmp_path, capsys):
         rep = tmp_path / "r.json"
@@ -199,10 +210,24 @@ class TestVerify:
     def test_abcd_equal_q_squared_rejected(self, capsys):
         # abcd = (1/6)^2 = q^2: the closed form of B_0 would divide by zero
         assert run(["verify", "--params", "a=-1/2,b=-1/3,c=-1/2,d=-1/3,q=1/6"]) == 2
-        assert "error: abcd = q^2" in capsys.readouterr().err
+        assert "error: --params: abcd = q^2" in capsys.readouterr().err
 
-    def test_raising_checker_is_a_recorded_failure(self, tmp_path, capsys):
-        # two of a, b, c, d are sqrt(q) and -sqrt(q): the derivation raises NoSolution
+    @pytest.mark.parametrize("family,params,reason", [
+        ("askey-wilson", "a=0,b=1/4,c=1/5,d=1/6,q=1/2", "zero Askey-Wilson parameter"),
+        ("jacobi", "alpha=-1,beta=0", "alpha and beta must exceed -1"),
+        ("big-q-jacobi", "a=2,b=1/4,c=1/5,q=1/2", "degenerate denominator at n=1"),
+        ("continuous-q-jacobi", "alpha=1,beta=2", "missing parameter 's'"),
+    ], ids=["zero-a", "alpha-minus-one", "aq-one", "missing-s"])
+    def test_bad_point_names_the_flag(self, family, params, reason, tmp_path, capsys):
+        rep = tmp_path / "r.json"
+        assert run(["verify", "--family", family, "--identity", "eq28",
+                    "--params", params, "--report", str(rep)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --params: ") and reason in err
+        assert not rep.exists()
+
+    def test_raising_checker_is_a_recorded_failure(self, tmp_path, capsys, monkeypatch):
+        no_solution_in_qdiff_derive(monkeypatch)
         rep = tmp_path / "r.json"
         code = run(["verify", "--family", "askey-wilson", "--identity", "qdiff-derive",
                     "--params", "a=-4/5,b=-1/2,c=-1/2,d=1/2,q=1/4",
@@ -347,6 +372,15 @@ class TestConfig:
         cfg.write_text(line + "\n")
         assert run(["verify", "--config", str(cfg)]) == 2
         assert name in capsys.readouterr().err
+
+    def test_bad_family_in_config_names_the_flag(self, tmp_path, capsys):
+        cfg, rep = tmp_path / "f.cfg", tmp_path / "r.json"
+        cfg.write_text(f"family=foo\nreport={rep}\n")
+        with pytest.raises(SystemExit) as exc:
+            run(["verify", "--config", str(cfg)])
+        assert exc.value.code == 2
+        assert "argument --family: invalid choice: 'foo'" in capsys.readouterr().err
+        assert not rep.exists()
 
     def test_config_serves_both_subcommands(self, tmp_path):
         # limits keys in a file read by verify, and verify keys read by limits
@@ -528,14 +562,15 @@ class TestReportBytes:
         assert hashlib.sha256(rep.read_bytes()).hexdigest() == self.HIGH_DEGREE_DIGEST
 
     # sha256 of the report and the CSV of a recorded failure: an error
-    # entry (n null, residual with no coefficients) at an Askey-Wilson
-    # point where the qdiff derivation has no unique solution
+    # entry (n null, residual with no coefficients) where the qdiff
+    # derivation raises NoSolution at an Askey-Wilson point
     FAILING = ["verify", "--family", "askey-wilson", "--identity", "qdiff-derive",
                "--params", "a=-4/5,b=-1/2,c=-1/2,d=1/2,q=1/4", "--no-timestamp"]
     FAILING_DIGEST = "57049761410c1ca635a0bf6ab22c4c8b0457eacc3e6ee6eb0e8af96f7c67019a"
     FAILING_CSV_DIGEST = "b91c73291d7261e1fa614a4b5c6630433067b1110713a6dfaae83ab3dc825d2d"
 
-    def test_failing_report_digest(self, tmp_path, capsys):
+    def test_failing_report_digest(self, tmp_path, capsys, monkeypatch):
+        no_solution_in_qdiff_derive(monkeypatch)
         rep, csvp = tmp_path / "fail.json", tmp_path / "fail.csv"
         assert run([*self.FAILING, "--report", str(rep), "--csv", str(csvp)]) == 1
         assert hashlib.sha256(rep.read_bytes()).hexdigest() == self.FAILING_DIGEST

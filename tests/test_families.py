@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from qaskey import cli
 from qaskey import families as fam
 from qaskey.laurent import SymLaurentPoly, XPoly, sym_to_x
 
@@ -18,7 +19,7 @@ def aw_fd():
 class TestAskeyWilson:
     def test_p0(self):
         spec = fam.aw_spec(**AW_SAMPLE)
-        assert fam.aw_polynomial(0, spec) == SymLaurentPoly([1])
+        assert fam.aw_polynomials(0, spec)[0] == SymLaurentPoly([1])
 
     def test_leading_coefficient_p1(self, aw_fd):
         abcd = AW_SAMPLE["a"] * AW_SAMPLE["b"] * AW_SAMPLE["c"] * AW_SAMPLE["d"]
@@ -110,15 +111,11 @@ class TestJacobi:
 class TestContinuousQJacobi:
     def test_embeddings_agree(self):
         spec = fam.cqjacobi_spec(1, 2, F(1, 2))
-        for n in range(9):
-            assert fam.cqjacobi_polynomial(n, spec, 49) == \
-                fam.cqjacobi_polynomial(n, spec, 9)
+        assert fam.cqjacobi_polynomials(8, spec, 49) == fam.cqjacobi_polynomials(8, spec, 9)
 
     def test_embeddings_agree_half_integer(self):
         spec = fam.cqjacobi_spec(F(1, 2), F(3, 2), F(2, 5))
-        for n in range(6):
-            assert fam.cqjacobi_polynomial(n, spec, 49) == \
-                fam.cqjacobi_polynomial(n, spec, 9)
+        assert fam.cqjacobi_polynomials(5, spec, 49) == fam.cqjacobi_polynomials(5, spec, 9)
 
     def test_p0_and_degree(self):
         spec = fam.cqjacobi_spec(0, 0, F(1, 2))
@@ -173,8 +170,8 @@ class TestContinuousQUltraspherical:
 class TestBigQJacobi:
     def test_value_at_one(self):
         spec = fam.bigq_spec(F(1, 3), F(1, 4), F(1, 5), F(1, 2))
-        for n in range(9):
-            assert fam.bigq_polynomial(n, spec)(1) == 1
+        for p in fam.bigq_polynomials(8, spec):
+            assert p(1) == 1
 
     def test_p1_two_term_sum(self):
         # oracle: 1 + (q^-1;q)_1 (abq^2;q)_1 (x;q)_1 q / ((aq;q)_1 (-cq;q)_1 (q;q)_1)
@@ -182,7 +179,7 @@ class TestBigQJacobi:
         spec = fam.bigq_spec(a, b, c, q)
         factor = (1 - 1 / q) * (1 - a * b * q ** 2) * q / ((1 - a * q) * (1 + c * q) * (1 - q))
         oracle = XPoly([1 + factor, -factor])
-        assert fam.bigq_polynomial(1, spec) == oracle
+        assert fam.bigq_polynomials(1, spec)[1] == oracle
         assert oracle == XPoly([F(-3, 44), F(47, 44)])
 
     def test_gamma_leading_slope(self):
@@ -472,17 +469,16 @@ class TestBatchBuildersAgainstOracle:
         for n in range(ORACLE_HI + 1):
             assert list(fd.polys[n].coeffs) == _naive_jacobi(n, al, be), n
 
-    def test_single_degree_wrappers(self, oracle_points):
-        hi = 8
-        aw, bq = oracle_points[fam.AW].spec, oracle_points[fam.BIGQ].spec
-        cq, cu = oracle_points["continuous-q-jacobi"].spec, oracle_points[fam.CQU].spec
-        batches = [(fam.aw_polynomial, fam.aw_polynomials(hi, aw), (aw,)),
-                   (fam.bigq_polynomial, fam.bigq_polynomials(hi, bq), (bq,)),
-                   (fam.cqultra_polynomial, fam.cqultra_polynomials(hi, cu), (cu,))]
-        for emb in (49, 9):
-            batches.append((fam.cqjacobi_polynomial,
-                            fam.cqjacobi_polynomials(hi, cq, emb), (cq, emb)))
-        for single, batch, args in batches:
-            assert len(batch) == hi + 1
-            for n in range(hi + 1):
-                assert single(n, *args) == batch[n], (single.__name__, n)
+
+class TestFamilyTable:
+    def test_rows_cover_every_family_name(self):
+        assert set(fam.FAMILIES) == {*fam.CLI_FAMILIES, fam.CQJ49, fam.CQJ09}
+        assert fam.FAMILIES[fam.CQJ49] is fam.FAMILIES[fam.CQJ09] is fam.FAMILIES[fam.CQJ]
+
+    @pytest.mark.parametrize("family", fam.CLI_FAMILIES)
+    def test_params_rebuild_the_sampled_points(self, family):
+        # the row's --params names and constructor give back every point
+        # its draw makes; s, where a family takes it, is the base scale
+        for seed in range(5):
+            for spec in fam.sample_specs(family, 3, seed, n_max=8):
+                assert cli.spec_from_params(family, {**spec.params, "s": spec.base}, 8) == spec

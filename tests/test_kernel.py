@@ -276,11 +276,15 @@ class TestNullspace:
         for rows, width in systems:
             assert real(rows, width) == ref_nullspace(rows, width)
 
-    def test_sqrt_q_pair_point_has_no_solution(self):
-        # b and d are -sqrt(q) and sqrt(q): the ansatz space stays 4-dimensional
+    def test_sqrt_q_pair_point_derives_its_eigenvalues(self):
+        # b and d are -sqrt(q) and sqrt(q): degrees 4 and 5 leave several
+        # equations, and a lower ansatz degree gives the one whose
+        # eigenvalues are those of the family
         spec = fam.aw_spec(F(-4, 5), F(-1, 2), F(-1, 2), F(1, 2), F(1, 4))
-        with pytest.raises(rel.NoSolution, match="leaves a 4-dim space"):
-            rel.derive_second_order_qdiff(fam.build_family(spec, 6))
+        fd = fam.build_family(spec, 6)
+        lam = rel.derive_second_order_qdiff(fd).lambdas
+        assert len(lam) == fd.n_max + 1
+        assert all(lam[n] * fd.lam[1] == fd.lam[n] for n in range(fd.n_max + 1))
 
 
 # -- the expansion table, the Gram pairing and the recurrence rows -----------

@@ -195,22 +195,6 @@ class TestCqUltraWeb:
         assert rep.passed
         assert (1 - q) * fd.A[0] * 2 == (1 - q ** 1) / (1 - fd.spec.params["t"] * q ** 0) * (1 - q)
 
-    def test_web_at_quarter_base(self):
-        # t = 1/4, q = 1/4 via the q = s^2 base convention; the explicit
-        # second-order operator needs q^(1/4) and is replaced by the
-        # reconstruction from L on this base
-        spec = fam.cqultra_spec(F(1, 2), F(1, 2), m=2)
-        assert spec.q == F(1, 4) and spec.params["t"] == F(1, 4)
-        fd = fam.build_family(spec, 8)
-        ns = range(1, 8)
-        reports = [rel.check_cqultra_relation(fd, ns, which)
-                   for which in ("eq51", "eq52", "eq53", "eq55", "qdiff2")]
-        for rep in reports + [rel.check_cqultra_combination(fd, ns)]:
-            assert rep.passed, rep.identity_id
-        assert rel.check_eigen(fd, range(0, 8)).passed
-        assert rel.check_commutator(fd, 8).passed
-        assert rel.check_skew_l(fd, 6).passed
-
     def test_combination_exact_constants(self, fds):
         rep = rel.check_cqultra_combination(fds[fam.CQU], NS)
         assert rep.passed
