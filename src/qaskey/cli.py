@@ -326,13 +326,14 @@ def _picklable(exc):
 def _verify_forked(tasks, build_n, args, jobs) -> list:
     """The reports of ``tasks`` in plan order, from ``jobs - 1`` forked
     workers and this process: task k runs on worker k % jobs, and this
-    process takes share 0.
+    process takes share 0.  With one job nothing is forked: that is the
+    serial run.
 
     Each child sends its share's outcomes down a pipe as one pickle.  The
-    stderr text of every task is printed in plan order, and the first
-    exception in plan order is raised after the text of every earlier
-    task, so stderr and the exit code match a serial run.  qaskey starts
-    no threads, so forking is safe.
+    stderr text of every task is printed in plan order once every share
+    has run, and the first exception in plan order is raised after the
+    text of every earlier task, so stderr and the exit code do not depend
+    on ``jobs``.  qaskey starts no threads, so forking is safe.
     """
     import pickle
 
@@ -506,11 +507,8 @@ def run_verify(args, jobs: int = 1) -> int:
             plan_error = exc
             break
         tasks += [(idents, spec) for spec in specs]
-    if jobs == 1 or len(tasks) <= 1:
-        reports = [rep for idents, spec in tasks
-                   for rep in _verify_point(idents, spec, build_n, args)]
-    else:
-        reports = _verify_forked(tasks, build_n, args, min(jobs, len(tasks)))
+    # a plan error can leave no tasks; one job forks no worker
+    reports = _verify_forked(tasks, build_n, args, max(1, min(jobs, len(tasks))))
     if plan_error is not None:
         raise plan_error
     reports = _first_per_key(reports)

@@ -13,15 +13,19 @@ degree up to a cap, the polynomial p_n together with
   gamma_n slope of the skew operator, gamma_n = lam_{n+1} - lam_n
 
 The hypergeometric families are built for every degree 0..N in one
-pass per point: the Askey-Wilson 4phi3 (and through its restrictions
-continuous q-Jacobi, both embeddings, and continuous q-ultraspherical)
-and the big q-Jacobi 3phi2 form their n-free term polynomials
-(az, a/z; q)_k or (x; q)_k and the n-free part of each term ratio once,
-read every power of q from one table, and sum each p_n as one integer
-combination of those shared rows (:func:`aw_polynomials`,
-:func:`bigq_polynomials`, :func:`cqjacobi_polynomials`,
-:func:`cqultra_polynomials`).  Prefactors, norms and recurrence
-coefficients are running products over n.
+pass per point: the Askey-Wilson 4phi3 and the big q-Jacobi 3phi2 form
+their n-free term polynomials (az, a/z; q)_k or (x; q)_k and the n-free
+part of each term ratio once, read every power of q from one table, and
+sum each p_n as one integer combination of those shared rows
+(:func:`aw_polynomials`, :func:`bigq_polynomials`).  Prefactors, norms
+and recurrence coefficients are running products over n.
+
+Continuous q-Jacobi and continuous q-ultraspherical are the Askey-Wilson
+family at a restricted point (:func:`cqjacobi_aw_spec`,
+:func:`cqultra_aw_spec`) in another normalization p_n = sigma_n P_n
+(:func:`cqjacobi_scale`, :func:`cqultra_scale`): one builder,
+:func:`_build_aw`, makes all three symmetric families, and their
+operators are the Askey-Wilson L and D at the restricted point.
 
 Each family is one row of :data:`FAMILIES`: parameter names, constructor,
 sampler draw, admissibility check and builder.
@@ -32,10 +36,9 @@ in its basis and the Gram matrix <x^i, x^j> of its monomials, each built
 on first use and dropped with the FamilyData, so every check at one
 point shares them.
 
-Families whose literature data stops at the recurrence (big q-Jacobi
-beyond the hypergeometric sum, the middle recurrence coefficient of
-continuous q-Jacobi) read the missing numbers off the top coefficients
-of x p_n and check the whole three-term relation exactly, never guess.
+Big q-Jacobi, whose literature data here stops at the hypergeometric
+sum, reads its recurrence coefficients off the top coefficients of x p_n
+and checks the whole three-term relation exactly, never guesses.
 """
 
 from __future__ import annotations
@@ -54,12 +57,11 @@ Rat = Union[int, Fraction]
 AW = "askey-wilson"
 JACOBI = "jacobi"
 CQJ49 = "continuous-q-jacobi-e49"
-CQJ09 = "continuous-q-jacobi-e09"
 CQU = "continuous-q-ultraspherical"
 BIGQ = "big-q-jacobi"
 
-#: the command-line name of continuous q-Jacobi (the two embeddings
-#: construct the same polynomials; e49 is the primary build)
+#: the command-line name of continuous q-Jacobi, whose points carry the
+#: family name CQJ49 after the embedding they are built through
 CQJ = "continuous-q-jacobi"
 
 #: families exposed on the command line
@@ -124,7 +126,7 @@ def jacobi_spec(alpha: Rat, beta: Rat) -> FamilySpec:
     return FamilySpec(JACOBI, {"alpha": al, "beta": be}, base=None, base_exp=0)
 
 
-def cqjacobi_spec(alpha: Rat, beta: Rat, s: Rat, embedding: int = 49) -> FamilySpec:
+def cqjacobi_spec(alpha: Rat, beta: Rat, s: Rat) -> FamilySpec:
     al, be, sv = Fraction(alpha), Fraction(beta), Fraction(s)
     if (2 * al).denominator != 1 or (2 * be).denominator != 1:
         raise InadmissibleParameters(
@@ -134,8 +136,7 @@ def cqjacobi_spec(alpha: Rat, beta: Rat, s: Rat, embedding: int = 49) -> FamilyS
     if al < 0 or be < 0:
         raise InadmissibleParameters(
             "alpha, beta >= 0 keeps the induced parameters inside the unit interval")
-    family = CQJ49 if embedding == 49 else CQJ09
-    return FamilySpec(family, {"alpha": al, "beta": be, "q": sv ** 4},
+    return FamilySpec(CQJ49, {"alpha": al, "beta": be, "q": sv ** 4},
                       base=sv, base_exp=4)
 
 
@@ -193,10 +194,10 @@ def validate_spec(spec: FamilySpec, n_max: int = 16) -> None:
 
 def _check_aw(spec: FamilySpec, n_max: int) -> None:
     _validate_aw(spec.params, n_max)
-    # only the Askey-Wilson family itself reads B_0 from the closed form,
-    # which divides by 1 - abcd q^-2
+    # B_0 has a cancelled form, but eq73 rebuilds the point at base q^2,
+    # where abcd = q^2 would hit an inverse power of the new base
     if prod(spec.params[k] for k in "abcd") == spec.q ** 2:
-        raise InadmissibleParameters("abcd = q^2 leaves B_0 undefined")
+        raise InadmissibleParameters("abcd = q^2 leaves eq73's rebuild at base q^2 inadmissible")
 
 
 def _check_cqjacobi(spec: FamilySpec, n_max: int) -> None:
@@ -337,11 +338,11 @@ def bigq_polynomials(hi: int, spec: FamilySpec) -> list:
     return out
 
 
-def cqjacobi_polynomials(hi: int, spec: FamilySpec, embedding: int = 49) -> list:
-    """Continuous q-Jacobi p_0 .. p_hi through the Askey-Wilson embedding
-    (49 or 9): each is the restricted 4phi3 times
-    q^((2alpha+1)n/4) / ((-q^((alpha+beta+1)/2); q^(1/2))_m (q; q)_n),
-    m = n (e49) or 2n (e09), with the prefactors as running products."""
+def cqjacobi_scale(hi: int, spec: FamilySpec, embedding: int = 49) -> list:
+    """sigma_0 .. sigma_hi with continuous q-Jacobi p_n = sigma_n P_n, P_n
+    the Askey-Wilson polynomial at ``cqjacobi_aw_spec(spec, embedding)``:
+    sigma_n = q^((2alpha+1)n/4) / ((-q^((alpha+beta+1)/2); q^(1/2))_m (q; q)_n),
+    m = n (e49) or 2n (e09), as a running product."""
     s = spec.base
     ea, eb = int(2 * spec.params["alpha"]), int(2 * spec.params["beta"])
     q, s2 = s ** 4, s * s
@@ -357,13 +358,20 @@ def cqjacobi_polynomials(hi: int, spec: FamilySpec, embedding: int = 49) -> list
             mq *= s2
         f = f * lead / den
         scale.append(f)
-    return aw_polynomials(hi, cqjacobi_aw_spec(spec, embedding), scale)
+    return scale
 
 
-def cqultra_polynomials(hi: int, spec: FamilySpec) -> list:
-    """Continuous q-ultraspherical p_0 .. p_hi through the four-parameter
-    restriction: each is the restricted 4phi3 times
-    (t; q^(1/2))_n / ((q^(1/2) t; q)_n (q; q)_n), as a running product."""
+def cqjacobi_polynomials(hi: int, spec: FamilySpec, embedding: int = 49) -> list:
+    """Continuous q-Jacobi p_0 .. p_hi through the Askey-Wilson embedding
+    (49 or 9): the restricted 4phi3 times :func:`cqjacobi_scale`."""
+    return aw_polynomials(hi, cqjacobi_aw_spec(spec, embedding),
+                          cqjacobi_scale(hi, spec, embedding))
+
+
+def cqultra_scale(hi: int, spec: FamilySpec) -> list:
+    """sigma_0 .. sigma_hi with continuous q-ultraspherical p_n = sigma_n P_n,
+    P_n the Askey-Wilson polynomial at ``cqultra_aw_spec(spec)``:
+    sigma_n = (t; q^(1/2))_n / ((q^(1/2) t; q)_n (q; q)_n), as a running product."""
     s, u = spec.base, spec.params["u"]
     t, s2 = u * u, s * s
     q = s2 * s2
@@ -376,7 +384,7 @@ def cqultra_polynomials(hi: int, spec: FamilySpec) -> list:
         tj *= s2
         sq *= q
         scale.append(f)
-    return aw_polynomials(hi, cqultra_aw_spec(spec), scale)
+    return scale
 
 
 # ----------------------------------------------------------------------
@@ -533,7 +541,9 @@ def _norms_recursive(A, C, n_hi) -> tuple:
 
 def _aw_coefficients(n_max, a, b, c, d, qp, w, g) -> tuple:
     """A_n, B_n, h_n, gamma_n (n <= n_max) and lam_n (n <= n_max + 1) from
-    the closed forms, every power of q read from the :func:`_aw_tables`:
+    the closed forms, every power of q read from the :func:`_aw_tables`
+    (B_0 in the form (e1 - e3) / (2 (1 - abcd)), where the factor
+    1 - abcd q^-2 has cancelled, so that abcd = q^2 is admissible):
 
       A_n = k_n / k_(n+1) with k_n = 2^n (abcd q^(n-1); q)_n
       B_n = q^(n-1) [e1 (q - abcd q^(n-1) - abcd q^n + abcd q^(2n))
@@ -553,13 +563,15 @@ def _aw_coefficients(n_max, a, b, c, d, qp, w, g) -> tuple:
     for n in range(n_max + 1):
         # k_(n+1) / k_n = 2 (1 - abcd q^(2n-1)) (1 - abcd q^(2n)) / (1 - abcd q^(n-1))
         A.append(w[n - 1] / (2 * w[2 * n - 1] * w[2 * n]))
-        num = (e1 * (qp[1] - abcd * qp[n - 1] - abcd * qp[n] + abcd * qp[2 * n])
-               + e3 * (1 - qp[n] - qp[n + 1] + abcd * qp[2 * n - 1]))
-        B.append(num * qp[n - 1] / (2 * w[2 * n - 2] * w[2 * n]))
         if n:
+            num = (e1 * (qp[1] - abcd * qp[n - 1] - abcd * qp[n] + abcd * qp[2 * n])
+                   + e3 * (1 - qp[n] - qp[n + 1] + abcd * qp[2 * n - 1]))
+            B.append(num * qp[n - 1] / (2 * w[2 * n - 2] * w[2 * n]))
             j = n - 1
             pochs = (pochs * (1 - qp[n]) * g[j] * (1 - bc * qp[j]) * (1 - bd * qp[j])
                      * (1 - cd * qp[j]) / w[j - 1])
+        else:
+            B.append((e1 - e3) / (2 * w[0]))
         h.append(pochs / w[2 * n - 1])
         gamma.append(2 * (abcd * qp[n] - qp[-n]))
     lam = [2 * (qp[-n] - 1) * w[n - 1] / (1 - qp[-1]) for n in range(n_max + 2)]
@@ -583,7 +595,9 @@ def jacobi_coefficients(n: int, spec: FamilySpec):
 
 
 def cqjacobi_AC(n: int, spec: FamilySpec):
-    """The recurrence end coefficients for continuous q-Jacobi (C_0 := 0)."""
+    """Continuous q-Jacobi's recurrence end coefficients (C_0 := 0) in
+    closed form, as eq59 displays them; the family data derives its own
+    from the Askey-Wilson ones (:func:`_build_aw`)."""
     s = spec.base
     al, be = spec.params["alpha"], spec.params["beta"]
     ea, eb = int(2 * al), int(2 * be)
@@ -617,13 +631,6 @@ def cqjacobi_gamma_tilde(n: int, spec: FamilySpec) -> Fraction:
     return 2 * (s ** (4 * n + 2 * ea + 2 * eb + 8) - s ** (-4 * n))
 
 
-def cqultra_coefficients(n: int, spec: FamilySpec):
-    t, q = spec.params["t"], spec.q
-    A = (1 - q ** (n + 1)) / (2 * (1 - t * q ** n))
-    C = (1 - t * t * q ** (n - 1)) / (2 * (1 - t * q ** n)) if n >= 1 else Fraction(0)
-    return A, Fraction(0), C
-
-
 # -- builders -------------------------------------------------------------
 
 def build_family(spec: FamilySpec, n_max: int) -> FamilyData:
@@ -631,13 +638,20 @@ def build_family(spec: FamilySpec, n_max: int) -> FamilyData:
     return FAMILIES[spec.family].build(spec, n_max)
 
 
-def _build_aw(spec, n_max):
+def _build_aw(spec, n_max, aw=None, scale=None):
+    """The family of ``spec`` as the Askey-Wilson family at the point ``aw``
+    (``spec`` itself by default) with p_n = scale[n] P_n (scale[0] = 1).
+    Then A_n = A_n^AW scale[n] / scale[n+1] and h_n = h_n^AW scale[n]^2;
+    B_n, lam_n and gamma_n do not depend on the normalization."""
     hi = n_max + 1
-    a, b, c, d, q = (spec.params[k] for k in "abcdq")
+    a, b, c, d, q = ((aw or spec).params[k] for k in "abcdq")
     qp, w, g = _aw_tables(a, b, c, d, q, hi)
-    polys = tuple(_aw_phi43s(hi, a, qp, w, g))
+    polys = tuple(_aw_phi43s(hi, a, qp, w, g, scale))
     polys_x = tuple(sym_to_x(p) for p in polys)
     A, B, hs, lam, gamma = _aw_coefficients(n_max, a, b, c, d, qp, w, g)
+    if scale:
+        A = [v * scale[n] / scale[n + 1] for n, v in enumerate(A)]
+        hs = [v * scale[n] ** 2 for n, v in enumerate(hs)]
     C = (Fraction(0),) + tuple(A[n - 1] * hs[n] / hs[n - 1] for n in range(1, n_max + 1))
     return FamilyData(spec, "sym", n_max, polys, polys_x,
                       tuple(A), tuple(B), C, tuple(hs), tuple(lam), tuple(gamma))
@@ -654,42 +668,6 @@ def _build_jacobi(spec, n_max):
     gamma = tuple(c[4] for c in coef[:n_max + 1])
     return FamilyData(spec, "x", n_max, polys, polys,
                       A[:n_max + 1], B[:n_max + 1], C[:n_max + 1],
-                      _norms_recursive(A, C, n_max), lam, gamma)
-
-
-def _build_cqjacobi(spec, n_max):
-    hi = n_max + 1
-    embedding = 49 if spec.family == CQJ49 else 9
-    polys = tuple(cqjacobi_polynomials(hi, spec, embedding))
-    polys_x = tuple(sym_to_x(p) for p in polys)
-    AC = [cqjacobi_AC(n, spec) for n in range(n_max + 1)]
-    A = tuple(v[0] for v in AC)
-    C = tuple(v[1] for v in AC)
-    B = tuple(_recurrence_row(polys_x, n)[1] for n in range(n_max + 1))
-    # eigenvalues of the q^(1/2)-step operator through the restriction
-    s = spec.base
-    ea, eb = int(2 * spec.params["alpha"]), int(2 * spec.params["beta"])
-    lam = tuple(2 * (s ** (-2 * n) - 1) * (1 - s ** (2 * n + ea + eb + 2))
-                / (1 - s ** (-2)) for n in range(hi + 1))
-    gamma = tuple(cqjacobi_gamma(n, spec) for n in range(n_max + 1))
-    return FamilyData(spec, "sym", n_max, polys, polys_x, A, B, C,
-                      _norms_recursive(A, C, n_max), lam, gamma)
-
-
-def _build_cqultra(spec, n_max):
-    hi = n_max + 1
-    coef = [cqultra_coefficients(n, spec) for n in range(n_max + 1)]
-    A = tuple(v[0] for v in coef)
-    B = tuple(v[1] for v in coef)
-    C = tuple(v[2] for v in coef)
-    polys = tuple(cqultra_polynomials(hi, spec))
-    polys_x = tuple(sym_to_x(p) for p in polys)
-    t = spec.params["t"]
-    qh = spec.qpow(Fraction(1, 2))                 # q^(1/2)
-    lam = tuple(2 * (qh ** (-n) - 1) * (1 - t * qh ** n)
-                / (1 - 1 / qh) for n in range(hi + 1))
-    gamma = tuple(2 * (t * qh ** (n + 1) - qh ** (-n)) for n in range(n_max + 1))
-    return FamilyData(spec, "sym", n_max, polys, polys_x, A, B, C,
                       _norms_recursive(A, C, n_max), lam, gamma)
 
 
@@ -776,8 +754,8 @@ class Family(NamedTuple):
     build: Callable                  # (spec, n_max) -> FamilyData
 
 
-#: every family by name: the command-line names, and both continuous
-#: q-Jacobi embeddings under the command-line row
+#: every family by name: the command-line names, and continuous q-Jacobi's
+#: family name CQJ49 under the command-line row
 FAMILIES = {
     AW: Family(
         ("a", "b", "c", "d", "q"), lambda a, b, c, d, q: aw_spec(a, b, c, d, q=q),
@@ -794,19 +772,22 @@ FAMILIES = {
         ("alpha", "beta", "s"), cqjacobi_spec,
         lambda rng: cqjacobi_spec(rng.choice(_HALF_GRID), rng.choice(_HALF_GRID),
                                   _rat01(rng, 5)),
-        _check_cqjacobi, _build_cqjacobi),
-    # with q, t in (0,1) every denominator 1 - t q^n of the recurrence is safe
+        _check_cqjacobi,
+        lambda spec, n_max: _build_aw(spec, n_max, cqjacobi_aw_spec(spec),
+                                      cqjacobi_scale(n_max + 1, spec))),
+    # the build reads the denominators of the restricted Askey-Wilson point
     CQU: Family(
         ("u", "s"), cqultra_spec,
         lambda rng: cqultra_spec(_rat_signed(rng, 6), _rat01(rng, 5)),
         lambda spec, n_max: _validate_aw(cqultra_aw_spec(spec).params, n_max),
-        _build_cqultra),
+        lambda spec, n_max: _build_aw(spec, n_max, cqultra_aw_spec(spec),
+                                      cqultra_scale(n_max + 1, spec))),
     BIGQ: Family(
         ("a", "b", "c", "q"), bigq_spec,
         lambda rng: bigq_spec(_rat01(rng), _rat01(rng), _rat01(rng), _rat01(rng)),
         _check_bigq, _build_bigq),
 }
-FAMILIES[CQJ49] = FAMILIES[CQJ09] = FAMILIES[CQJ]
+FAMILIES[CQJ49] = FAMILIES[CQJ]
 
 
 def sample_specs(family: str, count: int, seed: int, n_max: int = 16):

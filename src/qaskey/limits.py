@@ -23,7 +23,7 @@ from .families import (FamilySpec, aw_polynomials, aw_spec, bigq_polynomials, bi
                        build_family, cqjacobi_polynomials, cqjacobi_spec, jacobi_spec,
                        validate_spec)
 from .laurent import x_to_sym
-from .operators import cqjacobi_L, jacobi_L
+from .operators import family_L, jacobi_L
 from .qcalc import q_pochhammer_multi
 from .relations import _explicit_coeffs
 
@@ -68,7 +68,7 @@ def limit_cqjacobi_to_jacobi(alpha: int, beta: int, n: int, k_range=range(3, 13)
     rows = []
     for k in k_range:
         spec = cqjacobi_spec(alpha, beta, 1 - Fraction(1, 2) ** (k + 2))
-        got = cqjacobi_L(spec)(cqjacobi_polynomials(n, spec)[n]).scale(2 / (1 - spec.q))
+        got = family_L(spec)(cqjacobi_polynomials(n, spec)[n]).scale(2 / (1 - spec.q))
         dev = max(abs(got.coeff(j) - target.coeff(j)) for j in range(n + 2))
         rows.append((k, spec.q, dev / scale))
     return _attach_ratios(rows)

@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Union
 
-from .families import (FamilySpec, AW, JACOBI, CQJ49, CQJ09, CQU, BIGQ,
+from .families import (FamilySpec, AW, JACOBI, CQJ49, CQU, BIGQ,
                        cqjacobi_aw_spec, cqultra_aw_spec)
 from .laurent import SPACES, LaurentPoly, SymLaurentPoly, XPoly, Z_MINUS_ZINV
 
@@ -123,13 +123,11 @@ def shift_op(u: LaurentPoly, step: Fraction, name: str, degree_shift: int) -> Po
     return PolyOperator(act, "sym", degree_shift, name)
 
 
-def _linear_factors(zeros_scaled, extra=()):
-    """Product of (1 - r z) over r plus extra Laurent factors."""
+def _linear_factors(zeros_scaled):
+    """Product of (1 - r z) over r."""
     acc = LaurentPoly(0, (Fraction(1),))
     for r in zeros_scaled:
         acc = acc * LaurentPoly(0, (Fraction(1), -Fraction(r)))
-    for e in extra:
-        acc = acc * e
     return acc
 
 
@@ -199,48 +197,8 @@ def jacobi_D(spec: FamilySpec) -> PolyOperator:
 
 
 # ----------------------------------------------------------------------
-# continuous q-Jacobi (two step sizes)
-# ----------------------------------------------------------------------
-
-def cqjacobi_L(spec: FamilySpec) -> PolyOperator:
-    """Step q^(1/2): v(z) = (1 - q^(a/2+1/4) z)(1 + q^(b/2+1/4) z)(1 - q^(1/2) z^2) z^-2."""
-    s = spec.base
-    ea, eb = int(2 * spec.params["alpha"]), int(2 * spec.params["beta"])
-    one_minus_sqz2 = LaurentPoly(0, (Fraction(1), Fraction(0), -s ** 2))
-    v = _linear_factors((s ** (ea + 1), -s ** (eb + 1)),
-                        extra=(one_minus_sqz2,)).shift(-2)
-    return divided_shift_op(v, s ** 2, "L_cqjacobi")
-
-
-def cqjacobi_Ltilde(spec: FamilySpec) -> PolyOperator:
-    """Step q: the quartic coefficient from the second embedding."""
-    s = spec.base
-    ea, eb = int(2 * spec.params["alpha"]), int(2 * spec.params["beta"])
-    v = _linear_factors((s ** (ea + 1), s ** (ea + 3),
-                         -s ** (eb + 1), -s ** (eb + 3))).shift(-2)
-    return divided_shift_op(v, s ** 4, "Ltilde_cqjacobi")
-
-
-def cqjacobi_D(spec: FamilySpec) -> PolyOperator:
-    return aw_D(cqjacobi_aw_spec(spec, 49))
-
-
-# ----------------------------------------------------------------------
 # continuous q-ultraspherical
 # ----------------------------------------------------------------------
-
-def cqultra_L(spec: FamilySpec) -> PolyOperator:
-    """v(z) = (1 - t z^2)(z^-2 - q^(1/2)), step q^(1/2)."""
-    qh = spec.qpow(Fraction(1, 2))
-    t = spec.params["t"]
-    one_minus_tz2 = LaurentPoly(0, (Fraction(1), Fraction(0), -t))
-    zm2_minus_sq = LaurentPoly(-2, (Fraction(1),)) - LaurentPoly(0, (qh,))
-    return divided_shift_op(one_minus_tz2 * zm2_minus_sq, qh, "L_cqultra")
-
-
-def cqultra_D(spec: FamilySpec) -> PolyOperator:
-    return aw_D(cqultra_aw_spec(spec))
-
 
 def cqultra_nonskew_op(spec: FamilySpec) -> PolyOperator:
     """z^-1 (1 - t z^2) f[q^(1/2) z] + z (1 - t z^-2) f[z / q^(1/2)].
@@ -315,10 +273,15 @@ def d_from_l(L: PolyOperator) -> PolyOperator:
     return PolyOperator(act, L.space, 0, f"D_from({L.name})")
 
 
-#: each family's (L, explicit D), with None where D is rebuilt from L
+#: each family's (L, explicit D), with None where D is rebuilt from L;
+#: continuous q-Jacobi and continuous q-ultraspherical take the Askey-Wilson
+#: pair at the point they restrict
 _OPERATORS = {AW: (aw_L, aw_D), JACOBI: (jacobi_L, jacobi_D),
-              CQJ49: (cqjacobi_L, cqjacobi_D), CQJ09: (cqjacobi_L, cqjacobi_D),
-              CQU: (cqultra_L, cqultra_D), BIGQ: (bigq_L, None)}
+              CQJ49: (lambda spec: aw_L(cqjacobi_aw_spec(spec)),
+                      lambda spec: aw_D(cqjacobi_aw_spec(spec))),
+              CQU: (lambda spec: aw_L(cqultra_aw_spec(spec)),
+                    lambda spec: aw_D(cqultra_aw_spec(spec))),
+              BIGQ: (bigq_L, None)}
 
 
 def family_L(spec: FamilySpec) -> PolyOperator:

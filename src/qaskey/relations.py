@@ -31,8 +31,8 @@ from math import gcd, lcm
 from typing import Callable, Iterable, NamedTuple
 
 from . import operators as ops
-from .families import (AW, BIGQ, CQJ09, CQJ49, CQU, JACOBI, FamilyData,
-                       FamilySpec, aw_spec, cqjacobi_AC, cqjacobi_gamma,
+from .families import (AW, BIGQ, CQJ49, CQU, JACOBI, FamilyData, FamilySpec,
+                       aw_spec, cqjacobi_AC, cqjacobi_aw_spec, cqjacobi_gamma,
                        cqjacobi_gamma_tilde, recurrence_from_expansion,
                        _polys_from_recurrence, cqjacobi_polynomials)
 from .inner_product import skew_symmetry_residual, symmetry_residual
@@ -61,8 +61,8 @@ class ResidualEntry(NamedTuple):
 
 class VerificationReport:
     """One identity's entries at one parameter point; ``status`` is
-    "pass", "fail" or "info", and checks add to ``notes`` after
-    construction."""
+    "pass", "fail" or "info", and ``notes`` is the dict a check gives at
+    construction, or None where it gives none."""
 
     __slots__ = ("identity_id", "family", "params", "entries", "status", "notes")
 
@@ -73,7 +73,7 @@ class VerificationReport:
         self.params = params
         self.entries = entries
         self.status = status
-        self.notes = {} if notes is None else notes
+        self.notes = notes
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -109,11 +109,12 @@ def _entry(n, resid) -> ResidualEntry:
 
 def _close(identity_id, fd_or_spec, entries, info=False, **notes) -> VerificationReport:
     """The report of ``entries``; its params are the point's own mapping,
-    so every report of one point shares it."""
+    so every report of one point shares it, and its notes are None where
+    the check gives none."""
     spec = fd_or_spec.spec if isinstance(fd_or_spec, FamilyData) else fd_or_spec
     status = "info" if info else ("pass" if all(e.zero for e in entries) else "fail")
     return VerificationReport(identity_id, spec.family, spec.params,
-                              list(entries), status, notes)
+                              list(entries), status, notes or None)
 
 
 def _p1(value: Fraction, perturb, slot: str) -> Fraction:
@@ -161,11 +162,11 @@ def _residuals(ident: str, fd: FamilyData, ns: Iterable[int], perturb, lhs, *coe
             yield n, resid
 
 
-def _relation(ident: str, fd: FamilyData, ns: Iterable[int], perturb, lhs, coeffs,
-              info: bool = False) -> VerificationReport:
+def _relation(ident: str, fd: FamilyData, ns: Iterable[int], perturb, lhs,
+              coeffs) -> VerificationReport:
     """One display's report: one residual entry per degree."""
     return _close(ident, fd, [_entry(n, r) for n, r in
-                              _residuals(ident, fd, ns, perturb, lhs, coeffs)], info)
+                              _residuals(ident, fd, ns, perturb, lhs, coeffs)])
 
 
 def _plus_minus(plus, minus, perturb):
@@ -189,8 +190,7 @@ def check_structure(fd: FamilyData, ns: Iterable[int], perturb=None) -> Verifica
 
 
 #: the explicit structure relation's display for each family
-_EXPLICIT_ID = {AW: "eq18", JACOBI: "eq26", CQJ49: "eq59", CQJ09: "eq59",
-                CQU: "eq54", BIGQ: "eq40"}
+_EXPLICIT_ID = {AW: "eq18", JACOBI: "eq26", CQJ49: "eq59", CQU: "eq54", BIGQ: "eq40"}
 
 
 def _explicit_coeffs(spec: FamilySpec, n: int):
@@ -214,7 +214,7 @@ def _explicit_coeffs(spec: FamilySpec, n: int):
         plus = -Fraction((n + 1)) * (n + al + be + 1) / (2 * n + al + be + 1)
         minus = (n + al) * (n + be) / (2 * n + al + be + 1)
         return plus, minus
-    if spec.family in (CQJ49, CQJ09):
+    if spec.family == CQJ49:
         A, C = cqjacobi_AC(n, spec)
         plus = cqjacobi_gamma(n, spec) * A
         minus = -cqjacobi_gamma(n - 1, spec) * C
@@ -276,9 +276,11 @@ def check_coefficient_match(fd: FamilyData, ns: Iterable[int], perturb=None) -> 
 
 
 def check_structure_tilde(fd: FamilyData, ns: Iterable[int], perturb=None) -> VerificationReport:
-    """The whole-q-step structure relation for continuous q-Jacobi."""
+    """The whole-q-step structure relation for continuous q-Jacobi, whose
+    L is the Askey-Wilson one at the second embedding's point (base q)."""
     spec = fd.spec
-    return _relation("eq59t", fd, ns, perturb, ops.cqjacobi_Ltilde(spec), lambda n, pt: _plus_minus(
+    Lt = ops.aw_L(cqjacobi_aw_spec(spec, 9))
+    return _relation("eq59t", fd, ns, perturb, Lt, lambda n, pt: _plus_minus(
         cqjacobi_gamma_tilde(n, spec) * fd.A[n], -cqjacobi_gamma_tilde(n - 1, spec) * fd.C[n], pt))
 
 
@@ -376,10 +378,11 @@ def residual_q_bispectral(fd: FamilyData, ns: Iterable[int], perturb=None) -> Ve
         return (fd.A[n] * (sq * _p1(lam[n + 1], pt, "lambda") - lam[n] / sq),
                 (fd.B[n] * lam[n] * (sq - 1 / sq),),
                 fd.C[n] * (sq * lam[n - 1] - lam[n] / sq))
-    rep = _relation("eq73", fd, ns, perturb, lambda p: D(X(p)).scale(sq) - X(D(p)).scale(1 / sq),
-                    coeffs, info=True)
-    rep.notes["all_zero"] = all(e.zero for e in rep.entries)
-    return rep
+
+    def lhs(p):
+        return D(X(p)).scale(sq) - X(D(p)).scale(1 / sq)
+    entries = [_entry(n, r) for n, r in _residuals("eq73", fd, ns, perturb, lhs, coeffs)]
+    return _close("eq73", fd, entries, info=True, all_zero=all(e.zero for e in entries))
 
 
 # ----------------------------------------------------------------------
@@ -595,12 +598,9 @@ def check_dual_path(fd: FamilyData, max_n: int, perturb=None) -> VerificationRep
         A = (_p1(fd.A[0], perturb, "A0"),) + fd.A[1:]
         rebuilt = _polys_from_recurrence(A, fd.B, fd.C, max_n, fd.space)
         entries += [_entry(n, rebuilt[n] - fd.polys[n]) for n in range(max_n + 1)]
-    if spec.family in (CQJ49, CQJ09):
-        # fd.polys is the build through the family's own embedding
-        if spec.family == CQJ49:
-            e49, e09 = fd.polys, cqjacobi_polynomials(max_n, spec, 9)
-        else:
-            e49, e09 = cqjacobi_polynomials(max_n, spec, 49), fd.polys
+    if spec.family == CQJ49:
+        # fd.polys is the build through the first embedding
+        e49, e09 = fd.polys, cqjacobi_polynomials(max_n, spec, 9)
         # A_0 p_1 = (x - B_0) p_0 on both sides; the slot A0 moves e49's A_0
         a0 = _p1(fd.A[0], perturb, "A0")
         entries += [_entry(n, e49[1].scale(a0) - e09[1].scale(fd.A[0]) if n == 1

@@ -208,7 +208,7 @@ class TestVerify:
         assert flag in capsys.readouterr().err
 
     def test_abcd_equal_q_squared_rejected(self, capsys):
-        # abcd = (1/6)^2 = q^2: the closed form of B_0 would divide by zero
+        # abcd = (1/6)^2 = q^2: eq73's rebuild at base q^2 would be inadmissible
         assert run(["verify", "--params", "a=-1/2,b=-1/3,c=-1/2,d=-1/3,q=1/6"]) == 2
         assert "error: --params: abcd = q^2" in capsys.readouterr().err
 
@@ -413,6 +413,19 @@ class TestLimitsCommand:
         assert len(lines) == 7
         ratios = [float(l.split(",")[3]) for l in lines[2:]]
         assert all(r >= 2.0 for r in ratios)       # O(eps) certified
+
+    #: sha256 of each default table, pinned so that a change to the
+    #: operators or constructions the limits read shows in its bytes
+    LIMIT_DIGESTS = {
+        "cqjacobi-to-jacobi": "3dcd10d83b456914f4cb7ff81b6d6531edc0ec64866a9f131de2b305008eb192",
+        "aw-to-bigq": "d899ed9b60e625cd3904d2d7a42f88dd1585a1241702487eb10fa16631858871",
+    }
+
+    @pytest.mark.parametrize("which", sorted(LIMIT_DIGESTS))
+    def test_default_table_digest(self, tmp_path, which):
+        out = tmp_path / "t.csv"
+        assert run(["limits", "--which", which, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.LIMIT_DIGESTS[which]
 
     @pytest.mark.parametrize("argv,flag", [
         (["--which", "aw-to-bigq", "--k-min", "-1", "--eps-steps", "2"], "--k-min"),

@@ -120,7 +120,7 @@ class TestResiduals:
         spec = fam.cqultra_spec(F(1, 2), F(1, 2))
         fd = fam.build_family(spec, 8)
         assert skew_symmetry_residual(ops.cqultra_nonskew_op(spec), fd, 6) != 0
-        assert skew_symmetry_residual(ops.cqultra_L(spec), fd, 6) == 0
+        assert skew_symmetry_residual(fd.L, fd, 6) == 0
 
     def test_skew_detects_symmetric(self, aw_fd):
         # X is symmetric, so its skew residual must be nonzero

@@ -308,12 +308,8 @@ def ref_expand(fd, f):
 
 @pytest.fixture(scope="module")
 def degree16():
-    """The first seed-1 point of each family, continuous q-Jacobi in both
-    embeddings, built to degree 16 (n_max 15)."""
+    """The first seed-1 point of each family, built to degree 16 (n_max 15)."""
     specs = [fam.sample_specs(f, 1, seed=1, n_max=15)[0] for f in fam.CLI_FAMILIES]
-    cqj = next(s for s in specs if s.family == fam.CQJ49)
-    specs.append(fam.cqjacobi_spec(cqj.params["alpha"], cqj.params["beta"], cqj.base,
-                                   embedding=9))
     return {s.family: fam.build_family(s, 15) for s in specs}
 
 
@@ -325,7 +321,7 @@ def _random_poly(rng, space, deg):
 def test_expand_is_the_naive_elimination(degree16):
     import random
     rng = random.Random(16)
-    assert len(degree16) == 6
+    assert len(degree16) == 5
     for fd in degree16.values():
         top = fd.n_max + 1
         for deg in (0, 1, 2, 7, top, top):
@@ -382,17 +378,24 @@ def test_integer_residuals_are_the_fraction_residuals(degree16):
             assert tuple(v != 0 for v in got) == nonzero, (fd.family, op.name)
 
 
-@pytest.mark.parametrize("family", [fam.BIGQ, fam.CQJ49, fam.CQJ09])
+#: restricted points where abcd = q^2 at the Askey-Wilson point, so that
+#: B_0 needs its cancelled form (q = s^4 and the Askey-Wilson base q^(1/2))
+ABCD_Q2 = {"cqjacobi-abcd-q2": fam.cqjacobi_spec(0, 0, F(1, 2)),
+           "cqultra-abcd-q2": fam.cqultra_spec(F(1, 2), F(1, 2))}
+
+
+@pytest.mark.parametrize("family", [fam.AW, fam.CQJ49, fam.CQU, fam.BIGQ, *ABCD_Q2])
 def test_recurrence_rows_are_the_naive_elimination(family, degree16):
-    fd = degree16[family]
+    # A_n, B_n and C_n come from the closed forms on the Askey-Wilson
+    # builds, from the expansion on big q-Jacobi; the elimination is
+    # independent of both
+    fd = degree16[family] if family in degree16 else fam.build_family(ABCD_Q2[family], 15)
     for n in range(fd.n_max + 1):
         co = ref_expand(fd, fd.polys_x[n].shift_x(1))
         assert all(not c for i, c in enumerate(co) if abs(i - n) > 1), n
         want = (co[n + 1], co[n], co[n - 1] if n else 0)
         assert fam.recurrence_from_expansion(fd, n) == want, n
-        assert fd.B[n] == co[n]
-        if family == fam.BIGQ:
-            assert (fd.A[n], fd.C[n]) == (want[0], want[2])
+        assert (fd.A[n], fd.B[n], fd.C[n]) == want, n
 
 
 def test_recurrence_rows_catch_a_perturbed_neighbour(degree16):

@@ -106,16 +106,34 @@ class TestJacobiOperators:
 
 
 class TestSpecializations:
+    """The operators of the restricted families are the Askey-Wilson ones at
+    the restricted point; each is checked against the paper's specialized
+    v(z) in (v(z) f[step z] - v(1/z) f[z/step]) / (z - 1/z), written out."""
+
+    @staticmethod
+    def _factors(*zeros):
+        """prod (1 - r z) over the zeros r."""
+        out = LaurentPoly(0, (1,))
+        for r in zeros:
+            out = out * LaurentPoly(0, (1, -r))
+        return out
+
     def test_cqjacobi_L_is_specialized_aw(self):
         spec = fam.cqjacobi_spec(1, 2, F(1, 2))
-        assert (_columns(ops.cqjacobi_L(spec), 6)
-                == _columns(ops.aw_L(fam.cqjacobi_aw_spec(spec, 49)), 6))
-        assert (_columns(ops.cqjacobi_Ltilde(spec), 6)
-                == _columns(ops.aw_L(fam.cqjacobi_aw_spec(spec, 9)), 6))
+        s = spec.base                               # q = s^4
+        # step q^(1/2): v(z) = (1 - q^(a/2+1/4) z)(1 + q^(b/2+1/4) z)(1 - q^(1/2) z^2) z^-2
+        v = self._factors(s ** 3, -s ** 5) * LaurentPoly(-2, (1, 0, -s ** 2))
+        assert (_columns(ops.family_L(spec), 6)
+                == _columns(ops.divided_shift_op(v, s ** 2, "v"), 6))
+        # step q: v(z) = (1 - q^(a/2+1/4) z)(1 - q^(a/2+3/4) z)
+        #                (1 + q^(b/2+1/4) z)(1 + q^(b/2+3/4) z) z^-2
+        vt = self._factors(s ** 3, s ** 5, -s ** 5, -s ** 7).shift(-2)
+        assert (_columns(ops.aw_L(fam.cqjacobi_aw_spec(spec, 9)), 6)
+                == _columns(ops.divided_shift_op(vt, s ** 4, "vt"), 6))
 
     def test_cqjacobi_gamma_slopes(self):
         spec = fam.cqjacobi_spec(1, 2, F(1, 2))
-        L, Lt = ops.cqjacobi_L(spec), ops.cqjacobi_Ltilde(spec)
+        L, Lt = ops.family_L(spec), ops.aw_L(fam.cqjacobi_aw_spec(spec, 9))
         assert L.column(0).coeff(1) == fam.cqjacobi_gamma(0, spec)
         assert Lt.column(0).coeff(1) == fam.cqjacobi_gamma_tilde(0, spec)
         s = spec.base
@@ -125,17 +143,18 @@ class TestSpecializations:
 
     def test_cqultra_L_is_specialized_aw(self):
         spec = fam.cqultra_spec(F(1, 2), F(1, 2))
-        assert (_columns(ops.cqultra_L(spec), 6)
-                == _columns(ops.aw_L(fam.cqultra_aw_spec(spec)), 6))
+        t, qh = spec.params["t"], spec.base ** 2
+        # step q^(1/2): v(z) = (1 - t z^2)(z^-2 - q^(1/2))
+        v = LaurentPoly(0, (1, 0, -t)) * LaurentPoly(-2, (1, 0, -qh))
+        assert (_columns(ops.family_L(spec), 6)
+                == _columns(ops.divided_shift_op(v, qh, "v"), 6))
 
     def test_cqultra_L_on_C1_reproduces_structure(self):
         spec = fam.cqultra_spec(F(1, 2), F(1, 2))
         fd = fam.build_family(spec, 4)
-        L = ops.cqultra_L(spec)
-        n = 1
         rhs = (fd.polys[2].scale(fd.gamma[1] * fd.A[1])
                - fd.polys[0].scale(fd.gamma[0] * fd.C[1]))
-        assert L(fd.polys[1]) == rhs
+        assert fd.L(fd.polys[1]) == rhs
 
 
 class TestBigQOperators:

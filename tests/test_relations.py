@@ -27,6 +27,24 @@ def leg_fd():
     return fam.build_family(JAC0, 8)
 
 
+def test_eq59_display_is_not_the_family_data(monkeypatch):
+    # eq59's closed-form A_n is display data only: the family derives its
+    # own from the Askey-Wilson build, so a doubled display A_n must fail
+    # coeff-match and eq59, while eq28, which reads the data alone, holds
+    real = fam.cqjacobi_AC
+
+    def doubled(n, spec):
+        A, C = real(n, spec)
+        return 2 * A, C
+
+    monkeypatch.setattr(fam, "cqjacobi_AC", doubled)
+    monkeypatch.setattr(rel, "cqjacobi_AC", doubled)
+    fd = fam.build_family(fam.sample_specs(fam.CQJ, 1, seed=1, n_max=8)[0], 8)
+    assert not rel.check_coefficient_match(fd, NS).passed
+    assert not rel.check_explicit_structure(fd, NS).passed
+    assert rel.check_structure(fd, NS).passed
+
+
 def _cqu_relation(which):
     return lambda fd, ns: rel.check_cqultra_relation(fd, ns, which)
 
