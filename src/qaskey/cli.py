@@ -34,6 +34,7 @@ from typing import Callable, NamedTuple
 
 from . import families as fam
 from .families import AW, BIGQ, CLI_FAMILIES, CQJ, CQU, JACOBI as JAC
+from .displays import DISPLAYS, STRUCTURE
 from . import relations as rel
 from .laurent import NonzeroRemainder
 from .report import build_report, dump_csv, dump_report, summary_lines
@@ -157,17 +158,15 @@ def _string(fd, max_deg, perturb=None):
 #: every identity key: (families, Check)
 IDENTITIES = {
     "eq28": (CLI_FAMILIES, Check(rel.check_structure, "1..n_max", ("plus", "minus"))),
-    "eq18": ((AW,), Check(rel.check_explicit_structure, "1..n_max", ("plus", "minus"))),
-    "eq26": ((JAC,), Check(rel.check_explicit_structure, "1..n_max", ("plus", "minus"))),
-    "eq59": ((CQJ,), Check(rel.check_explicit_structure, "1..n_max", ("plus", "minus"))),
-    "eq54": ((CQU,), Check(rel.check_explicit_structure, "1..n_max", ("plus", "minus"))),
-    "eq40": ((BIGQ,), Check(rel.check_explicit_structure, "1..n_max", ("plus", "minus"))),
+    # eq28's closed form on each family: eq18, eq26, eq59, eq54, eq40
+    **{key: (DISPLAYS[key].families, Check(rel.check_explicit_structure, "1..n_max",
+                                           DISPLAYS[key].names)) for key in STRUCTURE},
     "eq59t": ((CQJ,), Check(rel.check_structure_tilde, "1..n_max", ("plus", "minus"))),
     "eq02": ((JAC,), Check(rel.check_classic_jacobi_structure, "1..n_max", ("middle", "plus"))),
     "eq31": (CLI_FAMILIES, Check(rel.check_lowering, "1..n_max", ("rhs", "slope"))),
     "eq32": (CLI_FAMILIES, Check(rel.check_raising, "1..n_max", ("rhs", "slope"))),
-    "eq76": ((AW,), Check(rel.check_aw_lowering, "1..n_max", ("mult", "rhs"))),
-    "eq77": ((AW,), Check(rel.check_aw_raising, "1..n_max", ("mult", "rhs"))),
+    "eq76": ((AW,), Check(rel.check_aw_lowering, "1..n_max", ("slope", "rhs"))),
+    "eq77": ((AW,), Check(rel.check_aw_raising, "1..n_max", ("slope", "rhs"))),
     "bangerezako": ((AW,), Check(rel.check_bangerezako, "1..n_max", ("lambda",))),
     "eq71": (CLI_FAMILIES, Check(rel.check_bispectral, "0..n_max", ("lambda",))),
     "eq73": ((AW,), Check(rel.residual_q_bispectral, "q^2 re-anchor", ("lambda",), info=True)),
@@ -206,8 +205,14 @@ def identities_for(family: str, requested: str) -> list:
 # config file
 # ----------------------------------------------------------------------
 
+def _boolean(text: str) -> bool:
+    if text.lower() not in ("1", "0", "true", "false", "yes", "no"):
+        raise ValueError(f"expected one of 1/0/true/false/yes/no, got {text!r}")
+    return text.lower() in ("1", "true", "yes")
+
+
 _CONFIG_COERCE = {"n_max": int, "samples": int, "seed": int, "degree_cap": int,
-                  "no_timestamp": lambda v: v.lower() in ("1", "true", "yes"),
+                  "no_timestamp": _boolean,
                   "alpha": int, "beta": int, "n": int, "eps_steps": int,
                   "k_min": int, "k_max": int}
 
@@ -553,9 +558,13 @@ def run_limits(args) -> int:
     else:
         # eps = 2^-k: k = 0 gives eps = 1, a degenerate Askey-Wilson point
         _check_ranges(("--k-min", args.k_min, 1), ("--eps-steps", args.eps_steps, 1))
-        rows = lim.limit_aw_to_bigq(
-            *(_parse_fraction(getattr(args, k), f"--{k}") for k in "abcq"), args.n,
-            eps_ks=range(args.k_min, args.k_min + args.eps_steps))
+        point = [_parse_fraction(getattr(args, k), f"--{k}") for k in "abcq"]
+        try:
+            rows = lim.limit_aw_to_bigq(*point, args.n,
+                                        eps_ks=range(args.k_min, args.k_min + args.eps_steps))
+        except fam.InadmissibleParameters as exc:
+            flags = " ".join(f"--{k} {v}" for k, v in zip("abcq", point))
+            raise ValueError(f"{flags}: {exc}") from exc
     lim.write_csv(rows, args.out)
     return 0
 

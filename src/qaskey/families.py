@@ -46,6 +46,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from math import gcd, prod
 from operator import mul
 from typing import Callable, Mapping, NamedTuple, Sequence, Union
@@ -206,9 +207,12 @@ def _check_cqjacobi(spec: FamilySpec, n_max: int) -> None:
 
 
 def _check_bigq(spec: FamilySpec, n_max: int) -> None:
+    """aq^k and -cq^k for k <= n_max + 1 (the 3phi2's lower parameters),
+    and ab q^k for k <= 2 n_max + 2 (its leading coefficients and eq40's
+    1 - ab q^(2n+1)), must differ from 1."""
     a, b, c, q = (spec.params[k] for k in "abcq")
-    for n in range(1, n_max + 2):
-        if a * q ** n == 1 or c * q ** n == -1 or a * b * q ** n == 1:
+    for n in range(1, 2 * n_max + 3):
+        if a * b * q ** n == 1 or (n <= n_max + 1 and (a * q ** n == 1 or c * q ** n == -1)):
             raise InadmissibleParameters(f"degenerate denominator at n={n}")
 
 
@@ -594,43 +598,6 @@ def jacobi_coefficients(n: int, spec: FamilySpec):
     return A, B, C, lam, gamma
 
 
-def cqjacobi_AC(n: int, spec: FamilySpec):
-    """Continuous q-Jacobi's recurrence end coefficients (C_0 := 0) in
-    closed form, as eq59 displays them; the family data derives its own
-    from the Askey-Wilson ones (:func:`_build_aw`)."""
-    s = spec.base
-    al, be = spec.params["alpha"], spec.params["beta"]
-    ea, eb = int(2 * al), int(2 * be)
-    q = s ** 4
-
-    def qp(num4: int) -> Fraction:           # q^(num4/4) = s^num4
-        return s ** num4
-
-    A = ((1 - q ** (n + 1)) * (1 - qp(4 * n + 2 * ea + 2 * eb + 4))
-         / (2 * qp(ea + 1) * (1 - qp(4 * n + ea + eb + 2))
-            * (1 - qp(4 * n + ea + eb + 4))))
-    if n >= 1:
-        C = (qp(ea + 1) * (1 - qp(4 * n + 2 * ea)) * (1 - qp(4 * n + 2 * eb))
-             / (2 * (1 - qp(4 * n + ea + eb)) * (1 - qp(4 * n + ea + eb + 2))))
-    else:
-        C = Fraction(0)
-    return A, C
-
-
-def cqjacobi_gamma(n: int, spec: FamilySpec) -> Fraction:
-    """Slope for the q^(1/2)-step operator: 2 (q^((n+a+b+2)/2) - q^(-n/2))."""
-    s = spec.base
-    ea, eb = int(2 * spec.params["alpha"]), int(2 * spec.params["beta"])
-    return 2 * (s ** (2 * n + ea + eb + 4) - s ** (-2 * n))
-
-
-def cqjacobi_gamma_tilde(n: int, spec: FamilySpec) -> Fraction:
-    """Slope for the whole-q-step operator: 2 (q^(n+a+b+2) - q^-n)."""
-    s = spec.base
-    ea, eb = int(2 * spec.params["alpha"]), int(2 * spec.params["beta"])
-    return 2 * (s ** (4 * n + 2 * ea + 2 * eb + 8) - s ** (-4 * n))
-
-
 # -- builders -------------------------------------------------------------
 
 def build_family(spec: FamilySpec, n_max: int) -> FamilyData:
@@ -659,16 +626,10 @@ def _build_aw(spec, n_max, aw=None, scale=None):
 
 def _build_jacobi(spec, n_max):
     hi = n_max + 1
-    coef = [jacobi_coefficients(n, spec) for n in range(hi + 1)]
-    A = tuple(c[0] for c in coef)
-    B = tuple(c[1] for c in coef)
-    C = tuple(c[2] for c in coef)
+    A, B, C, lam, gamma = zip(*(jacobi_coefficients(n, spec) for n in range(hi + 1)))
     polys = tuple(_polys_from_recurrence(A, B, C, hi, "x"))
-    lam = tuple(c[3] for c in coef)
-    gamma = tuple(c[4] for c in coef[:n_max + 1])
-    return FamilyData(spec, "x", n_max, polys, polys,
-                      A[:n_max + 1], B[:n_max + 1], C[:n_max + 1],
-                      _norms_recursive(A, C, n_max), lam, gamma)
+    return FamilyData(spec, "x", n_max, polys, polys, A[:hi], B[:hi], C[:hi],
+                      _norms_recursive(A, C, n_max), lam, gamma[:hi])
 
 
 def _build_bigq(spec, n_max):
@@ -676,21 +637,13 @@ def _build_bigq(spec, n_max):
 
     hi = n_max + 1
     polys = tuple(bigq_polynomials(hi, spec))
-    ABC = [_recurrence_row(polys, n) for n in range(n_max + 1)]
-    A = tuple(v[0] for v in ABC)
-    B = tuple(v[1] for v in ABC)
-    C = tuple(v[2] for v in ABC)
+    A, B, C = zip(*(_recurrence_row(polys, n) for n in range(hi)))
     # slopes read off the degree-raising operator; eigenvalues accumulate
     L = operators.bigq_L(spec)
-    gamma = []
-    for n in range(hi + 1):
-        gamma.append(L(L.basis(n)).coeff(n + 1))
-    lam = [Fraction(0)]
-    for n in range(hi):
-        lam.append(lam[-1] + gamma[n])
+    gamma = tuple(L(L.basis(n)).coeff(n + 1) for n in range(hi))
+    lam = tuple(accumulate(gamma, initial=Fraction(0)))
     return FamilyData(spec, "x", n_max, polys, polys, A, B, C,
-                      _norms_recursive(A, C, n_max), tuple(lam),
-                      tuple(gamma[:n_max + 1]))
+                      _norms_recursive(A, C, n_max), lam, gamma)
 
 
 def _recurrence_row(polys_x: Sequence[XPoly], n: int) -> tuple:

@@ -215,6 +215,10 @@ class _Poly:
     def __hash__(self):
         return hash((self._lo, self.den, self.nums))
 
+    def __repr__(self) -> str:
+        terms = [f"({c}){self._basis(i)}" for i, c in enumerate(self.coeffs) if c]
+        return f"{type(self).__name__}({' + '.join(terms) or 0})"
+
     # -- the linear structure ------------------------------------------
 
     def _plus(self, other, sign: int):
@@ -283,14 +287,8 @@ class LaurentPoly(_Poly):
     def coeff(self, k: int) -> Fraction:
         return self._at(k - self._lo)
 
-    def __repr__(self) -> str:
-        if self.is_zero:
-            return "LaurentPoly(0)"
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if c:
-                terms.append(f"({c})*z^{self.lo + i}")
-        return "LaurentPoly(" + " + ".join(terms) + ")"
+    def _basis(self, i: int) -> str:
+        return f"*z^{self._lo + i}"
 
     # -- ring operations -----------------------------------------------
 
@@ -343,14 +341,10 @@ class LaurentPoly(_Poly):
 
     # -- symmetry ------------------------------------------------------
 
-    @property
-    def is_symmetric(self) -> bool:
-        return self == self.invert_z()
-
     def to_sym(self) -> "SymLaurentPoly":
         if self.is_zero:
             return SymLaurentPoly()
-        if not self.is_symmetric:
+        if self != self.invert_z():
             raise ValueError(f"not symmetric under z -> 1/z: {self!r}")
         # the z^0 .. z^hi half has the same entries, so the same content
         return SymLaurentPoly._new(self.nums[-self._lo:], self.den)
@@ -374,15 +368,8 @@ class SymLaurentPoly(_Poly):
     def coeff(self, k: int) -> Fraction:
         return self._at(abs(k))
 
-    def __repr__(self) -> str:
-        if self.is_zero:
-            return "SymLaurentPoly(0)"
-        c = self.coeffs
-        parts = [f"({c[0]})"] if c[0] else []
-        for k in range(1, len(c)):
-            if c[k]:
-                parts.append(f"({c[k]})*(z^{k}+z^-{k})")
-        return "SymLaurentPoly(" + " + ".join(parts) + ")"
+    def _basis(self, k: int) -> str:
+        return f"*(z^{k}+z^-{k})" if k else ""
 
     def to_laurent(self) -> LaurentPoly:
         if self.is_zero:
@@ -412,13 +399,7 @@ class SymLaurentPoly(_Poly):
         return SymLaurentPoly._make(out, self.den * other.den)
 
     def __call__(self, zv: Rat) -> Fraction:
-        zv = Fraction(zv)
-        if self.is_zero:
-            return Fraction(0)
-        acc = Fraction(self.nums[0])
-        for k in range(1, len(self.nums)):
-            acc += self.nums[k] * (zv ** k + zv ** (-k))
-        return acc / self.den
+        return self.to_laurent()(zv)
 
     @classmethod
     def x_power(cls, j: int) -> "SymLaurentPoly":
@@ -451,11 +432,8 @@ class XPoly(_Poly):
     def coeff(self, k: int) -> Fraction:
         return self._at(k)
 
-    def __repr__(self) -> str:
-        if self.is_zero:
-            return "XPoly(0)"
-        return "XPoly(" + " + ".join(
-            f"({c})*x^{i}" for i, c in enumerate(self.coeffs) if c) + ")"
+    def _basis(self, i: int) -> str:
+        return f"*x^{i}"
 
     def __mul__(self, other: "XPoly") -> "XPoly":
         if self.is_zero or other.is_zero:

@@ -19,13 +19,13 @@ import sys
 from fractions import Fraction
 from typing import NamedTuple
 
+from .displays import DISPLAYS
 from .families import (FamilySpec, aw_polynomials, aw_spec, bigq_polynomials, bigq_spec,
                        build_family, cqjacobi_polynomials, cqjacobi_spec, jacobi_spec,
                        validate_spec)
 from .laurent import x_to_sym
 from .operators import family_L, jacobi_L
 from .qcalc import q_pochhammer_multi
-from .relations import _explicit_coeffs
 
 
 class LimitRow(NamedTuple):
@@ -82,25 +82,33 @@ def _aw_eps_spec(a, b, c, q, eps) -> FamilySpec:
     return aw_spec(eps, a * q / eps, -c * q / eps, -eps * b / c, q=q)
 
 
+def _renorm(a, b, c, q, eps, n) -> Fraction:
+    """m_n = eps^n / (aq, -cq, -eps^2 b/c; q)_n."""
+    return eps ** n / q_pochhammer_multi((a * q, -c * q, -eps * eps * b / c), q, n)
+
+
 def rescaled_aw_laurent(a, b, c, q, eps, n):
-    """eps^n / (aq, -cq, -eps^2 b/c; q)_n * p_n[x/eps] as a Laurent
-    polynomial in x; converges coefficient-wise to the big q-Jacobi
-    polynomial (negative powers of x die out)."""
+    """m_n p_n[x/eps] as a Laurent polynomial in x; converges
+    coefficient-wise to the big q-Jacobi polynomial (negative powers of x
+    die out)."""
     spec = _aw_eps_spec(a, b, c, q, eps)
     validate_spec(spec, n)
-    m = eps ** n / q_pochhammer_multi((a * q, -c * q, -eps * eps * b / c), q, n)
+    m = _renorm(a, b, c, q, eps, n)
     return aw_polynomials(n, spec)[n].to_laurent().dilate(1 / eps).scale(m)
 
 
 def limit_aw_to_bigq(a, b, c, q, n, eps_ks=range(4, 12)):
     """Exact coefficient deviation between the rescaled Askey-Wilson data
     and big q-Jacobi data at eps = 2^-k, plus the structure-relation
-    coefficients rescaled by sigma(eps) = -eps/(a c q^2)."""
+    coefficients rescaled by sigma(eps) = -eps/(a c q^2).  Raises
+    InadmissibleParameters where the big q-Jacobi point is not admissible
+    up to degree n."""
     a, b, c, q = Fraction(a), Fraction(b), Fraction(c), Fraction(q)
     spec = bigq_spec(a, b, c, q)
+    validate_spec(spec, n)
     target = bigq_polynomials(n, spec)[n]
     if n >= 1:
-        tplus, tminus = _explicit_coeffs(spec, n)
+        tplus, tminus = DISPLAYS["eq40"].closed(spec, n)
     rows = []
     for k in eps_ks:
         eps = Fraction(1, 2 ** k)
@@ -116,15 +124,10 @@ def limit_aw_to_bigq(a, b, c, q, n, eps_ks=range(4, 12)):
 def _rescaled_structure_coeffs(a, b, c, q, eps, n):
     """sigma(eps) * the explicit AW structure coefficients carried through
     the renormalization m_n, at the eps-substituted parameter point."""
-    eplus, eminus = _explicit_coeffs(_aw_eps_spec(a, b, c, q, eps), n)
-
-    def m_ratio(lo, hi):       # m_lo / m_hi
-        return q_pochhammer_multi((a * q, -c * q, -eps * eps * b / c), q, hi) \
-            / q_pochhammer_multi((a * q, -c * q, -eps * eps * b / c), q, lo) \
-            * eps ** (lo - hi)
-
+    eplus, eminus = DISPLAYS["eq18"].closed(_aw_eps_spec(a, b, c, q, eps), n)
+    below, m, above = (_renorm(a, b, c, q, eps, k) for k in (n - 1, n, n + 1))
     sigma = -eps / (a * c * q * q)
-    return sigma * eplus * m_ratio(n, n + 1), sigma * eminus * m_ratio(n, n - 1)
+    return sigma * eplus * m / above, sigma * eminus * m / below
 
 
 def write_csv(rows, path) -> None:

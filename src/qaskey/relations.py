@@ -14,6 +14,8 @@ display supplies only its left side (the point's L or D, another
 operator, or a map of p_n) and a coefficient function
 (n, perturb) -> (plus, mid, minus), where mid holds the coefficients
 (m_0, m_1, ...) of a polynomial in x and the slots are applied inside.
+The closed forms of the paper's displays are not written here: each is a
+row of :data:`qaskey.displays.DISPLAYS`, which the checkers read by key.
 
 The second-order q-difference equation is derived from the data, not
 stated: :func:`derive_second_order_qdiff` is one solver for both
@@ -31,9 +33,9 @@ from math import gcd, lcm
 from typing import Callable, Iterable, NamedTuple
 
 from . import operators as ops
+from .displays import DISPLAYS, STRUCTURE, cqjacobi_gamma, eq28, rows_for
 from .families import (AW, BIGQ, CQJ49, CQU, JACOBI, FamilyData, FamilySpec,
-                       aw_spec, cqjacobi_AC, cqjacobi_aw_spec, cqjacobi_gamma,
-                       cqjacobi_gamma_tilde, recurrence_from_expansion,
+                       aw_spec, cqjacobi_aw_spec, recurrence_from_expansion,
                        _polys_from_recurrence, cqjacobi_polynomials)
 from .inner_product import skew_symmetry_residual, symmetry_residual
 from .laurent import (LaurentPoly, NonzeroRemainder, SymLaurentPoly, XPoly,
@@ -174,105 +176,48 @@ def _plus_minus(plus, minus, perturb):
     return _p1(plus, perturb, "plus"), (), _p1(minus, perturb, "minus")
 
 
-def _affine(s, b):
-    """The coefficients of s (x - b)."""
-    return -s * b, s
-
-
 # ----------------------------------------------------------------------
 # structure, lowering, raising
 # ----------------------------------------------------------------------
 
 def check_structure(fd: FamilyData, ns: Iterable[int], perturb=None) -> VerificationReport:
     """L p_n = gamma_n A_n p_{n+1} - gamma_{n-1} C_n p_{n-1}."""
-    return _relation("eq28", fd, ns, perturb, fd.L, lambda n, pt: _plus_minus(
-        fd.gamma[n] * fd.A[n], -fd.gamma[n - 1] * fd.C[n], pt))
+    return _relation("eq28", fd, ns, perturb, fd.L,
+                     lambda n, pt: _plus_minus(*eq28(fd, n), pt))
 
 
-#: the explicit structure relation's display for each family
-_EXPLICIT_ID = {AW: "eq18", JACOBI: "eq26", CQJ49: "eq59", CQU: "eq54", BIGQ: "eq40"}
-
-
-def _explicit_coeffs(spec: FamilySpec, n: int):
-    """Closed-form structure-relation coefficients (plus, minus), straight
-    from the family's display (:data:`_EXPLICIT_ID`)."""
-    if spec.family == AW:
-        a, b, c, d, q = (spec.params[k] for k in "abcdq")
-        abcd = a * b * c * d
-        plus = -(1 - abcd * q ** (n - 1)) / (q ** n * (1 - abcd * q ** (2 * n - 1)))
-        six = Fraction(1)
-        for p in (a * b, a * c, a * d, b * c, b * d, c * d):
-            six *= 1 - p * q ** (n - 1)
-        minus = six * (1 - q ** n) / (q ** (n - 1) * (1 - abcd * q ** (2 * n - 1)))
-        return plus, minus
-    if spec.family == JACOBI:
-        if n == 0:
-            # (n+al+be+1)/(2n+al+be+1) cancels to 1, and minus multiplies
-            # p_{-1} = 0; the quotients below divide by zero at al+be = -1
-            return Fraction(-1), Fraction(0)
-        al, be = spec.params["alpha"], spec.params["beta"]
-        plus = -Fraction((n + 1)) * (n + al + be + 1) / (2 * n + al + be + 1)
-        minus = (n + al) * (n + be) / (2 * n + al + be + 1)
-        return plus, minus
-    if spec.family == CQJ49:
-        A, C = cqjacobi_AC(n, spec)
-        plus = cqjacobi_gamma(n, spec) * A
-        minus = -cqjacobi_gamma(n - 1, spec) * C
-        return plus, minus
-    if spec.family == CQU:
-        t, q = spec.params["t"], spec.q
-        qh = spec.qpow(Fraction(1, 2))
-        plus = -(1 - t * qh ** (2 * n + 1)) * (1 - q ** (n + 1)) / (qh ** n * (1 - t * q ** n))
-        minus = (1 - t * qh ** (2 * n - 1)) * (1 - t * t * q ** (n - 1)) / (qh ** (n - 1) * (1 - t * q ** n))
-        return plus, minus
-    if spec.family == BIGQ:
-        a, b, c, q = (spec.params[k] for k in "abcq")
-        plus = ((1 - a * q ** (n + 1)) * (1 + c * q ** (n + 1)) * (1 - a * b * q ** (n + 1))
-                / (q ** (n + 2) * a * c * (1 - a * b * q ** (2 * n + 1))))
-        minus = -(1 - q ** n) * (1 - b * q ** n) * (1 + a * b * q ** n / c) / (1 - a * b * q ** (2 * n + 1))
-        return plus, minus
-    raise ValueError(spec.family)
+def _display(key: str, fd: FamilyData, generic: bool = False):
+    """The coefficient function (n, perturb) -> (plus, mid, minus) of the
+    display ``key`` at the point fd, placed by its terms: its closed forms,
+    or with ``generic`` the combinations of fd's data they abbreviate."""
+    d = DISPLAYS[key]
+    if generic:
+        return lambda n, pt: d.terms(fd, n, *d.slotted(d.generic(fd, n), pt))
+    return lambda n, pt: d.terms(fd, n, *d.slotted(d.closed(fd.spec, n), pt))
 
 
 def check_explicit_structure(fd: FamilyData, ns: Iterable[int], perturb=None) -> VerificationReport:
-    """The family's explicit structure relation with its closed-form
-    right-hand coefficients (one residual entry per degree)."""
-    return _relation(_EXPLICIT_ID[fd.family], fd, ns, perturb, fd.L,
-                     lambda n, pt: _plus_minus(*_explicit_coeffs(fd.spec, n), pt))
+    """eq28 with the closed-form coefficients of the point's family, its
+    row of :data:`~qaskey.displays.STRUCTURE` (one residual entry per degree)."""
+    key = next(k for k, _ in rows_for(fd.family) if k in STRUCTURE)
+    return _relation(key, fd, ns, perturb, fd.L, _display(key, fd))
 
 
 def check_coefficient_match(fd: FamilyData, ns: Iterable[int], perturb=None) -> VerificationReport:
-    """Every closed-form right-hand coefficient equals the generic
-    gamma/A/B/C combination it abbreviates.
+    """Every closed-form coefficient of the displays on the point's family
+    (:func:`~qaskey.displays.rows_for`, in table order) equals the
+    gamma/A/B/C combination it abbreviates; the slot plus moves each
+    coefficient named plus.
 
-    The minus coefficient multiplies p_{n-1} and is compared with
-    gamma_{n-1} C_n, so the domain is 1 <= n <= fd.n_max; any other n
+    eq28's minus coefficient multiplies p_{n-1} and is compared with
+    -gamma_{n-1} C_n, so the domain is 1 <= n <= fd.n_max; any other n
     raises ValueError.
     """
-    entries = []
-    for n in _degrees("coeff-match", fd, ns, lo=1):
-        plus, minus = _explicit_coeffs(fd.spec, n)
-        plus = _p1(plus, perturb, "plus")
-        entries.append(_entry(n, plus - fd.gamma[n] * fd.A[n]))
-        entries.append(_entry(n, minus + fd.gamma[n - 1] * fd.C[n]))
-        if fd.spec.family == AW:
-            # eq76's slope is 2 mult = gamma_n, eq77's is -2 mult = -gamma_{n-1}
-            _, mid, rhs = _aw_lowering(fd, n)
-            entries.append(_entry(n, mid[1] - fd.gamma[n]))
-            entries.append(_entry(n, rhs + (fd.gamma[n] + fd.gamma[n - 1]) * fd.C[n]))
-            rhs, mid, _ = _aw_raising(fd, n)
-            entries.append(_entry(n, -mid[1] - fd.gamma[n - 1]))
-            entries.append(_entry(n, rhs - (fd.gamma[n] + fd.gamma[n - 1]) * fd.A[n]))
-        if fd.spec.family == JACOBI:
-            # the classical coefficients are the skew ones shifted by the
-            # multiplier ((alpha-beta) + (alpha+beta+2) x)/2 via the recurrence
-            al, be = fd.spec.params["alpha"], fd.spec.params["beta"]
-            half = (al + be + 2) / Fraction(2)
-            plus02, mid02, minus02 = _classic_jacobi_coeffs(fd.spec, n)
-            entries.append(_entry(n, plus02 - (plus + half * fd.A[n])))
-            entries.append(_entry(n, mid02 - ((al - be) / 2 + half * fd.B[n])))
-            entries.append(_entry(n, minus02 - (minus + half * fd.C[n])))
-    return _close("coeff-match", fd, entries)
+    rows = [d for _, d in rows_for(fd.family)]
+    return _close("coeff-match", fd, [
+        _entry(n, closed - generic) for n in _degrees("coeff-match", fd, ns, lo=1)
+        for d in rows for closed, generic in zip(d.slotted(d.closed(fd.spec, n), perturb),
+                                                 d.generic(fd, n))])
 
 
 def check_structure_tilde(fd: FamilyData, ns: Iterable[int], perturb=None) -> VerificationReport:
@@ -281,54 +226,36 @@ def check_structure_tilde(fd: FamilyData, ns: Iterable[int], perturb=None) -> Ve
     spec = fd.spec
     Lt = ops.aw_L(cqjacobi_aw_spec(spec, 9))
     return _relation("eq59t", fd, ns, perturb, Lt, lambda n, pt: _plus_minus(
-        cqjacobi_gamma_tilde(n, spec) * fd.A[n], -cqjacobi_gamma_tilde(n - 1, spec) * fd.C[n], pt))
+        cqjacobi_gamma(n, spec, 2) * fd.A[n], -cqjacobi_gamma(n - 1, spec, 2) * fd.C[n], pt))
 
 
 def check_lowering(fd: FamilyData, ns: Iterable[int], perturb=None) -> VerificationReport:
-    """L p_n = gamma_n (x - B_n) p_n - (gamma_n + gamma_{n-1}) C_n p_{n-1}."""
-    def coeffs(n, pt):
-        g, gm = fd.gamma[n], fd.gamma[n - 1]
-        return 0, _affine(_p1(g, pt, "slope"), fd.B[n]), _p1(-(g + gm) * fd.C[n], pt, "rhs")
-    return _relation("eq31", fd, ns, perturb, fd.L, coeffs)
+    """L p_n = gamma_n (x - B_n) p_n - (gamma_n + gamma_{n-1}) C_n p_{n-1}:
+    eq76 with the generic coefficients its closed forms abbreviate."""
+    return _relation("eq31", fd, ns, perturb, fd.L, _display("eq76", fd, generic=True))
 
 
 def check_raising(fd: FamilyData, ns: Iterable[int], perturb=None) -> VerificationReport:
-    """L p_n = (gamma_n + gamma_{n-1}) A_n p_{n+1} - gamma_{n-1} (x - B_n) p_n."""
-    def coeffs(n, pt):
-        g, gm = fd.gamma[n], fd.gamma[n - 1]
-        return _p1((g + gm) * fd.A[n], pt, "rhs"), _affine(-_p1(gm, pt, "slope"), fd.B[n]), 0
-    return _relation("eq32", fd, ns, perturb, fd.L, coeffs)
-
-
-def _aw_lowering(fd: FamilyData, n: int, perturb=None):
-    """eq76: L p_n = 2 mult (x - B_n) p_n + <six factors> p_{n-1} with
-    mult = abcd q^n - q^-n; the slots are mult and rhs."""
-    a, b, c, d, q = (fd.spec.params[k] for k in "abcdq")
-    abcd = a * b * c * d
-    mult = abcd * q ** n - q ** (-n)              # gamma_n / 2
-    six = Fraction(1)
-    for p in (a * b, a * c, a * d, b * c, b * d, c * d):
-        six *= 1 - p * q ** (n - 1)
-    rhs = six * (1 + q) * (1 - q ** n) / (q ** n * (1 - abcd * q ** (2 * n - 2)))
-    return 0, _affine(2 * _p1(mult, perturb, "mult"), fd.B[n]), _p1(rhs, perturb, "rhs")
-
-
-def _aw_raising(fd: FamilyData, n: int, perturb=None):
-    """eq77: L p_n = rhs p_{n+1} - 2 mult (x - B_n) p_n with
-    mult = abcd q^(n-1) - q^(1-n); the slots are mult and rhs."""
-    a, b, c, d, q = (fd.spec.params[k] for k in "abcdq")
-    abcd = a * b * c * d
-    mult = abcd * q ** (n - 1) - q ** (1 - n)     # gamma_{n-1} / 2
-    rhs = -(1 + q) * (1 - abcd * q ** (n - 1)) / (q ** n * (1 - abcd * q ** (2 * n)))
-    return _p1(rhs, perturb, "rhs"), _affine(-2 * _p1(mult, perturb, "mult"), fd.B[n]), 0
+    """L p_n = (gamma_n + gamma_{n-1}) A_n p_{n+1} - gamma_{n-1} (x - B_n) p_n:
+    eq77 with the generic coefficients its closed forms abbreviate."""
+    return _relation("eq32", fd, ns, perturb, fd.L, _display("eq77", fd, generic=True))
 
 
 def check_aw_lowering(fd: FamilyData, ns: Iterable[int], perturb=None) -> VerificationReport:
-    return _relation("eq76", fd, ns, perturb, fd.L, partial(_aw_lowering, fd))
+    return _relation("eq76", fd, ns, perturb, fd.L, _display("eq76", fd))
 
 
 def check_aw_raising(fd: FamilyData, ns: Iterable[int], perturb=None) -> VerificationReport:
-    return _relation("eq77", fd, ns, perturb, fd.L, partial(_aw_raising, fd))
+    return _relation("eq77", fd, ns, perturb, fd.L, _display("eq77", fd))
+
+
+def check_classic_jacobi_structure(fd: FamilyData, ns: Iterable[int],
+                                   perturb=None) -> VerificationReport:
+    """(1-x^2) P_n' against its three-term expansion with the classical
+    closed-form coefficients (eq02's display)."""
+    one_minus_x2 = XPoly([1, 0, -1])
+    return _relation("eq02", fd, ns, perturb, lambda p: one_minus_x2 * p.derivative(),
+                     _display("eq02", fd))
 
 
 def check_bangerezako(fd: FamilyData, ns: Iterable[int], perturb=None) -> VerificationReport:
@@ -348,7 +275,7 @@ def check_bangerezako(fd: FamilyData, ns: Iterable[int], perturb=None) -> Verifi
         return gz * (D(fd.polys[n]) - fd.polys[n].scale(lam)).to_laurent()
 
     halves = _residuals("bangerezako", fd, ns, None, fd.L,
-                        partial(_aw_lowering, fd), partial(_aw_raising, fd))
+                        _display("eq76", fd), _display("eq77", fd))
     return _close("bangerezako", fd, [_entry(n, r.to_laurent() + extra(n)) for n, r in halves])
 
 
@@ -460,7 +387,7 @@ def check_cqultra_combination(fd: FamilyData, ns: Iterable[int], perturb=None) -
         lhs54, lhs55, lhs53 = fd.L(pn), web["eq55"](pn), web["eq53"](pn)
         entries.append(_entry(n, lhs54 - lhs55.scale(u) - lhs53.scale(v)))
         # right-hand sides must combine with the same constants
-        r54p, r54m = _explicit_coeffs(fd.spec, n)
+        r54p, r54m = DISPLAYS["eq54"].closed(fd.spec, n)
         p55, _, m55 = _cqu_coeffs(fd, "eq55", n)
         p53, _, m53 = _cqu_coeffs(fd, "eq53", n)
         entries.append(_entry(n, r54p - (u * p55 + v * p53)))
@@ -500,13 +427,22 @@ def check_gamma_lambda(fd: FamilyData, ns: Iterable[int], perturb=None) -> Verif
         for n in _degrees("gamma-lambda", fd, ns)])
 
 
+def _control(op, perturb, slot: str, action, name: str, shift=None):
+    """``op``, or under the slot ``slot`` the operator f -> action(op, f)."""
+    if perturb != slot:
+        return op
+    return ops.PolyOperator(lambda f: action(op, f), op.space,
+                            op.degree_shift if shift is None else shift, name)
+
+
+def _doubled(D, f):
+    return D(f).scale(2)
+
+
 def check_commutator(fd: FamilyData, max_deg: int, perturb=None) -> VerificationReport:
     """[D, X] = L, column by column up to the degree cap, for the point's
     own operators."""
-    D = fd.D
-    if perturb == "normalization":
-        inner_D = D
-        D = ops.PolyOperator(lambda f: inner_D(f).scale(2), inner_D.space, 0, "2D")
+    D = _control(fd.D, perturb, "normalization", _doubled, "2D")
     comm = ops.commutator(D, ops.op_x(D.space))
     return _close("commutator", fd, [_entry(j, comm.column(j) - fd.L.column(j))
                                      for j in range(max_deg + 1)])
@@ -516,10 +452,7 @@ def check_d_from_l(fd: FamilyData, max_deg: int, perturb=None) -> VerificationRe
     """D rebuilt from the point's L differs from the point's D by a scalar
     multiple of the identity (the scalar is lam_0 of the explicit D, here 0)."""
     D2 = ops.d_from_l(fd.L)
-    D1 = fd.D
-    if perturb == "normalization":
-        base = D1
-        D1 = ops.PolyOperator(lambda f: base(f).scale(2), base.space, 0, "2D")
+    D1 = _control(fd.D, perturb, "normalization", _doubled, "2D")
     const = None
     entries = []
     for j in range(max_deg + 1):
@@ -547,30 +480,18 @@ def check_string_jacobi(spec: FamilySpec, max_deg: int, perturb=None) -> Verific
 
 
 def check_skew_l(fd: FamilyData, max_deg: int, perturb=None) -> VerificationReport:
-    op = fd.L
-    if perturb == "op":
-        base = op
-        op = ops.PolyOperator(lambda f: base(f) + f, base.space, base.degree_shift, "L+1")
-    res = skew_symmetry_residual(op, fd, max_deg)
-    return _close("skew-l", fd, [_entry(max_deg, res)])
+    op = _control(fd.L, perturb, "op", lambda L, f: L(f) + f, "L+1")
+    return _close("skew-l", fd, [_entry(max_deg, skew_symmetry_residual(op, fd, max_deg))])
 
 
 def check_sym_d(fd: FamilyData, max_deg: int, perturb=None) -> VerificationReport:
-    op = fd.D
-    if perturb == "op":
-        D, L = op, fd.L
-        op = ops.PolyOperator(lambda f: D(f) + L(f), D.space, 1, "D+L")
-    res = symmetry_residual(op, fd, max_deg)
-    return _close("sym-d", fd, [_entry(max_deg, res)])
+    op = _control(fd.D, perturb, "op", lambda D, f: D(f) + fd.L(f), "D+L", 1)
+    return _close("sym-d", fd, [_entry(max_deg, symmetry_residual(op, fd, max_deg))])
 
 
 def check_sym_x(fd: FamilyData, max_deg: int, perturb=None) -> VerificationReport:
-    op = ops.op_x(fd.space)
-    if perturb == "op":
-        X, L = op, fd.L
-        op = ops.PolyOperator(lambda f: X(f) + L(f), X.space, 1, "X+L")
-    res = symmetry_residual(op, fd, max_deg)
-    return _close("sym-x", fd, [_entry(max_deg, res)])
+    op = _control(ops.op_x(fd.space), perturb, "op", lambda X, f: X(f) + fd.L(f), "X+L")
+    return _close("sym-x", fd, [_entry(max_deg, symmetry_residual(op, fd, max_deg))])
 
 
 def check_orthogonality(fd: FamilyData, max_deg: int, perturb=None) -> VerificationReport:
@@ -608,39 +529,6 @@ def check_dual_path(fd: FamilyData, max_n: int, perturb=None) -> VerificationRep
     if spec.family == BIGQ:
         entries += [_entry(n, fd.polys[n](1) - 1) for n in range(max_n + 1)]
     return _close("dual-path", fd, entries)
-
-
-# ----------------------------------------------------------------------
-# classical Jacobi structure relation
-# ----------------------------------------------------------------------
-
-def _classic_jacobi_coeffs(spec: FamilySpec, n: int):
-    """The plus, middle and minus coefficients of (1-x^2) P_n' in
-    P_(n+1), P_n and P_(n-1), straight from the classical display.
-
-    At n = 0, (1-x^2) P_0' = 0 gives plus = middle = 0, and minus, which
-    multiplies P_(-1) = 0, is taken as 0 too; the quotients below divide
-    by zero there when al+be is 0, -1 or -2."""
-    if n == 0:
-        return Fraction(0), Fraction(0), Fraction(0)
-    al, be = spec.params["alpha"], spec.params["beta"]
-    ab = al + be
-    plus = -Fraction(2 * n) * (n + 1) * (n + ab + 1) / ((2 * n + ab + 1) * (2 * n + ab + 2))
-    mid = 2 * n * (n + ab + 1) * (al - be) / ((2 * n + ab) * (2 * n + ab + 2))
-    minus = 2 * (n + al) * (n + be) * (n + ab + 1) / ((2 * n + ab) * (2 * n + ab + 1))
-    return plus, mid, minus
-
-
-def check_classic_jacobi_structure(fd: FamilyData, ns: Iterable[int],
-                                   perturb=None) -> VerificationReport:
-    """(1-x^2) P_n' against its three-term expansion with the classical
-    closed-form coefficients."""
-    one_minus_x2 = XPoly([1, 0, -1])
-
-    def coeffs(n, pt):
-        plus, mid, minus = _classic_jacobi_coeffs(fd.spec, n)
-        return _p1(plus, pt, "plus"), (_p1(mid, pt, "middle"),), minus
-    return _relation("eq02", fd, ns, perturb, lambda p: one_minus_x2 * p.derivative(), coeffs)
 
 
 # ----------------------------------------------------------------------
@@ -911,7 +799,7 @@ def reduce_bigq_chain(fd: FamilyData, ns: Iterable[int], perturb=None) -> tuple:
         affine = Sn.divide_exact(qd.C).divide_x_exact()
         if not affine.is_zero and affine.degree > 1:
             raise VerificationFailure("middle coefficient is not affine in x")
-        plus, minus = _explicit_coeffs(spec, n)
+        plus, minus = DISPLAYS["eq40"].closed(spec, n)
         return plus / kappa, (affine.coeff(0) / kappa, affine.coeff(1) / kappa), minus / kappa
 
     def eq42(n, pt):

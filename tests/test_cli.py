@@ -217,7 +217,9 @@ class TestVerify:
         ("jacobi", "alpha=-1,beta=0", "alpha and beta must exceed -1"),
         ("big-q-jacobi", "a=2,b=1/4,c=1/5,q=1/2", "degenerate denominator at n=1"),
         ("continuous-q-jacobi", "alpha=1,beta=2", "missing parameter 's'"),
-    ], ids=["zero-a", "alpha-minus-one", "aq-one", "missing-s"])
+        # ab q^13 = 1: the 3phi2's leading coefficients read ab q^k to 2 n_max + 2
+        ("big-q-jacobi", "a=24576,b=1/3,c=1/3,q=1/2", "degenerate denominator at n=13"),
+    ], ids=["zero-a", "alpha-minus-one", "aq-one", "missing-s", "abq13-one"])
     def test_bad_point_names_the_flag(self, family, params, reason, tmp_path, capsys):
         rep = tmp_path / "r.json"
         assert run(["verify", "--family", family, "--identity", "eq28",
@@ -366,12 +368,22 @@ class TestConfig:
         cfg.write_text("just a line without equals\n")
         assert run(["verify", "--config", str(cfg)]) == 2
 
-    @pytest.mark.parametrize("line,name", [("n-maxx=3", "n-maxx"), ("n_max=abc", "n_max")])
+    @pytest.mark.parametrize("line,name", [("n-maxx=3", "n-maxx"), ("n_max=abc", "n_max"),
+                                           ("no-timestamp = ture", "no-timestamp")])
     def test_bad_config_key_named(self, line, name, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(line + "\n")
         assert run(["verify", "--config", str(cfg)]) == 2
         assert name in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value,stamped", [("1", False), ("TRUE", False), ("Yes", False),
+                                               ("0", True), ("False", True), ("no", True)])
+    def test_config_booleans(self, value, stamped, tmp_path):
+        cfg, rep = tmp_path / "b.cfg", tmp_path / "r.json"
+        cfg.write_text(f"no-timestamp={value}\nfamily=jacobi\nidentity=eq26\n"
+                       f"samples=1\nn-max=1\nreport={rep}\n")
+        assert run(["verify", "--config", str(cfg)]) == 0
+        assert ("timestamp" in json.loads(rep.read_text())["run"]) == stamped
 
     def test_bad_family_in_config_names_the_flag(self, tmp_path, capsys):
         cfg, rep = tmp_path / "f.cfg", tmp_path / "r.json"
@@ -447,6 +459,19 @@ class TestLimitsCommand:
         out = tmp_path / "t.csv"
         assert run(["limits", "--which", "aw-to-bigq", flag, "1/0", "--out", str(out)]) == 2
         assert f"{flag} must be" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv,reason", [
+        (["--a", "2", "--q", "1/2"], "degenerate denominator at n=1"),            # aq = 1
+        (["--a", "8", "--b", "1", "--c", "1/3", "--q", "1/2", "--n", "1"],
+         "degenerate denominator at n=3"),                                     # ab q^3 = 1
+        (["--q", "3/2"], "q must lie in (0,1)"),
+    ], ids=["aq-one", "abq3-one", "q-above-one"])
+    def test_inadmissible_bigq_point_names_the_flags(self, argv, reason, tmp_path, capsys):
+        out = tmp_path / "t.csv"
+        assert run(["limits", "--which", "aw-to-bigq", *argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --a ") and "--q " in err and reason in err
         assert not out.exists()
 
     def test_missing_which(self, capsys):
@@ -548,6 +573,17 @@ class TestFullGridSmoke:
         assert idents == set(cli.IDENTITIES)
         info = {r["identity_id"] for r in doc["results"] if r["status"] == "info"}
         assert info == {key for key, (_, check) in cli.IDENTITIES.items() if check.info}
+
+
+class TestSweep:
+    def test_ten_points_per_family_pass(self, tmp_path):
+        # every identity on ten sampled points of every family, in-process
+        rep = tmp_path / "sweep.json"
+        assert run(["verify", "--family", "all", "--identity", "all", "--samples", "10",
+                    "--seed", "0", "--no-timestamp", "--report", str(rep)]) == 0
+        statuses = [r["status"] for r in json.loads(rep.read_text())["results"]]
+        assert "fail" not in statuses
+        assert (len(statuses), statuses.count("pass")) == (11600, 11540)
 
 
 class TestReportBytes:

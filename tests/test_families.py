@@ -5,6 +5,7 @@ import pytest
 
 from qaskey import cli
 from qaskey import families as fam
+from qaskey import relations as rel
 from qaskey.laurent import SymLaurentPoly, XPoly, sym_to_x
 
 
@@ -269,6 +270,16 @@ class TestAdmissibilityBoundaries:
         with pytest.raises(fam.InadmissibleParameters, match="abcd hits"):
             self._check(3, F(1, 5), F(5, 7), F(7 * 8192, 6))    # abcd = q^-12
         self._check(3, F(1, 5), F(5, 7), F(7 * 16384, 6))      # abcd = q^-13
+
+
+def test_bigq_ab_bound():
+    # ab = 2^13 = q^-13: the 3phi2's leading coefficients and eq40 read
+    # 1 - ab q^k up to k = 2 n_max + 2, so n_max = 5 (k <= 12) builds
+    spec = fam.bigq_spec(24576, F(1, 3), F(1, 3), F(1, 2))
+    fd = fam.build_family(spec, 5)
+    assert rel.check_explicit_structure(fd, range(1, 6)).passed
+    with pytest.raises(fam.InadmissibleParameters, match="at n=13"):
+        fam.validate_spec(spec, 6)
 
 
 class TestSamplerDraws:

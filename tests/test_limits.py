@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from qaskey import displays
 from qaskey import families as fam
 from qaskey import limits as lim
 from qaskey import relations as rel
@@ -25,7 +26,7 @@ class TestCqJacobiToJacobi:
         prev = None
         for k in (4, 6, 8, 10):
             spec = fam.cqjacobi_spec(alpha, beta, 1 - F(1, 2 ** (k + 2)))
-            got = 2 / (1 - spec.q) * fam.cqjacobi_gamma(0, spec)
+            got = 2 / (1 - spec.q) * displays.cqjacobi_gamma(0, spec)
             err = abs(got - target)
             if prev is not None:
                 assert err < prev
@@ -82,7 +83,7 @@ class TestAwToBigQ:
 
     def test_structure_coefficients_converge(self):
         a, b, c, q, n = F(1, 3), F(1, 4), F(1, 5), F(1, 2), 2
-        tplus, tminus = rel._explicit_coeffs(fam.bigq_spec(a, b, c, q), n)
+        tplus, tminus = displays.DISPLAYS["eq40"].closed(fam.bigq_spec(a, b, c, q), n)
         prev = None
         for k in (4, 6, 8):
             sp, sm = lim._rescaled_structure_coeffs(a, b, c, q, F(1, 2 ** k), n)
@@ -90,6 +91,12 @@ class TestAwToBigQ:
             if prev is not None:
                 assert err < prev / 4 + F(1, 10 ** 12)
             prev = err
+
+    @pytest.mark.parametrize("a,b,n", [(2, F(1, 4), 3), (8, 1, 1)], ids=["aq-one", "abq3-one"])
+    def test_inadmissible_bigq_point_rejected(self, a, b, n):
+        # the big q-Jacobi point is validated before any division by its factors
+        with pytest.raises(fam.InadmissibleParameters, match="degenerate denominator"):
+            lim.limit_aw_to_bigq(a, b, F(1, 3), F(1, 2), n)
 
     def test_inadmissible_eps_rejected(self):
         from qaskey.families import InadmissibleParameters

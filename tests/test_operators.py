@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from qaskey import displays
 from qaskey import families as fam
 from qaskey import operators as ops
 from qaskey.laurent import LaurentPoly, SymLaurentPoly, XPoly, x_to_sym
@@ -134,8 +135,8 @@ class TestSpecializations:
     def test_cqjacobi_gamma_slopes(self):
         spec = fam.cqjacobi_spec(1, 2, F(1, 2))
         L, Lt = ops.family_L(spec), ops.aw_L(fam.cqjacobi_aw_spec(spec, 9))
-        assert L.column(0).coeff(1) == fam.cqjacobi_gamma(0, spec)
-        assert Lt.column(0).coeff(1) == fam.cqjacobi_gamma_tilde(0, spec)
+        assert L.column(0).coeff(1) == displays.cqjacobi_gamma(0, spec)
+        assert Lt.column(0).coeff(1) == displays.cqjacobi_gamma(0, spec, 2)
         s = spec.base
         # gamma_0 = 2 (q^((alpha+beta+2)/2) - 1), gamma~_0 = 2 (q^(alpha+beta+2) - 1)
         assert L.column(0).coeff(1) == 2 * (s ** (2 * (1 + 2 + 2)) - 1)
