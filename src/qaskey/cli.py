@@ -159,14 +159,16 @@ def _string(fd, max_deg, perturb=None):
 IDENTITIES = {
     "eq28": (CLI_FAMILIES, Check(rel.check_structure, "1..n_max", ("plus", "minus"))),
     # eq28's closed form on each family: eq18, eq26, eq59, eq54, eq40
-    **{key: (DISPLAYS[key].families, Check(rel.check_explicit_structure, "1..n_max",
+    **{key: (DISPLAYS[key].families, Check(rel.display_check(key), "1..n_max",
                                            DISPLAYS[key].names)) for key in STRUCTURE},
     "eq59t": ((CQJ,), Check(rel.check_structure_tilde, "1..n_max", ("plus", "minus"))),
-    "eq02": ((JAC,), Check(rel.check_classic_jacobi_structure, "1..n_max", ("middle", "plus"))),
-    "eq31": (CLI_FAMILIES, Check(rel.check_lowering, "1..n_max", ("rhs", "slope"))),
-    "eq32": (CLI_FAMILIES, Check(rel.check_raising, "1..n_max", ("rhs", "slope"))),
-    "eq76": ((AW,), Check(rel.check_aw_lowering, "1..n_max", ("slope", "rhs"))),
-    "eq77": ((AW,), Check(rel.check_aw_raising, "1..n_max", ("slope", "rhs"))),
+    "eq02": ((JAC,), Check(rel.display_check("eq02"), "1..n_max", ("middle", "plus"))),
+    "eq31": (CLI_FAMILIES, Check(rel.display_check("eq76", "eq31", generic=True), "1..n_max",
+                                 ("rhs", "slope"))),
+    "eq32": (CLI_FAMILIES, Check(rel.display_check("eq77", "eq32", generic=True), "1..n_max",
+                                 ("rhs", "slope"))),
+    "eq76": ((AW,), Check(rel.display_check("eq76"), "1..n_max", ("slope", "rhs"))),
+    "eq77": ((AW,), Check(rel.display_check("eq77"), "1..n_max", ("slope", "rhs"))),
     "bangerezako": ((AW,), Check(rel.check_bangerezako, "1..n_max", ("lambda",))),
     "eq71": (CLI_FAMILIES, Check(rel.check_bispectral, "0..n_max", ("lambda",))),
     "eq73": ((AW,), Check(rel.residual_q_bispectral, "q^2 re-anchor", ("lambda",), info=True)),
@@ -552,19 +554,20 @@ def run_limits(args) -> int:
     _check_ranges(("--n", args.n, 0))
     if args.which == "cqjacobi-to-jacobi":
         _check_ranges(("--k-min", args.k_min, 0), ("--k-max", args.k_max, args.k_min))
-        rows = lim.limit_cqjacobi_to_jacobi(
-            args.alpha, args.beta, args.n,
-            k_range=range(args.k_min, args.k_max + 1))
+        limit, point = lim.limit_cqjacobi_to_jacobi, {"alpha": args.alpha, "beta": args.beta}
+        ks = range(args.k_min, args.k_max + 1)
     else:
         # eps = 2^-k: k = 0 gives eps = 1, a degenerate Askey-Wilson point
         _check_ranges(("--k-min", args.k_min, 1), ("--eps-steps", args.eps_steps, 1))
-        point = [_parse_fraction(getattr(args, k), f"--{k}") for k in "abcq"]
-        try:
-            rows = lim.limit_aw_to_bigq(*point, args.n,
-                                        eps_ks=range(args.k_min, args.k_min + args.eps_steps))
-        except fam.InadmissibleParameters as exc:
-            flags = " ".join(f"--{k} {v}" for k, v in zip("abcq", point))
-            raise ValueError(f"{flags}: {exc}") from exc
+        limit = lim.limit_aw_to_bigq
+        point = {k: _parse_fraction(getattr(args, k), f"--{k}") for k in "abcq"}
+        ks = range(args.k_min, args.k_min + args.eps_steps)
+    try:
+        # each limit takes its point, n and its range of k, in that order
+        rows = limit(*point.values(), args.n, ks)
+    except fam.InadmissibleParameters as exc:
+        flags = " ".join(f"--{k} {v}" for k, v in point.items())
+        raise ValueError(f"{flags}: {exc}") from exc
     lim.write_csv(rows, args.out)
     return 0
 

@@ -6,16 +6,21 @@ eq18, eq26, eq59, eq54 and eq40 give eq28's gamma_n A_n and
 -gamma_(n-1) C_n on one family each (:data:`STRUCTURE`); eq76 and eq77
 the Askey-Wilson lowering and raising slope and rhs, whose combinations
 are eq31's and eq32's coefficients; eq02 the classical expansion of
-(1-x^2) P_n' = L P_n + ((alpha-beta) + (alpha+beta+2) x)/2 P_n.  A row's
-terms place its coefficients in the three-term relation.
+(1-x^2) P_n' = L P_n + ((alpha-beta) + (alpha+beta+2) x)/2 P_n.  A row
+holds all its check needs: its left side (the map applied to p_n: the
+point's L, or (1-x^2) P' on eq02's row) and its terms, which place its
+coefficients in the three-term relation; :func:`qaskey.relations.display_check` is the
+one checker of every row.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import attrgetter
 from typing import Callable, NamedTuple
 
 from .families import AW, BIGQ, CQJ, CQU, FAMILIES, JACOBI, FamilySpec
+from .laurent import XPoly
 
 
 class Display(NamedTuple):
@@ -24,6 +29,7 @@ class Display(NamedTuple):
     closed: Callable         # (spec, n) -> the closed forms, in the order of names
     generic: Callable        # (fd, n) -> the combination each one abbreviates
     terms: Callable          # (fd, n, *coefficients) -> (plus, mid, minus), mid = (m_0, m_1, ...)
+    lhs: Callable = attrgetter("L")  # fd -> the map applied to p_n
 
     def slotted(self, values, perturb=None) -> tuple:
         """``values``, one per name, with 1 added to the one named ``perturb``."""
@@ -134,6 +140,12 @@ def _eq40(spec: FamilySpec, n: int):
     return plus, minus
 
 
+def _one_minus_x2_derivative(fd):
+    """P -> (1-x^2) P', eq02's left side."""
+    one_minus_x2 = XPoly([1, 0, -1])
+    return lambda p: one_minus_x2 * p.derivative()
+
+
 def _pm(fd, n, plus, minus):
     return plus, (), minus
 
@@ -152,7 +164,8 @@ DISPLAYS = {
         fd.gamma[n - 1], (fd.gamma[n] + fd.gamma[n - 1]) * fd.A[n]),
         lambda fd, n, slope, rhs: (rhs, (slope * fd.B[n], -slope), 0)),
     "eq02": Display((JACOBI,), ("plus", "middle", "minus"), _eq02, _classic,
-                    lambda fd, n, plus, mid, minus: (plus, (mid,), minus)),
+                    lambda fd, n, plus, mid, minus: (plus, (mid,), minus),
+                    _one_minus_x2_derivative),
 }
 
 #: the displays of eq28's coefficients, one per family

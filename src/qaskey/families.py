@@ -47,7 +47,7 @@ import random
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
-from math import gcd, prod
+from math import gcd
 from operator import mul
 from typing import Callable, Mapping, NamedTuple, Sequence, Union
 
@@ -193,14 +193,6 @@ def validate_spec(spec: FamilySpec, n_max: int = 16) -> None:
     FAMILIES[spec.family].check(spec, n_max)
 
 
-def _check_aw(spec: FamilySpec, n_max: int) -> None:
-    _validate_aw(spec.params, n_max)
-    # B_0 has a cancelled form, but eq73 rebuilds the point at base q^2,
-    # where abcd = q^2 would hit an inverse power of the new base
-    if prod(spec.params[k] for k in "abcd") == spec.q ** 2:
-        raise InadmissibleParameters("abcd = q^2 leaves eq73's rebuild at base q^2 inadmissible")
-
-
 def _check_cqjacobi(spec: FamilySpec, n_max: int) -> None:
     _validate_aw(cqjacobi_aw_spec(spec, 49).params, n_max)
     _validate_aw(cqjacobi_aw_spec(spec, 9).params, n_max)
@@ -229,8 +221,8 @@ def _validate_aw(params: Mapping[str, Fraction], n_max: int) -> None:
         k = inv.get(p)
         if k is not None and k <= top:
             raise InadmissibleParameters(f"product {p} is an inverse power of q")
-    abcd = a * b * c * d               # abcd q^m = 1 for m = -1 .. 2 n_max + 2
-    if abcd == q or abcd in inv:
+    abcd = a * b * c * d               # abcd q^m = 1 for m = 0 .. 2 n_max + 2
+    if abcd in inv:
         raise InadmissibleParameters("abcd hits an inverse power of q")
 
 
@@ -546,15 +538,17 @@ def _norms_recursive(A, C, n_hi) -> tuple:
 def _aw_coefficients(n_max, a, b, c, d, qp, w, g) -> tuple:
     """A_n, B_n, h_n, gamma_n (n <= n_max) and lam_n (n <= n_max + 1) from
     the closed forms, every power of q read from the :func:`_aw_tables`
-    (B_0 in the form (e1 - e3) / (2 (1 - abcd)), where the factor
-    1 - abcd q^-2 has cancelled, so that abcd = q^2 is admissible):
+    (A_0, B_0 and h_n in forms where the factors 1 - abcd/q and
+    1 - abcd q^-2 have cancelled, so that abcd = q and abcd = q^2 build):
 
-      A_n = k_n / k_(n+1) with k_n = 2^n (abcd q^(n-1); q)_n
+      A_n = k_n / k_(n+1) with k_n = 2^n (abcd q^(n-1); q)_n,
+            A_0 = 1 / (2 (1 - abcd))
       B_n = q^(n-1) [e1 (q - abcd q^(n-1) - abcd q^n + abcd q^(2n))
                      + e3 (1 - q^n - q^(n+1) + abcd q^(2n-1))]
-            / (2 (1 - abcd q^(2n-2)) (1 - abcd q^(2n)))
-      h_n = (1 - abcd/q) (q, ab, ac, ad, bc, bd, cd; q)_n
-            / ((1 - abcd q^(2n-1)) (abcd/q; q)_n)
+            / (2 (1 - abcd q^(2n-2)) (1 - abcd q^(2n))),
+            B_0 = (e1 - e3) / (2 (1 - abcd))
+      h_n = (q, ab, ac, ad, bc, bd, cd; q)_n
+            / ((1 - abcd q^(2n-1)) (abcd; q)_(n-1)),  h_0 = 1
       lam_n = 2 (q^-n - 1) (1 - abcd q^(n-1)) / (1 - 1/q)
       gamma_n = 2 (abcd q^n - q^-n)
     """
@@ -563,20 +557,22 @@ def _aw_coefficients(n_max, a, b, c, d, qp, w, g) -> tuple:
     e3 = b * c * d + a * b * d + a * c * d + a * b * c
     bc, bd, cd = b * c, b * d, c * d
     A, B, h, gamma = [], [], [], []
-    pochs = w[-1]           # (1 - abcd/q) (q, ab, ..., cd; q)_n / (abcd/q; q)_n
+    pochs = Fraction(1)     # (q, ab, ..., cd; q)_n / (abcd; q)_(n-1)
     for n in range(n_max + 1):
-        # k_(n+1) / k_n = 2 (1 - abcd q^(2n-1)) (1 - abcd q^(2n)) / (1 - abcd q^(n-1))
-        A.append(w[n - 1] / (2 * w[2 * n - 1] * w[2 * n]))
         if n:
+            # k_(n+1) / k_n = 2 (1 - abcd q^(2n-1)) (1 - abcd q^(2n)) / (1 - abcd q^(n-1))
+            A.append(w[n - 1] / (2 * w[2 * n - 1] * w[2 * n]))
             num = (e1 * (qp[1] - abcd * qp[n - 1] - abcd * qp[n] + abcd * qp[2 * n])
                    + e3 * (1 - qp[n] - qp[n + 1] + abcd * qp[2 * n - 1]))
             B.append(num * qp[n - 1] / (2 * w[2 * n - 2] * w[2 * n]))
             j = n - 1
             pochs = (pochs * (1 - qp[n]) * g[j] * (1 - bc * qp[j]) * (1 - bd * qp[j])
-                     * (1 - cd * qp[j]) / w[j - 1])
+                     * (1 - cd * qp[j]) / (w[j - 1] if j else 1))
+            h.append(pochs / w[2 * n - 1])
         else:
+            A.append(1 / (2 * w[0]))
             B.append((e1 - e3) / (2 * w[0]))
-        h.append(pochs / w[2 * n - 1])
+            h.append(Fraction(1))
         gamma.append(2 * (abcd * qp[n] - qp[-n]))
     lam = [2 * (qp[-n] - 1) * w[n - 1] / (1 - qp[-1]) for n in range(n_max + 2)]
     return A, B, h, lam, gamma
@@ -714,7 +710,7 @@ FAMILIES = {
         ("a", "b", "c", "d", "q"), lambda a, b, c, d, q: aw_spec(a, b, c, d, q=q),
         lambda rng: aw_spec(_rat_signed(rng), _rat_signed(rng), _rat_signed(rng),
                             _rat_signed(rng), q=_rat01(rng)),
-        _check_aw, _build_aw),
+        lambda spec, n_max: _validate_aw(spec.params, n_max), _build_aw),
     # jacobi_spec, the only way to a Jacobi point, rejects alpha, beta <= -1
     JACOBI: Family(
         ("alpha", "beta"), jacobi_spec,

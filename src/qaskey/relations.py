@@ -1,4 +1,4 @@
-"""The verification engine: one checker per identity.
+"""The verification engine: the identity checkers, one of which serves every display row.
 
 Every checker computes an exact residual polynomial; a check passes iff
 the residual is the zero polynomial.  Residuals are kept (not reduced
@@ -15,7 +15,10 @@ operator, or a map of p_n) and a coefficient function
 (n, perturb) -> (plus, mid, minus), where mid holds the coefficients
 (m_0, m_1, ...) of a polynomial in x and the slots are applied inside.
 The closed forms of the paper's displays are not written here: each is a
-row of :data:`qaskey.displays.DISPLAYS`, which the checkers read by key.
+row of :data:`qaskey.displays.DISPLAYS`, which names its left side too,
+and :func:`display_check` is the one checker of every row: the structure
+relation's closed forms on each family, the Askey-Wilson lowering and
+raising relations (closed or generic) and eq02.
 
 The second-order q-difference equation is derived from the data, not
 stated: :func:`derive_second_order_qdiff` is one solver for both
@@ -33,7 +36,7 @@ from math import gcd, lcm
 from typing import Callable, Iterable, NamedTuple
 
 from . import operators as ops
-from .displays import DISPLAYS, STRUCTURE, cqjacobi_gamma, eq28, rows_for
+from .displays import DISPLAYS, cqjacobi_gamma, eq28, rows_for
 from .families import (AW, BIGQ, CQJ49, CQU, JACOBI, FamilyData, FamilySpec,
                        aw_spec, cqjacobi_aw_spec, recurrence_from_expansion,
                        _polys_from_recurrence, cqjacobi_polynomials)
@@ -196,11 +199,16 @@ def _display(key: str, fd: FamilyData, generic: bool = False):
     return lambda n, pt: d.terms(fd, n, *d.slotted(d.closed(fd.spec, n), pt))
 
 
-def check_explicit_structure(fd: FamilyData, ns: Iterable[int], perturb=None) -> VerificationReport:
-    """eq28 with the closed-form coefficients of the point's family, its
-    row of :data:`~qaskey.displays.STRUCTURE` (one residual entry per degree)."""
-    key = next(k for k, _ in rows_for(fd.family) if k in STRUCTURE)
-    return _relation(key, fd, ns, perturb, fd.L, _display(key, fd))
+def display_check(key: str, ident: str | None = None, generic: bool = False) -> Callable:
+    """The checker (fd, ns, perturb=None) of the display row ``key``: its
+    left side applied to p_n against its terms, reported under ``ident``
+    (default ``key``); with ``generic`` the coefficients are the combinations
+    of fd's data that the closed forms abbreviate.  The row is read at each
+    call, so a row swapped into :data:`~qaskey.displays.DISPLAYS` takes effect."""
+    def check(fd: FamilyData, ns: Iterable[int], perturb=None) -> VerificationReport:
+        return _relation(ident or key, fd, ns, perturb, DISPLAYS[key].lhs(fd),
+                         _display(key, fd, generic))
+    return check
 
 
 def check_coefficient_match(fd: FamilyData, ns: Iterable[int], perturb=None) -> VerificationReport:
@@ -227,35 +235,6 @@ def check_structure_tilde(fd: FamilyData, ns: Iterable[int], perturb=None) -> Ve
     Lt = ops.aw_L(cqjacobi_aw_spec(spec, 9))
     return _relation("eq59t", fd, ns, perturb, Lt, lambda n, pt: _plus_minus(
         cqjacobi_gamma(n, spec, 2) * fd.A[n], -cqjacobi_gamma(n - 1, spec, 2) * fd.C[n], pt))
-
-
-def check_lowering(fd: FamilyData, ns: Iterable[int], perturb=None) -> VerificationReport:
-    """L p_n = gamma_n (x - B_n) p_n - (gamma_n + gamma_{n-1}) C_n p_{n-1}:
-    eq76 with the generic coefficients its closed forms abbreviate."""
-    return _relation("eq31", fd, ns, perturb, fd.L, _display("eq76", fd, generic=True))
-
-
-def check_raising(fd: FamilyData, ns: Iterable[int], perturb=None) -> VerificationReport:
-    """L p_n = (gamma_n + gamma_{n-1}) A_n p_{n+1} - gamma_{n-1} (x - B_n) p_n:
-    eq77 with the generic coefficients its closed forms abbreviate."""
-    return _relation("eq32", fd, ns, perturb, fd.L, _display("eq77", fd, generic=True))
-
-
-def check_aw_lowering(fd: FamilyData, ns: Iterable[int], perturb=None) -> VerificationReport:
-    return _relation("eq76", fd, ns, perturb, fd.L, _display("eq76", fd))
-
-
-def check_aw_raising(fd: FamilyData, ns: Iterable[int], perturb=None) -> VerificationReport:
-    return _relation("eq77", fd, ns, perturb, fd.L, _display("eq77", fd))
-
-
-def check_classic_jacobi_structure(fd: FamilyData, ns: Iterable[int],
-                                   perturb=None) -> VerificationReport:
-    """(1-x^2) P_n' against its three-term expansion with the classical
-    closed-form coefficients (eq02's display)."""
-    one_minus_x2 = XPoly([1, 0, -1])
-    return _relation("eq02", fd, ns, perturb, lambda p: one_minus_x2 * p.derivative(),
-                     _display("eq02", fd))
 
 
 def check_bangerezako(fd: FamilyData, ns: Iterable[int], perturb=None) -> VerificationReport:

@@ -12,6 +12,7 @@ from fractions import Fraction as F
 import pytest
 
 from qaskey import cli
+from qaskey.displays import DISPLAYS, STRUCTURE
 from qaskey import families as fam
 from qaskey import limits as lim
 from qaskey import relations as rel
@@ -36,12 +37,13 @@ class TestCriterion1Structure:
         for fds in grids.values():
             for fd in fds:
                 reports.append(rel.check_structure(fd, NS))
-                reports.append(rel.check_explicit_structure(fd, NS))
                 reports.append(rel.check_coefficient_match(fd, NS))
+        # eq28's closed form on each family, then eq02
+        for key in (*STRUCTURE, "eq02"):
+            for family in DISPLAYS[key].families:
+                reports.extend(rel.display_check(key)(fd, NS) for fd in grids[family])
         for fd in grids["continuous-q-jacobi"]:
             reports.append(rel.check_structure_tilde(fd, NS))
-        for fd in grids[fam.JACOBI]:
-            reports.append(rel.check_classic_jacobi_structure(fd, NS))
         _all_pass(reports)
         entries = sum(len(r.entries) for r in reports)
         _report(1, f"structure relations: {entries} exactly-zero residuals "
@@ -63,11 +65,11 @@ class TestCriterion2LoweringRaising:
         reports = []
         for fds in grids.values():
             for fd in fds:
-                reports.append(rel.check_lowering(fd, NS))
-                reports.append(rel.check_raising(fd, NS))
+                reports.append(rel.display_check("eq76", "eq31", generic=True)(fd, NS))
+                reports.append(rel.display_check("eq77", "eq32", generic=True)(fd, NS))
         for fd in grids[fam.AW]:
-            reports.append(rel.check_aw_lowering(fd, NS))
-            reports.append(rel.check_aw_raising(fd, NS))
+            reports.append(rel.display_check("eq76")(fd, NS))
+            reports.append(rel.display_check("eq77")(fd, NS))
             reports.append(rel.check_bangerezako(fd, NS))
         _all_pass(reports)
         entries = sum(len(r.entries) for r in reports)

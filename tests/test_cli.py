@@ -207,10 +207,17 @@ class TestVerify:
                     flag, value]) == 2
         assert flag in capsys.readouterr().err
 
-    def test_abcd_equal_q_squared_rejected(self, capsys):
-        # abcd = (1/6)^2 = q^2: eq73's rebuild at base q^2 would be inadmissible
-        assert run(["verify", "--params", "a=-1/2,b=-1/3,c=-1/2,d=-1/3,q=1/6"]) == 2
-        assert "error: --params: abcd = q^2" in capsys.readouterr().err
+    @pytest.mark.parametrize("params", ["a=-1/2,b=-1/3,c=-1/2,d=-1/3,q=1/6",
+                                        "a=1/2,b=1/3,c=1/2,d=1/3,q=1/36"],
+                             ids=["abcd-q2", "abcd-q"])
+    def test_abcd_equal_q_or_q_squared_admitted(self, params, tmp_path):
+        # abcd = q^2 and abcd = q (eq73's rebuild at base q^2 has abcd = q'):
+        # the factor 1 - abcd/q cancels from A_0 and h_n, so both build
+        out = tmp_path / "r.json"
+        assert run(["verify", "--family", "askey-wilson", "--params", params,
+                    "--no-timestamp", "--report", str(out)]) == 0
+        statuses = [r["status"] for r in json.loads(out.read_text())["results"]]
+        assert (statuses.count("pass"), statuses.count("info"), len(statuses)) == (280, 6, 286)
 
     @pytest.mark.parametrize("family,params,reason", [
         ("askey-wilson", "a=0,b=1/4,c=1/5,d=1/6,q=1/2", "zero Askey-Wilson parameter"),
@@ -472,6 +479,16 @@ class TestLimitsCommand:
         assert run(["limits", "--which", "aw-to-bigq", *argv, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: --a ") and "--q " in err and reason in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv,flags", [
+        (["--alpha", "-1"], "--alpha -1 --beta 2: "),
+        (["--beta", "-1"], "--alpha 1 --beta -1: "),
+    ], ids=["alpha", "beta"])
+    def test_inadmissible_jacobi_point_names_the_flags(self, argv, flags, tmp_path, capsys):
+        out = tmp_path / "t.csv"
+        assert run(["limits", "--which", "cqjacobi-to-jacobi", *argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {flags}alpha and beta must exceed -1\n"
         assert not out.exists()
 
     def test_missing_which(self, capsys):

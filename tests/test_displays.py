@@ -1,7 +1,8 @@
 """``displays.DISPLAYS`` is the one table of the paper's closed-form
 displays: its keys are registry keys with the same families, the
-explicit structure rows of the registry come from it, and coeff-match
-reads a family's rows in table order."""
+explicit structure rows of the registry come from it, each row's check
+applies the row's own left side, and coeff-match reads a family's rows
+in table order."""
 
 import pytest
 
@@ -34,10 +35,31 @@ def test_structure_rows_come_from_the_table():
     assert keys[keys.index("eq28") + 1:][:5] == list(displays.STRUCTURE)
     for key in displays.STRUCTURE:
         families, check = cli.IDENTITIES[key]
-        assert check.fn is rel.check_explicit_structure
         assert (check.domain, check.slots) == ("1..n_max", ("plus", "minus"))
         rows = [k for f in families for k, _ in displays.rows_for(f)]
         assert [k for k in rows if k in displays.STRUCTURE] == [key]
+
+
+@pytest.mark.parametrize("key", list(displays.DISPLAYS))
+def test_every_row_checks_under_its_own_key(first_points, key):
+    # the registry's check of a row reports under the row's key and
+    # passes at the first seed-1 point of each of its families
+    families, check = cli.IDENTITIES[key]
+    for family in families:
+        reps = check.run(first_points[fam.CQJ49 if family == fam.CQJ else family], [1, 2])
+        assert [(r.identity_id, r.passed) for r in reps] == [(key, True)], family
+
+
+def test_a_rows_left_side_is_what_its_check_applies(first_points, monkeypatch):
+    # eq76 with 2 L on the left fails; eq28, which reads no row, still holds
+    fd = first_points[fam.AW]
+    row = displays.DISPLAYS["eq76"]
+    monkeypatch.setitem(displays.DISPLAYS, "eq76", row._replace(
+        lhs=lambda fd: lambda p: row.lhs(fd)(p).scale(2)))
+    assert not cli.IDENTITIES["eq76"][1].run(fd, [1, 2])[0].passed
+    assert not rel.display_check("eq76", "eq31", generic=True)(fd, [1, 2]).passed
+    assert cli.IDENTITIES["eq77"][1].run(fd, [1, 2])[0].passed
+    assert cli.IDENTITIES["eq28"][1].run(fd, [1, 2])[0].passed
 
 
 def test_point_family_shares_its_command_line_rows():

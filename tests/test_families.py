@@ -75,7 +75,7 @@ class TestAskeyWilson:
             assert aw_fd.h[n] > 0
 
     def test_inadmissible_rejected(self):
-        # abcd = q hits the (1 - abcd/q) denominator
+        # ad = 2 = q^-1 hits a pair-product denominator
         spec = fam.aw_spec(F(1, 2), F(1, 2), F(1, 2), F(4), q=F(1, 2))
         with pytest.raises(fam.InadmissibleParameters):
             fam.validate_spec(spec, 4)
@@ -252,7 +252,7 @@ class TestQpow:
 
 class TestAdmissibilityBoundaries:
     # At n_max = 5 the ten pair products may not equal q^-k for k <= 10,
-    # and abcd may not equal q^-m for -1 <= m <= 12.  q = 1/2, and no other
+    # and abcd may not equal q^-m for 0 <= m <= 12.  q = 1/2, and no other
     # product of these parameters is a power of 2.
 
     @staticmethod
@@ -265,8 +265,9 @@ class TestAdmissibilityBoundaries:
         self._check(F(2048, 3), 3, F(5, 7), F(7, 11))          # ab = q^-11
 
     def test_abcd_bounds(self):
+        self._check(3, F(1, 5), F(5, 7), F(7, 6))               # abcd = q builds
         with pytest.raises(fam.InadmissibleParameters, match="abcd hits"):
-            self._check(3, F(1, 5), F(5, 7), F(7, 6))           # abcd = q
+            self._check(3, F(1, 5), F(5, 7), F(7, 3))           # abcd = 1
         with pytest.raises(fam.InadmissibleParameters, match="abcd hits"):
             self._check(3, F(1, 5), F(5, 7), F(7 * 8192, 6))    # abcd = q^-12
         self._check(3, F(1, 5), F(5, 7), F(7 * 16384, 6))      # abcd = q^-13
@@ -277,7 +278,7 @@ def test_bigq_ab_bound():
     # 1 - ab q^k up to k = 2 n_max + 2, so n_max = 5 (k <= 12) builds
     spec = fam.bigq_spec(24576, F(1, 3), F(1, 3), F(1, 2))
     fd = fam.build_family(spec, 5)
-    assert rel.check_explicit_structure(fd, range(1, 6)).passed
+    assert rel.display_check("eq40")(fd, range(1, 6)).passed
     with pytest.raises(fam.InadmissibleParameters, match="at n=13"):
         fam.validate_spec(spec, 6)
 

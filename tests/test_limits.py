@@ -42,7 +42,7 @@ class TestCqJacobiToJacobi:
         # still holds with an exactly zero residual: the table's
         # deviations carry no arithmetic noise
         fd = fam.build_family(fam.cqjacobi_spec(1, 2, 1 - F(1, 2 ** 12)), 3)
-        rep = rel.check_explicit_structure(fd, [3])
+        rep = rel.display_check("eq59")(fd, [3])
         assert rep.identity_id == "eq59" and rep.passed
         assert [e.zero for e in rep.entries] == [True]
 

@@ -41,7 +41,7 @@ def test_eq59_display_is_not_the_family_data(monkeypatch):
     monkeypatch.setitem(displays.DISPLAYS, "eq59", row._replace(closed=doubled))
     fd = fam.build_family(fam.sample_specs(fam.CQJ, 1, seed=1, n_max=8)[0], 8)
     assert not rel.check_coefficient_match(fd, NS).passed
-    assert not rel.check_explicit_structure(fd, NS).passed
+    assert not rel.display_check("eq59")(fd, NS).passed
     assert rel.check_structure(fd, NS).passed
 
 
@@ -49,18 +49,28 @@ def _cqu_relation(which):
     return lambda fd, ns: rel.check_cqultra_relation(fd, ns, which)
 
 
+def explicit(fd, ns, perturb=None):
+    """eq28's closed form on fd's family: its one structure row."""
+    key = next(k for k, _ in displays.rows_for(fd.family) if k in displays.STRUCTURE)
+    return rel.display_check(key)(fd, ns, perturb)
+
+
+LOWERING = rel.display_check("eq76", "eq31", generic=True)
+RAISING = rel.display_check("eq77", "eq32", generic=True)
+
+
 #: every structure, lowering and raising checker, with the one family it
 #: is specific to (None: all five)
 N0_CHECKS = {
     "eq28": (rel.check_structure, None),
-    "explicit": (rel.check_explicit_structure, None),
-    "eq31": (rel.check_lowering, None),
-    "eq32": (rel.check_raising, None),
+    "explicit": (explicit, None),
+    "eq31": (LOWERING, None),
+    "eq32": (RAISING, None),
     "eq59t": (rel.check_structure_tilde, fam.CQJ49),
-    "eq76": (rel.check_aw_lowering, fam.AW),
-    "eq77": (rel.check_aw_raising, fam.AW),
+    "eq76": (rel.display_check("eq76"), fam.AW),
+    "eq77": (rel.display_check("eq77"), fam.AW),
     "bangerezako": (rel.check_bangerezako, fam.AW),
-    "eq02": (rel.check_classic_jacobi_structure, fam.JACOBI),
+    "eq02": (rel.display_check("eq02"), fam.JACOBI),
     **{w: (_cqu_relation(w), fam.CQU) for w in ("eq51", "eq52", "eq53", "eq55", "qdiff2")},
     "combo54": (rel.check_cqultra_combination, fam.CQU),
     "eq42": (lambda fd, ns: rel.reduce_bigq_chain(fd, ns)[0], fam.BIGQ),
@@ -99,10 +109,10 @@ class TestPointOperators:
             op = getattr(fd, key)
             op.action = lambda f, _a=op.action, _k=key: applied[_k].append(f) or _a(f)
         ns = range(0, 5)
-        for check in (rel.check_structure, rel.check_explicit_structure, rel.check_lowering,
-                      rel.check_raising, rel.check_aw_lowering, rel.check_aw_raising,
+        for check in (rel.check_structure, explicit, LOWERING, RAISING,
+                      rel.display_check("eq76"), rel.display_check("eq77"),
                       rel.check_bangerezako, rel.check_bispectral, rel.check_eigen):
-            assert check(fd, ns).passed, check.__name__
+            assert check(fd, ns).passed, check
         for check in (rel.check_commutator, rel.check_d_from_l, rel.check_skew_l,
                       rel.check_sym_d):
             assert check(fd, 4).passed, check.__name__
@@ -120,11 +130,11 @@ class TestStructure:
 
     def test_explicit_all_families(self, fds):
         for fd in fds.values():
-            rep = rel.check_explicit_structure(fd, NS)
+            rep = explicit(fd, NS)
             assert rep.passed, fd.family
 
     def test_explicit_ids(self, fds):
-        ids = {rel.check_explicit_structure(fd, [1]).identity_id for fd in fds.values()}
+        ids = {explicit(fd, [1]).identity_id for fd in fds.values()}
         assert ids == {"eq18", "eq26", "eq59", "eq54", "eq40"}
 
     def test_tilde_structure(self, fds):
@@ -138,7 +148,7 @@ class TestStructure:
         got = L(leg_fd.polys[1])
         assert got == XPoly([1, 0, -2])
         assert got == leg_fd.polys[2].scale(F(-4, 3)) + leg_fd.polys[0].scale(F(1, 3))
-        assert rel.check_explicit_structure(leg_fd, [1]).passed
+        assert rel.display_check("eq26")(leg_fd, [1]).passed
 
     def test_coefficient_match(self, fds):
         for fd in fds.values():
@@ -148,12 +158,12 @@ class TestStructure:
 class TestLoweringRaising:
     def test_generic(self, fds):
         for fd in fds.values():
-            assert rel.check_lowering(fd, NS).passed, fd.family
-            assert rel.check_raising(fd, NS).passed, fd.family
+            assert LOWERING(fd, NS).passed, fd.family
+            assert RAISING(fd, NS).passed, fd.family
 
     def test_aw_explicit(self, fds):
-        assert rel.check_aw_lowering(fds[fam.AW], NS).passed
-        assert rel.check_aw_raising(fds[fam.AW], NS).passed
+        assert rel.display_check("eq76")(fds[fam.AW], NS).passed
+        assert rel.display_check("eq77")(fds[fam.AW], NS).passed
 
     def test_bangerezako(self, fds):
         assert rel.check_bangerezako(fds[fam.AW], NS).passed
@@ -271,8 +281,8 @@ class TestSpectral:
 
 
 @pytest.mark.parametrize("alpha,beta", [(0, 0), (F(-1, 2), F(-1, 2)), (1, 2), (F(1, 2), 0)])
-@pytest.mark.parametrize("check", [rel.check_classic_jacobi_structure,
-                                   rel.check_explicit_structure], ids=["eq02", "eq26"])
+@pytest.mark.parametrize("check", [rel.display_check("eq02"), rel.display_check("eq26")],
+                         ids=["eq02", "eq26"])
 def test_jacobi_closed_forms_at_degree_zero(check, alpha, beta):
     # Legendre (al+be = 0) and Chebyshev (al+be = -1) put a zero in the
     # denominators of the uncancelled n = 0 closed forms
@@ -282,8 +292,8 @@ def test_jacobi_closed_forms_at_degree_zero(check, alpha, beta):
 
 class TestClassicJacobi:
     def test_residuals(self, fds, leg_fd):
-        assert rel.check_classic_jacobi_structure(fds[fam.JACOBI], NS).passed
-        assert rel.check_classic_jacobi_structure(leg_fd, NS).passed
+        assert rel.display_check("eq02")(fds[fam.JACOBI], NS).passed
+        assert rel.display_check("eq02")(leg_fd, NS).passed
 
     def test_legendre_frozen(self, leg_fd):
         # (1-x^2) P_1' = 1 - x^2 = -(2/3) P_2 + (2/3) P_0
@@ -292,7 +302,7 @@ class TestClassicJacobi:
 
     def test_middle_vanishes_when_symmetric(self):
         fd = fam.build_family(fam.jacobi_spec(F(1, 2), F(1, 2)), 6)
-        rep = rel.check_classic_jacobi_structure(fd, NS)
+        rep = rel.display_check("eq02")(fd, NS)
         assert rep.passed
         # alpha = beta kills the middle closed-form coefficient
         al = be = F(1, 2)
@@ -352,22 +362,22 @@ class TestNegativeControls:
         jac = fds[fam.JACOBI]
         cases = [
             (rel.check_structure, aw, "plus"), (rel.check_structure, aw, "minus"),
-            (rel.check_explicit_structure, aw, "plus"),
-            (rel.check_explicit_structure, bigq, "minus"),
+            (rel.display_check("eq18"), aw, "plus"),
+            (rel.display_check("eq40"), bigq, "minus"),
             (rel.check_structure_tilde, fds[fam.CQJ49], "plus"),
-            (rel.check_lowering, jac, "rhs"), (rel.check_lowering, jac, "slope"),
-            (rel.check_raising, jac, "rhs"),
-            (rel.check_aw_lowering, aw, "slope"), (rel.check_aw_lowering, aw, "rhs"),
-            (rel.check_aw_raising, aw, "rhs"),
+            (LOWERING, jac, "rhs"), (LOWERING, jac, "slope"),
+            (RAISING, jac, "rhs"),
+            (rel.display_check("eq76"), aw, "slope"), (rel.display_check("eq76"), aw, "rhs"),
+            (rel.display_check("eq77"), aw, "rhs"),
             (rel.check_bispectral, aw, "lambda"),
             (rel.check_eigen, cqu, "lambda"),
             (rel.check_gamma_lambda, bigq, "gamma"),
-            (rel.check_classic_jacobi_structure, jac, "middle"),
+            (rel.display_check("eq02"), jac, "middle"),
             (rel.check_coefficient_match, aw, "plus"),
         ]
         for fn, fd, slot in cases:
             rep = fn(fd, [2], perturb=slot)
-            assert not rep.passed, (fn.__name__, slot)
+            assert not rep.passed, (rep.identity_id, slot)
 
     def test_cqu_relations(self, fds):
         for which in ("eq51", "eq52", "eq53", "eq55", "qdiff2"):
