@@ -12,13 +12,15 @@ degree up to a cap, the polynomial p_n together with
   lam_n   eigenvalue of the family's second-order operator, lam_0 = 0
   gamma_n slope of the skew operator, gamma_n = lam_{n+1} - lam_n
 
-The hypergeometric families are built for every degree 0..N in one
-pass per point: the Askey-Wilson 4phi3 and the big q-Jacobi 3phi2 form
-their n-free term polynomials (az, a/z; q)_k or (x; q)_k and the n-free
-part of each term ratio once, read every power of q from one table, and
-sum each p_n as one integer combination of those shared rows
-(:func:`aw_polynomials`, :func:`bigq_polynomials`).  Prefactors, norms
-and recurrence coefficients are running products over n.
+Every family is built from its hypergeometric sum, for every degree
+0..N in one pass per point: the Askey-Wilson 4phi3, the big q-Jacobi
+3phi2 and the Jacobi 2F1 form their n-free term polynomials
+(az, a/z; q)_k, (x; q)_k or ((1-x)/2)^k and the n-free part of each term
+ratio once (the q-sums read every power of q from one table), and sum
+each p_n as one integer combination of those shared rows
+(:func:`aw_polynomials`, :func:`bigq_polynomials`,
+:func:`jacobi_polynomials`).  Prefactors, norms and recurrence
+coefficients are running products over n.
 
 Continuous q-Jacobi and continuous q-ultraspherical are the Askey-Wilson
 family at a restricted point (:func:`cqjacobi_aw_spec`,
@@ -334,6 +336,34 @@ def bigq_polynomials(hi: int, spec: FamilySpec) -> list:
     return out
 
 
+def jacobi_polynomials(hi: int, spec: FamilySpec) -> list:
+    """P_n = (alpha+1)_n / n! 2F1(-n, n+alpha+beta+1; alpha+1; (1-x)/2)
+    (DLMF 18.5.7), degree n in x, for n = 0..hi.
+
+    With t_k = ((1-x)/2)^k the k-th term is N_k(n) D_k t_k, where
+    D_k = prod_{j<k} 1 / ((alpha+1+j)(j+1)) and
+    N_k(n) = prod_{j<k} (j-n)(n+alpha+beta+1+j).
+    """
+    al, be = spec.params["alpha"], spec.params["beta"]
+    half = XPoly([Fraction(1, 2), Fraction(-1, 2)])
+    term = XPoly([Fraction(1)])
+    terms, ds, dv = [term], [Fraction(1)], Fraction(1)
+    for k in range(1, hi + 1):
+        dv = dv / ((al + k) * k)
+        term = term * half
+        terms.append(term)
+        ds.append(dv)
+    rows, dk = _shared_rows(terms, ds)
+    ab1 = al + be + 1
+    out, pref = [], Fraction(1)
+    for n in range(hi + 1):
+        if n:
+            pref = pref * (al + n) / n
+        steps = [(ab1 + (n + j)) * (j - n) for j in range(n)]
+        out.append(_terminating_sum(XPoly, pref, steps, dk, rows))
+    return out
+
+
 def cqjacobi_scale(hi: int, spec: FamilySpec, embedding: int = 49) -> list:
     """sigma_0 .. sigma_hi with continuous q-Jacobi p_n = sigma_n P_n, P_n
     the Askey-Wilson polynomial at ``cqjacobi_aw_spec(spec, embedding)``:
@@ -439,7 +469,9 @@ class FamilyData(_FamilyFields):
     @cached_property
     def qdiff(self):
         """The second-order q-difference equation derived from this data
-        (:func:`relations.derive_second_order_qdiff`)."""
+        (:func:`qdiff.derive_second_order_qdiff`).  It is called by its
+        ``relations`` name, which the benchmark tracer and the tests patch;
+        ``qdiff`` is loaded with ``relations`` when ``qaskey`` is, not here."""
         from . import relations
         return relations.derive_second_order_qdiff(self)
 
@@ -623,7 +655,7 @@ def _build_aw(spec, n_max, aw=None, scale=None):
 def _build_jacobi(spec, n_max):
     hi = n_max + 1
     A, B, C, lam, gamma = zip(*(jacobi_coefficients(n, spec) for n in range(hi + 1)))
-    polys = tuple(_polys_from_recurrence(A, B, C, hi, "x"))
+    polys = tuple(jacobi_polynomials(hi, spec))
     return FamilyData(spec, "x", n_max, polys, polys, A[:hi], B[:hi], C[:hi],
                       _norms_recursive(A, C, n_max), lam, gamma[:hi])
 

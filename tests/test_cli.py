@@ -576,6 +576,22 @@ def test_cli_import_leaves_out_dataclasses_and_inspect():
     assert loaded_by_cli_import(["dataclasses", "inspect"]) == "[]"
 
 
+def test_verify_loads_no_qaskey_module_mid_run(tmp_path):
+    # every qaskey module is compiled when qaskey is imported: one first
+    # loaded during a run (the q-difference solver, say, from
+    # FamilyData.qdiff) would add its compile memory to the run's peak
+    src = Path(cli.__file__).resolve().parents[1]
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, qaskey.cli; before = set(sys.modules); "
+         "code = qaskey.cli.main(sys.argv[1:]); "
+         "print(code, sorted(m for m in set(sys.modules) - before if m.startswith('qaskey')))",
+         "verify", "--family", "all", "--identity", "all", "--samples", "1", "--n-max", "4",
+         "--no-timestamp", "--report", str(tmp_path / "r.json")],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
+        check=True)
+    assert out.stdout.splitlines()[-1] == "0 []"
+
+
 class TestFullGridSmoke:
     def test_all_identities_one_sample(self, tmp_path):
         rep = tmp_path / "all.json"

@@ -108,6 +108,19 @@ class TestJacobi:
         with pytest.raises(fam.InadmissibleParameters):
             fam.jacobi_spec(-1, 0)
 
+    def test_dual_path_sees_a_wrong_recurrence(self, monkeypatch):
+        # p_n comes from its 2F1 sum, so dual-path's recurrence rebuild is
+        # an independent construction: doubling A_n (n >= 1) must fail it
+        real = fam.jacobi_coefficients
+
+        def doubled(n, spec):
+            A, *rest = real(n, spec)
+            return (2 * A if n else A, *rest)
+
+        monkeypatch.setattr(fam, "jacobi_coefficients", doubled)
+        fd = fam.build_family(fam.jacobi_spec(F(1, 2), F(1, 3)), 6)
+        assert not rel.check_dual_path(fd, 6).passed
+
 
 class TestContinuousQJacobi:
     def test_embeddings_agree(self):

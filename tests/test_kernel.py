@@ -18,7 +18,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 import qaskey
-from qaskey import families as fam, relations as rel
+from qaskey import families as fam, qdiff, relations as rel
 from qaskey.inner_product import _pairing_rows, skew_symmetry_residual, symmetry_residual
 from qaskey.laurent import (SPACES, LaurentPoly, NonzeroRemainder, SymLaurentPoly, XPoly,
                             sym_to_x, x_to_sym)
@@ -250,7 +250,7 @@ class TestNullspace:
     @given(_system())
     def test_matches_fraction_elimination(self, system):
         rows, width = system
-        assert rel._nullspace(rows, width) == ref_nullspace(rows, width)
+        assert qdiff._nullspace(rows, width) == ref_nullspace(rows, width)
 
     def test_shapes(self):
         big = 10 ** 40 + 7
@@ -263,15 +263,15 @@ class TestNullspace:
             ([[0, -big, F(1, big)], [big, 0, -1], [F(-1, 2), F(1, 3), 0]], 3),
         ]
         for rows, width in cases:
-            assert rel._nullspace(rows, width) == ref_nullspace(rows, width)
+            assert qdiff._nullspace(rows, width) == ref_nullspace(rows, width)
 
     def test_real_ansatz_systems(self, first_points, monkeypatch):
         systems = []
-        real = rel._nullspace
-        monkeypatch.setattr(rel, "_nullspace",
+        real = qdiff._nullspace
+        monkeypatch.setattr(qdiff, "_nullspace",
                             lambda rows, width: systems.append((rows, width)) or real(rows, width))
         for family in (fam.AW, fam.BIGQ):
-            rel.derive_second_order_qdiff(first_points[family])
+            qdiff.derive_second_order_qdiff(first_points[family])
         assert len(systems) >= 2
         for rows, width in systems:
             assert real(rows, width) == ref_nullspace(rows, width)
@@ -282,7 +282,7 @@ class TestNullspace:
         # eigenvalues are those of the family
         spec = fam.aw_spec(F(-4, 5), F(-1, 2), F(-1, 2), F(1, 2), F(1, 4))
         fd = fam.build_family(spec, 6)
-        lam = rel.derive_second_order_qdiff(fd).lambdas
+        lam = qdiff.derive_second_order_qdiff(fd).lambdas
         assert len(lam) == fd.n_max + 1
         assert all(lam[n] * fd.lam[1] == fd.lam[n] for n in range(fd.n_max + 1))
 

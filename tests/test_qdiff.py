@@ -9,7 +9,7 @@ import pytest
 
 from qaskey import cli
 from qaskey import families as fam
-from qaskey import relations as rel
+from qaskey import qdiff
 
 # sha256 over one line per point: the derived (A, B, C, E), each as
 # (lo, numerators, denominator), and the eigenvalues as strings, or the
@@ -25,8 +25,8 @@ EXTRA = {fam.AW: [fam.aw_spec(F(-4, 5), F(-1, 2), F(-1, 2), F(1, 2), F(1, 4))], 
 
 def _record(fd):
     try:
-        qd = rel.derive_second_order_qdiff(fd)
-    except (rel.NoSolution, rel.VerificationFailure) as exc:
+        qd = qdiff.derive_second_order_qdiff(fd)
+    except (qdiff.NoSolution, qdiff.VerificationFailure) as exc:
         return f"{type(exc).__name__}: {exc}"
     return (tuple((p.lo, p.nums, p.den) for p in (qd.A, qd.B, qd.C, qd.E))
             + (tuple(map(str, qd.lambdas)),))
@@ -43,8 +43,8 @@ def test_two_dim_eigen_ray_branch(tmp_path, monkeypatch):
     # d = 1/2 = sqrt(q): at ansatz degree 4 the solution space stays
     # 2-dimensional, and only one of its eigen-rays verifies at every degree
     dims = []
-    real = rel._nullspace
-    monkeypatch.setattr(rel, "_nullspace",
+    real = qdiff._nullspace
+    monkeypatch.setattr(qdiff, "_nullspace",
                         lambda rows, width: dims.append(len(b := real(rows, width))) or b)
     rep = tmp_path / "r.json"
     assert cli.main(["verify", "--family", "askey-wilson", "--identity", "all",
