@@ -283,16 +283,19 @@ def _run_identity(ident: str, fd, args) -> list:
 
 
 def _verify_point(idents, spec, build_n, args) -> list:
-    """The reports of the identities ``idents`` at one parameter point."""
+    """The first report of each identity in ``idents`` at one point.  A
+    runner may report several identities (the eq42/eq41 chain) or one
+    several times (sklyanin's e = 2, 3, 1/2); one already reported at
+    the point is neither run nor kept again."""
     fd = fam.build_family(spec, build_n)
-    # a runner may report several identities (the eq42/eq41 chain);
-    # one already reported at this point is not run again
     done = set()
     reports = []
     for ident in idents:
         if ident in done:
             continue
         for rep in _run_identity(ident, fd, args):
+            if rep.identity_id in done:
+                continue
             done.add(rep.identity_id)
             if rep.identity_id in idents:
                 reports.append(rep)
@@ -301,20 +304,31 @@ def _verify_point(idents, spec, build_n, args) -> list:
 
 def _verify_share(tasks, build_n, args) -> list:
     """One (stderr text, reports, exception) outcome per task, in order.
-    The share stops at the first task that raises."""
+    The share stops at the first task that raises.  Before every point
+    but the first, a full collection empties the interpreter's free
+    lists, whose freed tuples would pin memory pools from point to point;
+    every live object is frozen first, so it walks none, and nothing
+    stays frozen on return."""
+    import gc
     import io
     from contextlib import redirect_stderr
 
     outcomes = []
-    for idents, spec in tasks:
-        err = io.StringIO()
-        try:
-            with redirect_stderr(err):
-                reports = _verify_point(idents, spec, build_n, args)
-        except Exception as exc:
-            outcomes.append((err.getvalue(), [], exc))
-            break
-        outcomes.append((err.getvalue(), reports, None))
+    try:
+        for k, (idents, spec) in enumerate(tasks):
+            if k:
+                gc.freeze()
+                gc.collect()
+            err = io.StringIO()
+            try:
+                with redirect_stderr(err):
+                    reports = _verify_point(idents, spec, build_n, args)
+            except Exception as exc:
+                outcomes.append((err.getvalue(), [], exc))
+                break
+            outcomes.append((err.getvalue(), reports, None))
+    finally:
+        gc.unfreeze()
     return outcomes
 
 
@@ -342,7 +356,8 @@ def _verify_forked(tasks, build_n, args, jobs) -> list:
     text of every earlier task, so stderr and the exit code do not depend
     on ``jobs``.  qaskey starts no threads, so forking is safe.
     """
-    import pickle
+    if jobs > 1:
+        import pickle           # a serial run loads no pickle
 
     sys.stdout.flush()
     sys.stderr.flush()
@@ -470,20 +485,6 @@ def _to_stdout(dump, doc) -> None:
         os.close(devnull)
 
 
-def _first_per_key(reports) -> list:
-    """The first report of each (identity, family, params) key.  Its own
-    function, so that the keys are freed before the report is built."""
-    seen = set()
-    unique = []
-    for r in reports:
-        key = (r.identity_id, r.family, tuple(sorted((k, str(v)) for k, v in r.params.items())))
-        if key in seen:
-            continue
-        seen.add(key)
-        unique.append(r)
-    return unique
-
-
 def run_verify(args, jobs: int = 1) -> int:
     _check_ranges(("--n-max", args.n_max, 1), ("--samples", args.samples, 1),
                   ("--degree-cap", args.degree_cap, 0))
@@ -518,7 +519,6 @@ def run_verify(args, jobs: int = 1) -> int:
     reports = _verify_forked(tasks, build_n, args, max(1, min(jobs, len(tasks))))
     if plan_error is not None:
         raise plan_error
-    reports = _first_per_key(reports)
 
     doc = build_report(reports, args.seed, args.degree_cap,
                        timestamp=not args.no_timestamp)

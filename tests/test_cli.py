@@ -329,6 +329,15 @@ class TestPointMemory:
             assert not e.zero and e.coeffs and e is not rel._zero(e.n)
         assert len({e.coeffs for e in rep.entries}) == 4
 
+    def test_one_report_per_identity(self, point_reports):
+        # sklyanin checks e = 2, 3 and 1/2 under one key; the first is kept
+        spec, reports = point_reports
+        ids = [r.identity_id for r in reports]
+        assert len(ids) == len(set(ids))
+        if spec.family == fam.AW:
+            [sk] = [r for r in reports if r.identity_id == "sklyanin"]
+            assert sk.notes["e"] == "2"
+
     def test_pickled_reports_write_the_same_bytes(self, point_reports):
         import io
         import pickle
