@@ -652,6 +652,17 @@ class TestReportBytes:
                     "--report", str(rep)]) == 0
         assert hashlib.sha256(rep.read_bytes()).hexdigest() == self.HIGH_DEGREE_DIGEST
 
+    # sha256 of every identity on one point per family at --n-max 30 and
+    # seed 7, far past the degrees the pairing and orthogonality checks read
+    DEEP_DIGEST = "4a14721c414697f4d5defb4121354d5924978cb01d1ba2278f010cb2fd5ee643"
+
+    def test_deep_digest(self, tmp_path):
+        rep = tmp_path / "deep.json"
+        assert run(["verify", "--family", "all", "--identity", "all", "--samples", "1",
+                    "--seed", "7", "--n-max", "30", "--no-timestamp",
+                    "--report", str(rep)]) == 0
+        assert hashlib.sha256(rep.read_bytes()).hexdigest() == self.DEEP_DIGEST
+
     # sha256 of the report and the CSV of a recorded failure: an error
     # entry (n null, residual with no coefficients) where the qdiff
     # derivation raises NoSolution at an Askey-Wilson point
