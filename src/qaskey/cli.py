@@ -138,8 +138,7 @@ def _cqultra(which):
 
 
 def _sklyanin(fd, max_deg, perturb=None):
-    return tuple(rel.check_sklyanin(fd.spec, e, max_deg, perturb)
-                 for e in (Fraction(2), Fraction(3), Fraction(1, 2)))
+    return rel.check_sklyanin(fd.spec, Fraction(2), max_deg, perturb)
 
 
 def _qdiff_derive(fd, _, perturb=None):
@@ -283,10 +282,9 @@ def _run_identity(ident: str, fd, args) -> list:
 
 
 def _verify_point(idents, spec, build_n, args) -> list:
-    """The first report of each identity in ``idents`` at one point.  A
-    runner may report several identities (the eq42/eq41 chain) or one
-    several times (sklyanin's e = 2, 3, 1/2); one already reported at
-    the point is neither run nor kept again."""
+    """The report of each identity in ``idents`` at one point.  A runner
+    may report several identities (the eq42/eq41 chain); one already
+    reported at the point is not run again."""
     fd = fam.build_family(spec, build_n)
     done = set()
     reports = []
@@ -294,8 +292,6 @@ def _verify_point(idents, spec, build_n, args) -> list:
         if ident in done:
             continue
         for rep in _run_identity(ident, fd, args):
-            if rep.identity_id in done:
-                continue
             done.add(rep.identity_id)
             if rep.identity_id in idents:
                 reports.append(rep)

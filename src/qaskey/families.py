@@ -33,14 +33,15 @@ Each family is one row of :data:`FAMILIES`: parameter names, constructor,
 sampler draw, admissibility check and builder.
 
 Each FamilyData also owns the point's operators L and D, its derived
-second-order q-difference equation, the expansions of x^0 .. x^(n_max+1)
-in its basis and the Gram matrix <x^i, x^j> of its monomials, each built
-on first use and dropped with the FamilyData, so every check at one
-point shares them.
+second-order q-difference equation, the expansions of x^k in its basis
+and the Gram matrix <x^i, x^j> of its monomials, each built on first use
+(the last two only as far as a check reads) and dropped with the
+FamilyData, so every check at one point shares them.
 
-Big q-Jacobi, whose literature data here stops at the hypergeometric
-sum, reads its recurrence coefficients off the top coefficients of x p_n
-and checks the whole three-term relation exactly, never guesses.
+The expansions grow through the three-term recurrence read off the top
+coefficients of x p_n, the whole relation checked exactly, never
+guessed; big q-Jacobi, whose literature data here stops at the
+hypergeometric sum, takes its A_n, B_n and C_n from it too.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ import random
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 from typing import Callable, Mapping, NamedTuple, Sequence, Union
 
@@ -475,76 +476,78 @@ class FamilyData(_FamilyFields):
         from . import relations
         return relations.derive_second_order_qdiff(self)
 
-    # The basis change to the family and the pairing of monomials: built
-    # on first use from the polynomials and norms, dropped with the point.
+    # The basis change to the family and the pairing of monomials: grown on
+    # first use only as far as a check reads, and dropped with the point.
 
     @cached_property
-    def expansions(self) -> tuple:
-        """(rows, den) with x^m = sum_j rows[m][j] p_j / den for every
-        m <= n_max + 1 (:func:`_expansion_table`)."""
-        return _expansion_table(self.polys_x)
+    def recurrence_rows(self) -> dict:
+        """n -> (A_n, B_n, C_n) for the n read off the polynomials so far
+        (:func:`recurrence_from_expansion`)."""
+        return {}
 
     @cached_property
-    def gram(self) -> tuple:
-        """(rows, den) with <x^i, x^j> = rows[i][j] / den for i, j <= n_max + 1.
+    def x_rows(self) -> list:
+        """The rows of :meth:`x_row` grown so far, row k at index k."""
+        return [XPoly([1 / self.polys_x[0].coeff(0)])]
+
+    def x_row(self, k: int) -> XPoly:
+        """x^k in the family basis: coefficient j is that of p_j.
+
+        Row 0 is 1/p_0, and row m+1 is x times row m through
+        x p_j = A_j p_(j+1) + B_j p_j + C_j p_(j-1) read off the polynomials,
+        never the A, B, C fields, whose C_n = A_(n-1) h_n / h_(n-1) would
+        make a symmetry check of x hold by construction.  This is the one
+        place that raises past degree n_max + 1, where the polynomials end.
+        """
+        if k > self.n_max + 1:
+            raise ExpansionError(f"degree {k} exceeds the available family data")
+        rows = self.x_rows
+        while len(rows) <= k:
+            last = rows[-1]
+            up = [Fraction(0)] * (len(rows) + 1)
+            for j, v in enumerate(last.nums):
+                A, B, C = recurrence_from_expansion(self, j)
+                up[j + 1] += A * v
+                up[j] += B * v
+                if j:
+                    up[j - 1] += C * v
+            rows.append(XPoly(up).scale(Fraction(1, last.den)))
+        return rows[k]
+
+    def _x_table(self, k: int) -> tuple:
+        """(rows, den) with x^m = sum_j rows[m][j] p_j / den for m <= k."""
+        self.x_row(k)
+        rows = self.x_rows[:k + 1]
+        den = lcm(*(r.den for r in rows))
+        return [[v * (den // r.den) for v in r.nums] for r in rows], den
+
+    def gram(self, k: int) -> tuple:
+        """(rows, den) with <x^i, x^j> = rows[i][j] / den for i, j <= k, or
+        further where a pairing at this point has asked for more.
 
         <x^i, x^j> = sum_n E[i][n] E[j][n] h_n, with E the rows of
-        :attr:`expansions` and n over the degrees that carry a norm
-        (n <= n_max), as one integer dot product per entry.
+        :meth:`x_row` and n over the degrees that carry a norm (n <= n_max),
+        as one integer dot product per entry.
         """
-        rows, den = self.expansions
-        h = XPoly(self.h)
-        weighted = [[v * w for v, w in zip(row, h.nums)] for row in rows]
-        gram = [[sum(map(mul, wi, row)) for row in rows] for wi in weighted]
-        gden = den * den * h.den
-        g = gcd(gden, *(v for row in gram for v in row))
-        if g > 1:
-            gram = [[v // g for v in row] for row in gram]
-            gden //= g
-        return gram, gden
+        built = vars(self).get("_gram")
+        if built is None or len(built[0]) <= k:
+            rows, den = self._x_table(k)
+            h = XPoly(self.h[:k + 1])
+            weighted = [[v * w for v, w in zip(row, h.nums)] for row in rows]
+            gram = [[sum(map(mul, wi, row)) for row in rows] for wi in weighted]
+            gden = den * den * h.den
+            g = gcd(gden, *(v for row in gram for v in row))
+            built = vars(self)["_gram"] = [[v // g for v in row] for row in gram], gden // g
+        return built
 
     def expand(self, f) -> list:
-        """Coefficients of f in the family basis: the rows of
-        :attr:`expansions` combined with f's x-coefficients as weights."""
+        """Coefficients of f in the family basis: the rows of :meth:`x_row`
+        combined with f's x-coefficients as weights."""
         fx = f.to_x()
         if fx.is_zero:
             return []
-        rows, den = self.expansions
-        if len(fx.nums) > len(rows):
-            raise ExpansionError(f"degree {fx.degree} exceeds the available family data")
+        rows, den = self._x_table(fx.degree)
         return list(combine(XPoly, fx.nums, rows, fx.den * den).coeffs)
-
-
-def _expansion_table(polys_x: Sequence[XPoly]) -> tuple:
-    """(rows, den): row m holds the integer numerators over den of the
-    family-basis coefficients of x^m, for m < len(polys_x).
-
-    A fraction-free forward substitution on the integer numerators a_i of
-    p_m = sum_i a_i x^i / d: x^m = (d p_m - sum_{i<m} a_i x^i) / a_m, so
-    with the earlier rows over den the new row is d den e_m - sum a_i rows[i]
-    over den a_m.  The earlier rows are rescaled to that denominator and
-    the table is kept reduced by its content.
-    """
-    rows, den = [], 1
-    for m, p in enumerate(polys_x):
-        a = p.nums
-        row = [0] * (m + 1)
-        row[m] = p.den * den
-        for ai, prev in zip(a, rows):
-            if ai:
-                for j, v in enumerate(prev):
-                    row[j] -= ai * v
-        lead = a[m]
-        if lead < 0:
-            lead, row = -lead, [-v for v in row]
-        rows = [[v * lead for v in r] for r in rows]
-        rows.append(row)
-        den *= lead
-        g = gcd(den, *(v for r in rows for v in r))
-        if g > 1:
-            rows = [[v // g for v in r] for r in rows]
-            den //= g
-    return tuple(tuple(r) for r in rows), den
 
 
 def _polys_from_recurrence(A, B, C, n_hi, space):
@@ -698,8 +701,12 @@ def _recurrence_row(polys_x: Sequence[XPoly], n: int) -> tuple:
 
 def recurrence_from_expansion(fd: FamilyData, n: int):
     """(A_n, B_n, C_n), the expansion of x * p_n in the family basis, read
-    off its top three coefficients and checked (:func:`_recurrence_row`)."""
-    return _recurrence_row(fd.polys_x, n)
+    off its top three coefficients and checked (:func:`_recurrence_row`),
+    once per point (:attr:`FamilyData.recurrence_rows`)."""
+    rows = fd.recurrence_rows
+    if n not in rows:
+        rows[n] = _recurrence_row(fd.polys_x, n)
+    return rows[n]
 
 
 # ----------------------------------------------------------------------

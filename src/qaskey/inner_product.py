@@ -6,11 +6,14 @@ family's orthogonality pairing exactly on polynomials, so symmetry and
 skew-symmetry of operators can be certified without any integration.
 
 On monomials the pairing is the point's Gram matrix
-G[i][j] = <x^i, x^j> (:attr:`~qaskey.families.FamilyData.gram`), built
-once per point as integers over one denominator, so by linearity a
-pairing table needs only each operator column's x-coefficients: every
-skew and symmetry table at a point shares the one G, and each table is
-integers over one denominator, so its residual is one Fraction.
+G[i][j] = <x^i, x^j> (:meth:`~qaskey.families.FamilyData.gram`), built
+once per point as integers over one denominator, up to the highest
+degree an operator column reaches, so by linearity a pairing table needs
+only each operator column's x-coefficients: every skew and symmetry
+table at a point shares the one G, and each table is integers over one
+denominator, so its residual is one Fraction.  A column past the
+family data raises :class:`~qaskey.families.ExpansionError` from G's
+build.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from fractions import Fraction
 from math import lcm
 from operator import mul
 
-from .families import ExpansionError, FamilyData
+from .families import FamilyData
 from .operators import PolyOperator
 
 
@@ -39,15 +42,8 @@ def _pairing_rows(op: PolyOperator, fd: FamilyData, max_deg: int) -> tuple:
     and one integer product, and rows[i][j] / den is exactly the rational
     the family-basis triple sum gives.
     """
-    gram, gden = fd.gram
-    if max_deg >= len(gram):
-        raise ExpansionError(f"degree {max_deg} exceeds the available family data")
-    cols = []
-    for i in range(max_deg + 1):
-        col = op.column(i)
-        if len(col.nums) > len(gram):
-            raise ExpansionError(f"degree {col.degree} exceeds the available family data")
-        cols.append(col)
+    cols = [op.column(i) for i in range(max_deg + 1)]
+    gram, gden = fd.gram(max(max_deg, *(len(col.nums) - 1 for col in cols)))
     cden = lcm(*(col.den for col in cols))
     rows = [[cden // col.den * sum(map(mul, col.nums, gram[j])) for j in range(max_deg + 1)]
             for col in cols]

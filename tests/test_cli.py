@@ -330,7 +330,7 @@ class TestPointMemory:
         assert len({e.coeffs for e in rep.entries}) == 4
 
     def test_one_report_per_identity(self, point_reports):
-        # sklyanin checks e = 2, 3 and 1/2 under one key; the first is kept
+        # the registry's sklyanin runner checks e = 2, the one value the report keys
         spec, reports = point_reports
         ids = [r.identity_id for r in reports]
         assert len(ids) == len(set(ids))

@@ -218,11 +218,31 @@ def test_replace_keeps_a_family_data_with_its_cached_properties(aw_fd):
     assert type(bad) is fam.FamilyData and bad.family == fam.AW
     assert bad.lam[2] == aw_fd.lam[2] + 1 and bad.polys == aw_fd.polys
     # the copy builds its own cached data, which agrees with the original's
-    assert bad.expansions == aw_fd.expansions and bad.gram == aw_fd.gram
-    assert "expansions" in vars(bad) and bad.L is not aw_fd.L
+    top = aw_fd.n_max + 1
+    assert bad.x_row(top) == aw_fd.x_row(top) and bad.x_rows == aw_fd.x_rows
+    assert bad.gram(top) == aw_fd.gram(top)
+    assert "x_rows" in vars(bad) and bad.L is not aw_fd.L
     p = aw_fd.polys[3]
     assert bad.expand(p) == aw_fd.expand(p) == [0, 0, 0, 1]
     assert bad.L(p) == aw_fd.L(p)
+
+
+@pytest.mark.parametrize("family", fam.CLI_FAMILIES)
+def test_the_basis_change_is_sized_by_what_the_checks_read(family):
+    # at --n-max 40 the pairing checks read operator columns up to degree 11
+    # and orthogonality expands p_m for m <= 10; the build runs to degree 42
+    args = cli.make_parser().parse_args(["verify", "--n-max", "40"])
+    spec = fam.sample_specs(family, 1, seed=7, n_max=41)[0]
+    fd = fam.build_family(spec, 41)
+    for ident in cli.identities_for(family, "all"):
+        for rep in cli.IDENTITIES[ident][1](fd, args):
+            assert rep.status != "fail", (ident, family)
+    assert len(fd.x_rows) == 12 and sorted(fd.recurrence_rows) == list(range(11))
+    gram, _ = fd.gram(0)
+    assert len(gram) == 12 and all(len(row) == 12 for row in gram)
+    with pytest.raises(fam.ExpansionError):
+        fd.x_row(fd.n_max + 2)
+    assert len(fd.x_rows) == 12
 
 
 class TestSampler:

@@ -3,9 +3,10 @@
 Every reference below works coefficient by coefficient in ``Fraction``
 arithmetic, as the engine did before its ring operations, dilations and
 nullspace solver moved to integer numerators over a common denominator,
-and as the family-basis expansions did before they moved to one integer
-table per point; the two must agree exactly, including on which
-divisions leave a remainder.  The last tests pin the integer normal form every polynomial
+and by leading-term elimination, where the family-basis expansions grow
+x^(k+1) as x times x^k through the recurrence read off the polynomials;
+the two must agree exactly, including on which divisions leave a
+remainder.  The last tests pin the integer normal form every polynomial
 is stored in, and that no other module reaches into it.
 """
 
@@ -287,7 +288,7 @@ class TestNullspace:
         assert all(lam[n] * fd.lam[1] == fd.lam[n] for n in range(fd.n_max + 1))
 
 
-# -- the expansion table, the Gram pairing and the recurrence rows -----------
+# -- the expansion rows, the Gram pairing and the recurrence rows ------------
 
 def ref_expand(fd, f):
     """Coefficients of f in the family basis by leading-term elimination,
