@@ -227,6 +227,14 @@ def test_replace_keeps_a_family_data_with_its_cached_properties(aw_fd):
     assert bad.L(p) == aw_fd.L(p)
 
 
+def test_x_rows_read_the_polynomials_not_the_recurrence_fields(aw_fd):
+    # the C field is A_(n-1) h_n / h_(n-1): rows grown from the fields would
+    # make sym-x hold by construction
+    bad = aw_fd._replace(A=(0,) * len(aw_fd.A), B=(0,) * len(aw_fd.B), C=(0,) * len(aw_fd.C))
+    top = aw_fd.n_max + 1
+    assert bad.x_row(top) == aw_fd.x_row(top) and bad.gram(top) == aw_fd.gram(top)
+
+
 @pytest.mark.parametrize("family", fam.CLI_FAMILIES)
 def test_the_basis_change_is_sized_by_what_the_checks_read(family):
     # at --n-max 40 the pairing checks read operator columns up to degree 11
