@@ -20,6 +20,9 @@ Two subcommands:
 
 A flat ``key=value`` config file can supply any long flag's value;
 explicit command-line flags win.
+
+The identity keys and their checks are listed in :mod:`qaskey.registry`,
+and :mod:`qaskey.runner` runs them over the points, serially or forked.
 """
 
 from __future__ import annotations
@@ -30,14 +33,14 @@ import os
 import sys
 from contextlib import nullcontext
 from fractions import Fraction
-from typing import Callable, NamedTuple
 
 from . import families as fam
-from .families import AW, BIGQ, CLI_FAMILIES, CQJ, CQU, JACOBI as JAC
-from .displays import DISPLAYS, STRUCTURE
-from . import relations as rel
-from .laurent import NonzeroRemainder
+from .families import CLI_FAMILIES
+# IDENTITIES is bound here too: the benchmark's tracer patches the
+# registry through cli.IDENTITIES, which must be the registry's own dict
+from .registry import IDENTITIES, identities_for
 from .report import build_report, dump_csv, dump_report, summary_lines
+from .runner import _verify_forked
 
 
 def _parse_fraction(text: str, flag: str) -> Fraction:
@@ -77,129 +80,6 @@ def spec_from_params(family: str, params: dict, n_max: int) -> fam.FamilySpec:
     except fam.InadmissibleParameters as exc:
         raise ValueError(f"--params: {exc}") from exc
     return spec
-
-
-# ----------------------------------------------------------------------
-# identity registry
-# ----------------------------------------------------------------------
-
-def _reanchored(fd, args):
-    """eq73's domain: n = 0 .. min(n_max, 6) - 1 at the sampled quadruple
-    with q' = q^2, since an exact q^(1/2) needs an even base exponent."""
-    p = fd.spec.params
-    spec2 = fam.aw_spec(p["a"], p["b"], p["c"], p["d"], s=p["q"], m=2)
-    fd2 = fam.build_family(spec2, min(args.n_max, 6))
-    return fd2, range(0, fd2.n_max)
-
-
-#: degree domains: each maps a point and the flags to the point a check
-#: runs on and its degrees -- a range of n for a per-degree check, one top
-#: degree for an operator- or basis-level check, None for a check that
-#: reads every stored degree of the point itself
-DOMAINS = {
-    "1..n_max": lambda fd, a: (fd, range(1, a.n_max + 1)),
-    "0..n_max": lambda fd, a: (fd, range(0, a.n_max + 1)),
-    "min(10, n_max)": lambda fd, a: (fd, min(10, a.n_max)),
-    "degree_cap": lambda fd, a: (fd, a.degree_cap),
-    "min(degree_cap, 8)": lambda fd, a: (fd, min(a.degree_cap, 8)),
-    "min(8, n_max)": lambda fd, a: (fd, min(8, a.n_max)),
-    "q^2 re-anchor": _reanchored,
-    "every stored n": lambda fd, a: (fd, None),
-}
-
-#: the domains of the checks that take a range of degrees n
-PER_DEGREE = ("1..n_max", "0..n_max", "q^2 re-anchor")
-
-
-class Check(NamedTuple):
-    """One identity's checker with its degree domain, its perturb slots
-    (the negative-control mutations ``fn`` accepts) and whether its
-    reports are informational (recorded, never asserted).
-
-    ``fn(fd, degrees, perturb)`` returns one report or a tuple of them;
-    the record called with (fd, args) runs it over its domain.
-    """
-
-    fn: Callable
-    domain: str
-    slots: tuple
-    info: bool = False
-
-    def run(self, fd, degrees, perturb=None) -> list:
-        out = self.fn(fd, degrees, perturb)
-        return list(out) if isinstance(out, tuple) else [out]
-
-    def __call__(self, fd, args) -> list:
-        return self.run(*DOMAINS[self.domain](fd, args))
-
-
-def _cqultra(which):
-    return lambda fd, ns, perturb=None: rel.check_cqultra_relation(fd, ns, which, perturb)
-
-
-def _sklyanin(fd, max_deg, perturb=None):
-    return rel.check_sklyanin(fd.spec, Fraction(2), max_deg, perturb)
-
-
-def _qdiff_derive(fd, _, perturb=None):
-    return rel.check_qdiff_recovery(fd, fd.lam, perturb)
-
-
-def _chain(fd, ns, perturb=None):
-    # looked up on each call, as the benchmark's tracer patches it by name
-    return rel.reduce_bigq_chain(fd, ns, perturb)
-
-
-def _string(fd, max_deg, perturb=None):
-    return rel.check_string_jacobi(fd.spec, max_deg, perturb)
-
-
-#: every identity key: (families, Check)
-IDENTITIES = {
-    "eq28": (CLI_FAMILIES, Check(rel.check_structure, "1..n_max", ("plus", "minus"))),
-    # eq28's closed form on each family: eq18, eq26, eq59, eq54, eq40
-    **{key: (DISPLAYS[key].families, Check(rel.display_check(key), "1..n_max",
-                                           DISPLAYS[key].names)) for key in STRUCTURE},
-    "eq59t": ((CQJ,), Check(rel.check_structure_tilde, "1..n_max", ("plus", "minus"))),
-    "eq02": ((JAC,), Check(rel.display_check("eq02"), "1..n_max", ("middle", "plus"))),
-    "eq31": (CLI_FAMILIES, Check(rel.display_check("eq76", "eq31", generic=True), "1..n_max",
-                                 ("rhs", "slope"))),
-    "eq32": (CLI_FAMILIES, Check(rel.display_check("eq77", "eq32", generic=True), "1..n_max",
-                                 ("rhs", "slope"))),
-    "eq76": ((AW,), Check(rel.display_check("eq76"), "1..n_max", ("slope", "rhs"))),
-    "eq77": ((AW,), Check(rel.display_check("eq77"), "1..n_max", ("slope", "rhs"))),
-    "bangerezako": ((AW,), Check(rel.check_bangerezako, "1..n_max", ("lambda",))),
-    "eq71": (CLI_FAMILIES, Check(rel.check_bispectral, "0..n_max", ("lambda",))),
-    "eq73": ((AW,), Check(rel.residual_q_bispectral, "q^2 re-anchor", ("lambda",), info=True)),
-    "sklyanin": ((AW,), Check(_sklyanin, "min(degree_cap, 8)", ("shift",))),
-    **{which: ((CQU,), Check(_cqultra(which), "1..n_max", ("rhs",)))
-       for which in ("eq51", "eq52", "eq53", "eq55", "qdiff2")},
-    "combo54": ((CQU,), Check(rel.check_cqultra_combination, "1..n_max", ("u",))),
-    "eq53-nonskew": ((CQU,), Check(rel.check_cqultra_nonskew, "min(8, n_max)", ("op",))),
-    # one run of the chain reports both; run_verify runs it once per point
-    "eq42": ((BIGQ,), Check(_chain, "1..n_max", ("alpha",))),
-    "eq41": ((BIGQ,), Check(_chain, "1..n_max", ("a-tilde",))),
-    "qdiff-derive": ((AW, BIGQ), Check(_qdiff_derive, "every stored n", ("reference",))),
-    "coeff-match": (CLI_FAMILIES, Check(rel.check_coefficient_match, "1..n_max", ("plus",))),
-    "eigen": (CLI_FAMILIES, Check(rel.check_eigen, "0..n_max", ("lambda",))),
-    "gamma-lambda": (CLI_FAMILIES, Check(rel.check_gamma_lambda, "0..n_max", ("gamma",))),
-    "commutator": (CLI_FAMILIES, Check(rel.check_commutator, "degree_cap", ("normalization",))),
-    "d-from-l": ((AW, JAC, CQJ, CQU), Check(rel.check_d_from_l, "degree_cap", ("normalization",))),
-    "string": ((JAC,), Check(_string, "degree_cap", ("shape",))),
-    "skew-l": (CLI_FAMILIES, Check(rel.check_skew_l, "min(10, n_max)", ("op",))),
-    "sym-d": (CLI_FAMILIES, Check(rel.check_sym_d, "min(10, n_max)", ("op",))),
-    "sym-x": (CLI_FAMILIES, Check(rel.check_sym_x, "min(10, n_max)", ("op",))),
-    "orthogonality": (CLI_FAMILIES, Check(rel.check_orthogonality, "min(10, n_max)", ("h",))),
-    "dual-path": (CLI_FAMILIES, Check(rel.check_dual_path, "min(10, n_max)", ("A0",))),
-}
-
-
-def identities_for(family: str, requested: str) -> list:
-    if requested != "all" and requested not in IDENTITIES:
-        raise ValueError(f"unknown identity {requested!r}; known: "
-                         + ", ".join(sorted(IDENTITIES)))
-    return [name for name, (fams, _) in IDENTITIES.items()
-            if family in fams and requested in ("all", name)]
 
 
 # ----------------------------------------------------------------------
@@ -255,171 +135,11 @@ def load_config(path: str) -> dict:
 # subcommands
 # ----------------------------------------------------------------------
 
-#: what a checker raises when the algebra it relies on breaks down; each
-#: becomes a failing report for its (identity, point), not a lost batch
-CHECK_ERRORS = (rel.NoSolution, rel.VerificationFailure, NonzeroRemainder,
-                fam.ExpansionError)
-
-
 def _check_ranges(*bounds) -> None:
     """Each (flag, value, least) must have value >= least."""
     for flag, value, least in bounds:
         if value < least:
             raise ValueError(f"{flag} must be at least {least}, got {value}")
-
-
-def _run_identity(ident: str, fd, args) -> list:
-    _, runner = IDENTITIES[ident]
-    try:
-        return runner(fd, args)
-    except CHECK_ERRORS as exc:
-        text = f"{type(exc).__name__}: {exc}"
-        point = ",".join(f"{k}={v}" for k, v in fd.spec.params.items())
-        print(f"error: {ident} on {fd.family} at {point}: {text}", file=sys.stderr)
-        return [rel.VerificationReport(ident, fd.family, fd.spec.params,
-                                       [rel.ResidualEntry(None, False)], "fail",
-                                       {"error": text})]
-
-
-def _verify_point(idents, spec, build_n, args) -> list:
-    """The report of each identity in ``idents`` at one point.  A runner
-    may report several identities (the eq42/eq41 chain); one already
-    reported at the point is not run again."""
-    fd = fam.build_family(spec, build_n)
-    done = set()
-    reports = []
-    for ident in idents:
-        if ident in done:
-            continue
-        for rep in _run_identity(ident, fd, args):
-            done.add(rep.identity_id)
-            if rep.identity_id in idents:
-                reports.append(rep)
-    return reports
-
-
-def _verify_share(tasks, build_n, args) -> list:
-    """One (stderr text, reports, exception) outcome per task, in order.
-    The share stops at the first task that raises.  Before every point
-    but the first, a full collection empties the interpreter's free
-    lists, whose freed tuples would pin memory pools from point to point;
-    every live object is frozen first, so it walks none, and nothing
-    stays frozen on return."""
-    import gc
-    import io
-    from contextlib import redirect_stderr
-
-    outcomes = []
-    try:
-        for k, (idents, spec) in enumerate(tasks):
-            if k:
-                gc.freeze()
-                gc.collect()
-            err = io.StringIO()
-            try:
-                with redirect_stderr(err):
-                    reports = _verify_point(idents, spec, build_n, args)
-            except Exception as exc:
-                outcomes.append((err.getvalue(), [], exc))
-                break
-            outcomes.append((err.getvalue(), reports, None))
-    finally:
-        gc.unfreeze()
-    return outcomes
-
-
-def _picklable(exc):
-    """``exc``, or a RuntimeError with its type and text where it does not
-    survive a pickle round trip."""
-    import pickle
-
-    try:
-        pickle.loads(pickle.dumps(exc))
-        return exc
-    except Exception:
-        return RuntimeError(f"{type(exc).__name__}: {exc}")
-
-
-def _verify_forked(tasks, build_n, args, jobs) -> list:
-    """The reports of ``tasks`` in plan order, from ``jobs - 1`` forked
-    workers and this process: task k runs on worker k % jobs, and this
-    process takes share 0.  With one job nothing is forked: that is the
-    serial run.
-
-    Each child sends its share's outcomes down a pipe as one pickle.  The
-    stderr text of every task is printed in plan order once every share
-    has run, and the first exception in plan order is raised after the
-    text of every earlier task, so stderr and the exit code do not depend
-    on ``jobs``.  qaskey starts no threads, so forking is safe.
-    """
-    if jobs > 1:
-        import pickle           # a serial run loads no pickle
-
-    sys.stdout.flush()
-    sys.stderr.flush()
-    children = []               # [pid, read end of its pipe or None]
-    blobs, statuses = [], []
-    finished = False
-    try:
-        for w in range(1, jobs):
-            r, wr = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(r)
-                os.close(wr)
-                raise
-            if pid == 0:
-                code = 1
-                try:
-                    os.close(r)
-                    for _, fd in children:
-                        os.close(fd)
-                    share = _verify_share(tasks[w::jobs], build_n, args)
-                    text, reports, exc = share[-1]
-                    if exc is not None:
-                        share[-1] = text, reports, _picklable(exc)
-                    with os.fdopen(wr, "wb") as fh:
-                        pickle.dump(share, fh, pickle.HIGHEST_PROTOCOL)
-                    code = 0
-                except BaseException as exc:
-                    # the parent reports the exit status; this says why
-                    os.write(2, f"verify worker {w}: {type(exc).__name__}: {exc}\n".encode())
-                finally:
-                    os._exit(code)
-            os.close(wr)
-            children.append([pid, r])
-        shares = [_verify_share(tasks[0::jobs], build_n, args)]
-        for child in children:
-            with os.fdopen(child[1], "rb") as fh:
-                child[1] = None
-                blobs.append(fh.read())
-        finished = True
-    finally:
-        for pid, fd in children:
-            if fd is not None:
-                os.close(fd)
-            if not finished:
-                import signal
-                os.kill(pid, signal.SIGKILL)
-            statuses.append(os.waitpid(pid, 0)[1])
-    for w, (blob, status) in enumerate(zip(blobs, statuses), 1):
-        try:
-            shares.append(pickle.loads(blob) if status == 0 else None)
-        except Exception:
-            shares.append(None)
-        if shares[-1] is None:
-            how = (f"was killed by signal {os.WTERMSIG(status)}" if os.WIFSIGNALED(status)
-                   else f"exited with status {os.waitstatus_to_exitcode(status)}")
-            raise RuntimeError(f"verify worker {w} {how} without sending its results")
-    reports = []
-    for k in range(len(tasks)):
-        text, reps, exc = shares[k % jobs][k // jobs]
-        sys.stderr.write(text)
-        if exc is not None:
-            raise exc
-        reports += reps
-    return reports
 
 
 def _output_files(args) -> list:
@@ -659,3 +379,4 @@ def entry() -> None:
 
 if __name__ == "__main__":
     entry()
+

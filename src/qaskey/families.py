@@ -1,10 +1,8 @@
 """The five polynomial families and their exact coefficient data.
 
-A :class:`FamilySpec` names a family and fixes rational parameter
-values.  Fractional powers of q are kept rational by carrying a base
-scale s with q = s**base_exp, so expressions like q^(alpha/2 + 1/4)
-become integer powers of s.  A :class:`FamilyData` holds, for every
-degree up to a cap, the polynomial p_n together with
+A :class:`FamilyData` holds, for one parameter point
+(:class:`~qaskey.specs.FamilySpec`) and every degree up to a cap, the
+polynomial p_n together with
 
   k_n     leading coefficient in x
   A_n,B_n,C_n   three-term recurrence  x p_n = A_n p_{n+1} + B_n p_n + C_n p_{n-1}
@@ -12,15 +10,9 @@ degree up to a cap, the polynomial p_n together with
   lam_n   eigenvalue of the family's second-order operator, lam_0 = 0
   gamma_n slope of the skew operator, gamma_n = lam_{n+1} - lam_n
 
-Every family is built from its hypergeometric sum, for every degree
-0..N in one pass per point: the Askey-Wilson 4phi3, the big q-Jacobi
-3phi2 and the Jacobi 2F1 form their n-free term polynomials
-(az, a/z; q)_k, (x; q)_k or ((1-x)/2)^k and the n-free part of each term
-ratio once (the q-sums read every power of q from one table), and sum
-each p_n as one integer combination of those shared rows
-(:func:`aw_polynomials`, :func:`bigq_polynomials`,
-:func:`jacobi_polynomials`).  Prefactors, norms and recurrence
-coefficients are running products over n.
+The polynomials come from the hypergeometric sums of
+:mod:`qaskey.hypergeometric`, the points and their admissibility checks
+from :mod:`qaskey.specs`; this module binds their public names too.
 
 Continuous q-Jacobi and continuous q-ultraspherical are the Askey-Wilson
 family at a restricted point (:func:`cqjacobi_aw_spec`,
@@ -52,136 +44,22 @@ from functools import cached_property
 from itertools import accumulate
 from math import gcd, lcm
 from operator import mul
-from typing import Callable, Mapping, NamedTuple, Sequence, Union
+from typing import Callable, NamedTuple, Sequence
 
-from .laurent import SPACES, SymLaurentPoly, XPoly, combine, sym_to_x
-
-Rat = Union[int, Fraction]
-
-AW = "askey-wilson"
-JACOBI = "jacobi"
-CQJ49 = "continuous-q-jacobi-e49"
-CQU = "continuous-q-ultraspherical"
-BIGQ = "big-q-jacobi"
-
-#: the command-line name of continuous q-Jacobi, whose points carry the
-#: family name CQJ49 after the embedding they are built through
-CQJ = "continuous-q-jacobi"
-
-#: families exposed on the command line
-CLI_FAMILIES = (AW, JACOBI, CQJ, CQU, BIGQ)
-
-
-class InadmissibleParameters(ValueError):
-    """Parameter values that hit an excluded denominator or power of q."""
+# the public names of both modules are bound here as well, some only for
+# the modules and callers that import them from here
+from .hypergeometric import (_aw_coefficients, _aw_phi43s, _aw_tables, aw_polynomials,
+                             bigq_polynomials, cqjacobi_polynomials, cqjacobi_scale,
+                             cqultra_scale, jacobi_coefficients, jacobi_polynomials)
+from .laurent import SPACES, XPoly, combine, sym_to_x
+from .specs import (AW, BIGQ, CLI_FAMILIES, CQJ, CQJ49, CQU, JACOBI, FamilySpec,
+                    InadmissibleParameters, Rat, _check_bigq, _check_cqjacobi, _validate_aw,
+                    aw_spec, bigq_spec, cqjacobi_aw_spec, cqjacobi_spec, cqultra_aw_spec,
+                    cqultra_spec, jacobi_spec)
 
 
 class ExpansionError(ArithmeticError):
     """A basis expansion left a residual; the family data is corrupt."""
-
-
-class FamilySpec(NamedTuple):
-    """One parameter point.  The constructors below give ``params`` in
-    sorted key order, and every report of the point holds this one
-    mapping as its params."""
-
-    family: str
-    params: Mapping[str, Fraction]
-    base: Fraction | None = None   # s with q = s**base_exp
-    base_exp: int = 1
-
-    @property
-    def q(self) -> Fraction:
-        return self.params["q"]
-
-    def qpow(self, e: Rat) -> Fraction:
-        """q**e as an exact rational, via the base scale."""
-        if self.base is None:
-            raise InadmissibleParameters(f"family {self.family} has no base scale")
-        ex = Fraction(e) * self.base_exp
-        if ex.denominator != 1:
-            raise InadmissibleParameters(
-                f"q^({e}) is not an integer power of the base scale s={self.base}")
-        return self.base ** int(ex)
-
-
-# ----------------------------------------------------------------------
-# parameter-point constructors
-# ----------------------------------------------------------------------
-
-def aw_spec(a: Rat, b: Rat, c: Rat, d: Rat, q: Rat | None = None,
-            s: Rat | None = None, m: int = 1) -> FamilySpec:
-    """Askey-Wilson parameters; pass either q directly or a base s with q=s^m."""
-    if (q is None) == (s is None):
-        raise ValueError("give exactly one of q or a base scale s")
-    if q is None:
-        base = Fraction(s)
-        qv = base ** m
-    else:
-        base, m, qv = Fraction(q), 1, Fraction(q)
-    return FamilySpec(AW, {"a": Fraction(a), "b": Fraction(b), "c": Fraction(c),
-                           "d": Fraction(d), "q": qv}, base=base, base_exp=m)
-
-
-def jacobi_spec(alpha: Rat, beta: Rat) -> FamilySpec:
-    al, be = Fraction(alpha), Fraction(beta)
-    if al <= -1 or be <= -1:
-        raise InadmissibleParameters("alpha and beta must exceed -1")
-    return FamilySpec(JACOBI, {"alpha": al, "beta": be}, base=None, base_exp=0)
-
-
-def cqjacobi_spec(alpha: Rat, beta: Rat, s: Rat) -> FamilySpec:
-    al, be, sv = Fraction(alpha), Fraction(beta), Fraction(s)
-    if (2 * al).denominator != 1 or (2 * be).denominator != 1:
-        raise InadmissibleParameters(
-            "alpha, beta must be half-integers so q^(alpha/2+1/4) is a power of s")
-    if not (0 < sv < 1):
-        raise InadmissibleParameters("base scale s must lie in (0,1)")
-    if al < 0 or be < 0:
-        raise InadmissibleParameters(
-            "alpha, beta >= 0 keeps the induced parameters inside the unit interval")
-    return FamilySpec(CQJ49, {"alpha": al, "beta": be, "q": sv ** 4},
-                      base=sv, base_exp=4)
-
-
-def cqultra_spec(u: Rat, s: Rat) -> FamilySpec:
-    """Continuous q-ultraspherical with t = u^2 (so t^(1/2) stays rational)
-    at q = s^4, so that q^(1/4), which the four-parameter restriction and
-    the explicit second-order operator need, is the power s of the base."""
-    uv, sv = Fraction(u), Fraction(s)
-    if not (0 < abs(uv) < 1):
-        raise InadmissibleParameters("u must satisfy 0 < |u| < 1")
-    if not (0 < sv < 1):
-        raise InadmissibleParameters("base scale s must lie in (0,1)")
-    return FamilySpec(CQU, {"q": sv ** 4, "t": uv * uv, "u": uv},
-                      base=sv, base_exp=4)
-
-
-def bigq_spec(a: Rat, b: Rat, c: Rat, q: Rat) -> FamilySpec:
-    av, bv, cv, qv = Fraction(a), Fraction(b), Fraction(c), Fraction(q)
-    if av == 0 or cv == 0:
-        raise InadmissibleParameters("a and c must be nonzero")
-    return FamilySpec(BIGQ, {"a": av, "b": bv, "c": cv, "q": qv},
-                      base=qv, base_exp=1)
-
-
-def cqjacobi_aw_spec(spec: FamilySpec, embedding: int = 49) -> FamilySpec:
-    """The Askey-Wilson parameter point a continuous q-Jacobi family restricts."""
-    s = spec.base
-    al, be = spec.params["alpha"], spec.params["beta"]
-    ea, eb = int(2 * al), int(2 * be)
-    if embedding == 49:
-        # base q^(1/2) = s^2 and quadruple (q^(a/2+1/4), -q^(b/2+1/4), q^(1/4), -q^(1/4))
-        return aw_spec(s ** (ea + 1), -s ** (eb + 1), s, -s, s=s, m=2)
-    # base q = s^4 and quadruple (q^(a/2+1/4), q^(a/2+3/4), -q^(b/2+1/4), -q^(b/2+3/4))
-    return aw_spec(s ** (ea + 1), s ** (ea + 3), -s ** (eb + 1), -s ** (eb + 3),
-                   s=s, m=4)
-
-
-def cqultra_aw_spec(spec: FamilySpec) -> FamilySpec:
-    """AW quadruple (t^(1/2), -t^(1/2), q^(1/4), -q^(1/4)) at base q^(1/2)."""
-    s, u = spec.base, spec.params["u"]
-    return aw_spec(u, -u, s, -s, s=s, m=2)
 
 
 # ----------------------------------------------------------------------
@@ -194,224 +72,6 @@ def validate_spec(spec: FamilySpec, n_max: int = 16) -> None:
     if q is not None and not (0 < q < 1):
         raise InadmissibleParameters("q must lie in (0,1)")
     FAMILIES[spec.family].check(spec, n_max)
-
-
-def _check_cqjacobi(spec: FamilySpec, n_max: int) -> None:
-    _validate_aw(cqjacobi_aw_spec(spec, 49).params, n_max)
-    _validate_aw(cqjacobi_aw_spec(spec, 9).params, n_max)
-
-
-def _check_bigq(spec: FamilySpec, n_max: int) -> None:
-    """aq^k and -cq^k for k <= n_max + 1 (the 3phi2's lower parameters),
-    and ab q^k for k <= 2 n_max + 2 (its leading coefficients and eq40's
-    1 - ab q^(2n+1)), must differ from 1."""
-    a, b, c, q = (spec.params[k] for k in "abcq")
-    for n in range(1, 2 * n_max + 3):
-        if a * b * q ** n == 1 or (n <= n_max + 1 and (a * q ** n == 1 or c * q ** n == -1)):
-            raise InadmissibleParameters(f"degenerate denominator at n={n}")
-
-
-def _validate_aw(params: Mapping[str, Fraction], n_max: int) -> None:
-    a, b, c, d, q = (params[k] for k in "abcdq")
-    if 0 in (a, b, c, d):
-        raise InadmissibleParameters("zero Askey-Wilson parameter")
-    # q^-k by k, distinct for 0 < q < 1: p q^k = 1 <=> p = q^-k
-    top = 2 * n_max
-    inv = {q ** -k: k for k in range(top + 3)}
-    prods = [a * a, b * b, c * c, d * d,
-             a * b, a * c, a * d, b * c, b * d, c * d]
-    for p in prods:
-        k = inv.get(p)
-        if k is not None and k <= top:
-            raise InadmissibleParameters(f"product {p} is an inverse power of q")
-    abcd = a * b * c * d               # abcd q^m = 1 for m = 0 .. 2 n_max + 2
-    if abcd in inv:
-        raise InadmissibleParameters("abcd hits an inverse power of q")
-
-
-# ----------------------------------------------------------------------
-# hypergeometric constructions
-# ----------------------------------------------------------------------
-
-# Every degree 0..hi of a family is built in one pass per point.  A
-# terminating series p_n = pref_n sum_{k<=n} r_k(n) t_k has a term ratio
-# that splits as r_k(n) = N_k(n) D_k, with D_k free of n.  The term
-# polynomials t_k and the D_k are formed once per point, and every p_n is
-# one laurent.combine over the integer numerators of the t_k.
-
-def _q_table(q: Fraction, lo: int, hi: int) -> dict:
-    """q**e for lo <= e <= hi."""
-    return {e: q ** e for e in range(lo, hi + 1)}
-
-
-def _shared_rows(terms, ds) -> tuple:
-    """The numerators of the term polynomials t_k and each D_k divided by
-    its t_k's denominator."""
-    return [t.nums for t in terms], [dv / t.den for t, dv in zip(terms, ds)]
-
-
-def _terminating_sum(cls, pref: Fraction, steps, dk, rows):
-    """The ``cls`` polynomial pref * sum_{k=0..n} N_k dk[k] rows[k] with
-    N_k = prod_{j<k} steps[j] and n = len(steps), as one combine."""
-    r = pref
-    coeffs = [r * dk[0]]
-    for k, f in enumerate(steps, 1):
-        r *= f
-        coeffs.append(r * dk[k])
-    return combine(cls, coeffs, rows)
-
-
-def _aw_tables(a, b, c, d, q, hi: int) -> tuple:
-    """The per-point tables the Askey-Wilson build reads, to degree hi:
-    qp[e] = q^e (-hi-2 <= e <= 2hi+2), w[e] = 1 - abcd q^e (-2 <= e <= 2hi - 2)
-    and g[j] = (1 - ab q^j)(1 - ac q^j)(1 - ad q^j) (j < hi)."""
-    abcd = a * b * c * d
-    qp = _q_table(q, -hi - 2, 2 * hi + 2)
-    w = {e: 1 - abcd * qp[e] for e in range(-2, 2 * hi - 1)}
-    ab, ac, ad = a * b, a * c, a * d
-    g = [(1 - ab * qp[j]) * (1 - ac * qp[j]) * (1 - ad * qp[j]) for j in range(hi)]
-    return qp, w, g
-
-
-def _aw_phi43s(hi: int, a: Fraction, qp, w, g, scale=None) -> list:
-    """p_n = (ab,ac,ad;q)_n a^-n 4phi3(q^-n, q^(n-1)abcd, az, a/z; ab,ac,ad; q,q)
-    times scale[n] (1 without scale) for n = 0..hi, tables from _aw_tables.
-
-    With t_k = (az, a/z; q)_k the k-th term is N_k(n) D_k t_k, where
-    D_k = prod_{j<k} q / ((1-ab q^j)(1-ac q^j)(1-ad q^j)(1-q^(j+1))) and
-    N_k(n) = prod_{j<k} (1-q^(j-n))(1-abcd q^(n-1+j)).
-    """
-    q = qp[1]
-    term = SymLaurentPoly([Fraction(1)])
-    terms, ds, dv = [term], [Fraction(1)], Fraction(1)
-    for k in range(1, hi + 1):
-        j = k - 1
-        dv = dv * q / (g[j] * (1 - qp[k]))
-        aj = a * qp[j]
-        term = term * SymLaurentPoly([1 + aj * aj, -aj])
-        terms.append(term)
-        ds.append(dv)
-    rows, dk = _shared_rows(terms, ds)
-    u = {e: 1 - qp[e] for e in range(-hi, 0)}
-    out, pref = [], Fraction(1)
-    for n in range(hi + 1):
-        if n:
-            pref = pref * g[n - 1] / a
-        steps = [u[j - n] * w[n - 1 + j] for j in range(n)]
-        lead = pref * scale[n] if scale else pref
-        out.append(_terminating_sum(SymLaurentPoly, lead, steps, dk, rows))
-    return out
-
-
-def aw_polynomials(hi: int, spec: FamilySpec, scale=None) -> list:
-    """The Askey-Wilson polynomials p_0 .. p_hi at one point, p_n times
-    scale[n] when a scale is given."""
-    a, b, c, d, q = (spec.params[k] for k in "abcdq")
-    return _aw_phi43s(hi, a, *_aw_tables(a, b, c, d, q, hi), scale)
-
-
-def bigq_polynomials(hi: int, spec: FamilySpec) -> list:
-    """3phi2(q^-n, abq^(n+1), x; aq, -cq; q, q), degree n in x, for n = 0..hi.
-
-    With t_k = (x; q)_k the k-th term is N_k(n) D_k t_k, where
-    D_k = prod_{j<k} q / ((1-aq^(j+1))(1+cq^(j+1))(1-q^(j+1))) and
-    N_k(n) = prod_{j<k} (1-q^(j-n))(1-abq^(n+1+j)).
-    """
-    a, b, c, q = (spec.params[k] for k in "abcq")
-    qp = _q_table(q, -hi, 2 * hi)
-    term = XPoly([Fraction(1)])
-    terms, ds, dv = [term], [Fraction(1)], Fraction(1)
-    for k in range(1, hi + 1):
-        dv = dv * q / ((1 - a * qp[k]) * (1 + c * qp[k]) * (1 - qp[k]))
-        term = term * XPoly([1, -qp[k - 1]])
-        terms.append(term)
-        ds.append(dv)
-    rows, dk = _shared_rows(terms, ds)
-    u = {e: 1 - qp[e] for e in range(-hi, 0)}
-    ab = a * b
-    w = {e: 1 - ab * qp[e] for e in range(1, 2 * hi + 1)}
-    out = []
-    for n in range(hi + 1):
-        steps = [u[j - n] * w[n + 1 + j] for j in range(n)]
-        out.append(_terminating_sum(XPoly, Fraction(1), steps, dk, rows))
-    return out
-
-
-def jacobi_polynomials(hi: int, spec: FamilySpec) -> list:
-    """P_n = (alpha+1)_n / n! 2F1(-n, n+alpha+beta+1; alpha+1; (1-x)/2)
-    (DLMF 18.5.7), degree n in x, for n = 0..hi.
-
-    With t_k = ((1-x)/2)^k the k-th term is N_k(n) D_k t_k, where
-    D_k = prod_{j<k} 1 / ((alpha+1+j)(j+1)) and
-    N_k(n) = prod_{j<k} (j-n)(n+alpha+beta+1+j).
-    """
-    al, be = spec.params["alpha"], spec.params["beta"]
-    half = XPoly([Fraction(1, 2), Fraction(-1, 2)])
-    term = XPoly([Fraction(1)])
-    terms, ds, dv = [term], [Fraction(1)], Fraction(1)
-    for k in range(1, hi + 1):
-        dv = dv / ((al + k) * k)
-        term = term * half
-        terms.append(term)
-        ds.append(dv)
-    rows, dk = _shared_rows(terms, ds)
-    ab1 = al + be + 1
-    out, pref = [], Fraction(1)
-    for n in range(hi + 1):
-        if n:
-            pref = pref * (al + n) / n
-        steps = [(ab1 + (n + j)) * (j - n) for j in range(n)]
-        out.append(_terminating_sum(XPoly, pref, steps, dk, rows))
-    return out
-
-
-def cqjacobi_scale(hi: int, spec: FamilySpec, embedding: int = 49) -> list:
-    """sigma_0 .. sigma_hi with continuous q-Jacobi p_n = sigma_n P_n, P_n
-    the Askey-Wilson polynomial at ``cqjacobi_aw_spec(spec, embedding)``:
-    sigma_n = q^((2alpha+1)n/4) / ((-q^((alpha+beta+1)/2); q^(1/2))_m (q; q)_n),
-    m = n (e49) or 2n (e09), as a running product."""
-    s = spec.base
-    ea, eb = int(2 * spec.params["alpha"]), int(2 * spec.params["beta"])
-    q, s2 = s ** 4, s * s
-    lead = s ** (ea + 1)
-    mq = -s ** (ea + eb + 2)       # -q^((alpha+beta+1)/2) q^(j/2), base q^(1/2) = s^2
-    per_degree = 1 if embedding == 49 else 2
-    scale, f, qn = [Fraction(1)], Fraction(1), Fraction(1)
-    for _ in range(hi):
-        qn *= q
-        den = 1 - qn
-        for _ in range(per_degree):
-            den *= 1 - mq
-            mq *= s2
-        f = f * lead / den
-        scale.append(f)
-    return scale
-
-
-def cqjacobi_polynomials(hi: int, spec: FamilySpec, embedding: int = 49) -> list:
-    """Continuous q-Jacobi p_0 .. p_hi through the Askey-Wilson embedding
-    (49 or 9): the restricted 4phi3 times :func:`cqjacobi_scale`."""
-    return aw_polynomials(hi, cqjacobi_aw_spec(spec, embedding),
-                          cqjacobi_scale(hi, spec, embedding))
-
-
-def cqultra_scale(hi: int, spec: FamilySpec) -> list:
-    """sigma_0 .. sigma_hi with continuous q-ultraspherical p_n = sigma_n P_n,
-    P_n the Askey-Wilson polynomial at ``cqultra_aw_spec(spec)``:
-    sigma_n = (t; q^(1/2))_n / ((q^(1/2) t; q)_n (q; q)_n), as a running product."""
-    s, u = spec.base, spec.params["u"]
-    t, s2 = u * u, s * s
-    q = s2 * s2
-    scale, f = [Fraction(1)], Fraction(1)
-    tj, sq = t, s2 * t                 # t q^((n-1)/2) and q^(1/2) t q^(n-1)
-    qn = Fraction(1)
-    for _ in range(hi):
-        qn *= q
-        f = f * (1 - tj) / ((1 - sq) * (1 - qn))
-        tj *= s2
-        sq *= q
-        scale.append(f)
-    return scale
 
 
 # ----------------------------------------------------------------------
@@ -568,67 +228,6 @@ def _norms_recursive(A, C, n_hi) -> tuple:
     return tuple(h)
 
 
-# -- per-family coefficient formulas -------------------------------------
-
-def _aw_coefficients(n_max, a, b, c, d, qp, w, g) -> tuple:
-    """A_n, B_n, h_n, gamma_n (n <= n_max) and lam_n (n <= n_max + 1) from
-    the closed forms, every power of q read from the :func:`_aw_tables`
-    (A_0, B_0 and h_n in forms where the factors 1 - abcd/q and
-    1 - abcd q^-2 have cancelled, so that abcd = q and abcd = q^2 build):
-
-      A_n = k_n / k_(n+1) with k_n = 2^n (abcd q^(n-1); q)_n,
-            A_0 = 1 / (2 (1 - abcd))
-      B_n = q^(n-1) [e1 (q - abcd q^(n-1) - abcd q^n + abcd q^(2n))
-                     + e3 (1 - q^n - q^(n+1) + abcd q^(2n-1))]
-            / (2 (1 - abcd q^(2n-2)) (1 - abcd q^(2n))),
-            B_0 = (e1 - e3) / (2 (1 - abcd))
-      h_n = (q, ab, ac, ad, bc, bd, cd; q)_n
-            / ((1 - abcd q^(2n-1)) (abcd; q)_(n-1)),  h_0 = 1
-      lam_n = 2 (q^-n - 1) (1 - abcd q^(n-1)) / (1 - 1/q)
-      gamma_n = 2 (abcd q^n - q^-n)
-    """
-    abcd = a * b * c * d
-    e1 = a + b + c + d
-    e3 = b * c * d + a * b * d + a * c * d + a * b * c
-    bc, bd, cd = b * c, b * d, c * d
-    A, B, h, gamma = [], [], [], []
-    pochs = Fraction(1)     # (q, ab, ..., cd; q)_n / (abcd; q)_(n-1)
-    for n in range(n_max + 1):
-        if n:
-            # k_(n+1) / k_n = 2 (1 - abcd q^(2n-1)) (1 - abcd q^(2n)) / (1 - abcd q^(n-1))
-            A.append(w[n - 1] / (2 * w[2 * n - 1] * w[2 * n]))
-            num = (e1 * (qp[1] - abcd * qp[n - 1] - abcd * qp[n] + abcd * qp[2 * n])
-                   + e3 * (1 - qp[n] - qp[n + 1] + abcd * qp[2 * n - 1]))
-            B.append(num * qp[n - 1] / (2 * w[2 * n - 2] * w[2 * n]))
-            j = n - 1
-            pochs = (pochs * (1 - qp[n]) * g[j] * (1 - bc * qp[j]) * (1 - bd * qp[j])
-                     * (1 - cd * qp[j]) / (w[j - 1] if j else 1))
-            h.append(pochs / w[2 * n - 1])
-        else:
-            A.append(1 / (2 * w[0]))
-            B.append((e1 - e3) / (2 * w[0]))
-            h.append(Fraction(1))
-        gamma.append(2 * (abcd * qp[n] - qp[-n]))
-    lam = [2 * (qp[-n] - 1) * w[n - 1] / (1 - qp[-1]) for n in range(n_max + 2)]
-    return A, B, h, lam, gamma
-
-
-def jacobi_coefficients(n: int, spec: FamilySpec):
-    al, be = spec.params["alpha"], spec.params["beta"]
-    ab = al + be
-    if n == 0:
-        A = Fraction(2) / (ab + 2)
-        B = (be - al) / (ab + 2)
-        C = Fraction(0)
-    else:
-        A = 2 * (n + 1) * (n + ab + 1) / ((2 * n + ab + 1) * (2 * n + ab + 2))
-        B = (be * be - al * al) / ((2 * n + ab) * (2 * n + ab + 2))
-        C = 2 * (n + al) * (n + be) / ((2 * n + ab) * (2 * n + ab + 1))
-    lam = Fraction(-n * (n + ab + 1), 2)
-    gamma = -(2 * n + ab + 2) / Fraction(2)
-    return A, B, C, lam, gamma
-
-
 # -- builders -------------------------------------------------------------
 
 def build_family(spec: FamilySpec, n_max: int) -> FamilyData:
@@ -668,13 +267,18 @@ def _build_bigq(spec, n_max):
 
     hi = n_max + 1
     polys = tuple(bigq_polynomials(hi, spec))
-    A, B, C = zip(*(_recurrence_row(polys, n) for n in range(hi)))
+    rows = [_recurrence_row(polys, n) for n in range(hi)]
+    A, B, C = zip(*rows)
     # slopes read off the degree-raising operator; eigenvalues accumulate
     L = operators.bigq_L(spec)
     gamma = tuple(L(L.basis(n)).coeff(n + 1) for n in range(hi))
     lam = tuple(accumulate(gamma, initial=Fraction(0)))
-    return FamilyData(spec, "x", n_max, polys, polys, A, B, C,
-                      _norms_recursive(A, C, n_max), lam, gamma)
+    fd = FamilyData(spec, "x", n_max, polys, polys, A, B, C,
+                    _norms_recursive(A, C, n_max), lam, gamma)
+    # the rows were read off this point's own polynomials, so x_row reads
+    # them from here rather than again
+    fd.recurrence_rows.update(enumerate(rows))
+    return fd
 
 
 def _recurrence_row(polys_x: Sequence[XPoly], n: int) -> tuple:

@@ -14,11 +14,12 @@ shareable.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Union
 
 from .families import (FamilySpec, AW, JACOBI, CQJ49, CQU, BIGQ,
                        cqjacobi_aw_spec, cqultra_aw_spec)
-from .laurent import SPACES, LaurentPoly, SymLaurentPoly, XPoly, Z_MINUS_ZINV
+from .laurent import SPACES, LaurentPoly, SymLaurentPoly, XPoly, Z_MINUS_ZINV, combine
 
 Poly = Union[SymLaurentPoly, XPoly]
 
@@ -253,22 +254,25 @@ def d_from_l(L: PolyOperator) -> PolyOperator:
 
     On monomials D(x^n) = sum_{k<n} X^k L(x^{n-k-1}), computed through
     the recursion D(x^n) = L(x^{n-1}) + X D(x^{n-1}) and extended
-    linearly via x-coordinates.
+    linearly via x-coordinates: each image is one integer combination of
+    the monomial images over their common denominator.
     """
     X = op_x(L.space)
-    # D(x^0), D(x^1), ...: a list extended in place, so that no closure
-    # refers to itself and the operator is freed without the cyclic collector
-    monos: list[Poly] = [SPACES[L.space]()]
+    cls = SPACES[L.space]
+    # D(x^0), D(x^1), ... and the lcm of the denominators of D(x^0) ..
+    # D(x^k) at index k: lists extended in place, so that no closure refers
+    # to itself and the operator is freed without the cyclic collector
+    monos: list[Poly] = [cls()]
+    dens = [1]
 
     def act(f: Poly) -> Poly:
-        coeffs = f.to_x().coeffs
-        while len(monos) < len(coeffs):
+        fx = f.to_x()
+        while len(monos) < len(fx.nums):
             monos.append(L(L.basis(len(monos) - 1)) + X(monos[-1]))
-        out = monos[0]
-        for cj, dj in zip(coeffs, monos):
-            if cj:
-                out = out + dj.scale(cj)
-        return out
+            dens.append(lcm(dens[-1], monos[-1].den))
+        den = dens[len(fx.nums) - 1]
+        return combine(cls, [v * (den // dj.den) for v, dj in zip(fx.nums, monos)],
+                       [dj.nums for dj in monos], fx.den * den)
 
     return PolyOperator(act, L.space, 0, f"D_from({L.name})")
 

@@ -15,6 +15,8 @@ from qaskey import cli
 from qaskey.displays import DISPLAYS, STRUCTURE
 from qaskey import families as fam
 from qaskey import limits as lim
+from qaskey import operator_checks as opc
+from qaskey import registry
 from qaskey import relations as rel
 
 from conftest import N_MAX
@@ -53,8 +55,8 @@ class TestCriterion1Structure:
         reports = []
         for fds in grids.values():
             for fd in fds:
-                reports.append(rel.check_orthogonality(fd, N_MAX))
-                reports.append(rel.check_dual_path(fd, N_MAX))
+                reports.append(opc.check_orthogonality(fd, N_MAX))
+                reports.append(opc.check_dual_path(fd, N_MAX))
         _all_pass(reports)
         _report(1, "family-data integrity: orthogonal expansion and "
                    "dual-path reconstruction exact on every sample")
@@ -84,13 +86,13 @@ class TestCriterion3OperatorMatrices:
         reports = []
         for family, fds in grids.items():
             for fd in fds:
-                reports.append(rel.check_commutator(fd, self.DEG))
+                reports.append(opc.check_commutator(fd, self.DEG))
                 if family != fam.BIGQ:
-                    rep = rel.check_d_from_l(fd, self.DEG)
+                    rep = opc.check_d_from_l(fd, self.DEG)
                     reports.append(rep)
                     assert rep.notes["identity_multiple"] == "0"
         for fd in grids[fam.JACOBI]:
-            reports.append(rel.check_string_jacobi(fd.spec, self.DEG))
+            reports.append(opc.check_string_jacobi(fd.spec, self.DEG))
         for e in (F(2), F(3), F(1, 2)):
             reports.append(rel.check_sklyanin(grids[fam.AW][0].spec, e, self.DEG))
         for fd in grids[fam.AW]:
@@ -105,8 +107,8 @@ class TestCriterion4Spectral:
         reports = []
         for fds in grids.values():
             for fd in fds:
-                reports.append(rel.check_eigen(fd, range(0, N_MAX + 1)))
-                reports.append(rel.check_gamma_lambda(fd, range(0, N_MAX + 1)))
+                reports.append(opc.check_eigen(fd, range(0, N_MAX + 1)))
+                reports.append(opc.check_gamma_lambda(fd, range(0, N_MAX + 1)))
                 reports.append(rel.check_bispectral(fd, range(0, N_MAX + 1)))
         # the stated eigenvalues, asserted directly at every sample
         for fd in grids[fam.AW]:
@@ -128,9 +130,9 @@ class TestCriterion5SkewSymmetry:
         reports = []
         for fds in grids.values():
             for fd in fds:
-                reports.append(rel.check_skew_l(fd, N_MAX))
-                reports.append(rel.check_sym_d(fd, N_MAX))
-                reports.append(rel.check_sym_x(fd, N_MAX))
+                reports.append(opc.check_skew_l(fd, N_MAX))
+                reports.append(opc.check_sym_d(fd, N_MAX))
+                reports.append(opc.check_sym_x(fd, N_MAX))
         _all_pass(reports)
         # the non-skew operator must be *detected* as non-skew on every sample
         for fd in grids[fam.CQU]:
@@ -217,7 +219,7 @@ class TestCriterion9NegativeControls:
         fired = 0
         for key, (families, check) in cli.IDENTITIES.items():
             for family in families:
-                fd, degrees = cli.DOMAINS[check.domain](grids[family][0], args)
+                fd, degrees = registry.DOMAINS[check.domain](grids[family][0], args)
                 for slot in check.slots:
                     reports = [r for r in check.run(fd, degrees, perturb=slot)
                                if r.identity_id == key]

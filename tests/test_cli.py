@@ -12,6 +12,7 @@ import pytest
 from qaskey import cli
 from qaskey import families as fam
 from qaskey import relations as rel
+from qaskey import runner
 
 
 def run(argv):
@@ -111,7 +112,7 @@ class TestVerify:
         def no_point(*_):
             raise AssertionError("a point ran before the output paths were checked")
 
-        monkeypatch.setattr(cli, "_verify_point", no_point)
+        monkeypatch.setattr(runner, "_verify_point", no_point)
         paths = {"--report": tmp_path / "r.json", "--csv": tmp_path / "s.csv"}
         paths[flag] = tmp_path / target
         assert run(["verify", "--family", "jacobi", "--identity", "eq26", "--samples", "1",
@@ -284,7 +285,7 @@ class TestVerify:
         gc.collect()
         gc.disable()
         try:
-            cli._verify_point(cli.identities_for(family, "all"), spec, 5, args)
+            runner._verify_point(cli.identities_for(family, "all"), spec, 5, args)
             assert gc.collect() == 0
         finally:
             gc.enable()
@@ -295,7 +296,7 @@ def point_reports(request):
     """(spec, reports) of ``--identity all`` at the seed-1 point of a family."""
     spec = fam.sample_specs(request.param, 1, seed=1, n_max=5)[0]
     args = cli.make_parser().parse_args(["verify", "--n-max", "4"])
-    return spec, cli._verify_point(cli.identities_for(request.param, "all"), spec, 5, args)
+    return spec, runner._verify_point(cli.identities_for(request.param, "all"), spec, 5, args)
 
 
 class TestPointMemory:
@@ -599,6 +600,28 @@ def test_verify_loads_no_qaskey_module_mid_run(tmp_path):
         env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
         check=True)
     assert out.stdout.splitlines()[-1] == "0 []"
+
+
+#: the most tokens one module of the package may hold
+MODULE_TOKENS = 3500
+
+
+def test_every_module_keeps_within_the_token_budget():
+    # where the modules are compiled from source, the parser holds one
+    # module's whole token array and syntax tree at a time, and the heap it
+    # grows is not given back: the largest module's compile sets the peak
+    # memory of `import qaskey.cli`, and so of every verify run
+    import tokenize
+
+    layout = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+              tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
+    counts = {}
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        with open(path, "rb") as fh:
+            counts[path.name] = sum(tok.type not in layout
+                                    for tok in tokenize.tokenize(fh.readline))
+    assert len(counts) > 10
+    assert {name: n for name, n in counts.items() if n > MODULE_TOKENS} == {}
 
 
 class TestFullGridSmoke:

@@ -5,6 +5,7 @@ import pytest
 
 from qaskey import cli
 from qaskey import families as fam
+from qaskey import operator_checks as opc
 from qaskey import relations as rel
 from qaskey.laurent import SymLaurentPoly, XPoly, sym_to_x
 
@@ -119,7 +120,7 @@ class TestJacobi:
 
         monkeypatch.setattr(fam, "jacobi_coefficients", doubled)
         fd = fam.build_family(fam.jacobi_spec(F(1, 2), F(1, 3)), 6)
-        assert not rel.check_dual_path(fd, 6).passed
+        assert not opc.check_dual_path(fd, 6).passed
 
 
 class TestContinuousQJacobi:
@@ -245,12 +246,27 @@ def test_the_basis_change_is_sized_by_what_the_checks_read(family):
     for ident in cli.identities_for(family, "all"):
         for rep in cli.IDENTITIES[ident][1](fd, args):
             assert rep.status != "fail", (ident, family)
-    assert len(fd.x_rows) == 12 and sorted(fd.recurrence_rows) == list(range(11))
+    # big q-Jacobi's build reads every row for its A, B and C and keeps them
+    read = fd.n_max + 1 if family == fam.BIGQ else 11
+    assert len(fd.x_rows) == 12 and sorted(fd.recurrence_rows) == list(range(read))
     gram, _ = fd.gram(0)
     assert len(gram) == 12 and all(len(row) == 12 for row in gram)
     with pytest.raises(fam.ExpansionError):
         fd.x_row(fd.n_max + 2)
     assert len(fd.x_rows) == 12
+
+
+def test_big_q_jacobi_reads_each_recurrence_row_once_per_point(monkeypatch, tmp_path):
+    # the build reads rows 0 .. 11 off the polynomials for A, B and C; the
+    # basis change of the pairing and orthogonality checks reuses them
+    calls = []
+    real = fam._recurrence_row
+    monkeypatch.setattr(fam, "_recurrence_row",
+                        lambda polys, n: calls.append(n) or real(polys, n))
+    assert cli.main(["verify", "--family", "big-q-jacobi", "--identity", "all", "--samples",
+                     "1", "--seed", "1", "--no-timestamp",
+                     "--report", str(tmp_path / "r.json")]) == 0
+    assert sorted(calls) == list(range(12))
 
 
 class TestSampler:

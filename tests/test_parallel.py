@@ -23,6 +23,7 @@ import test_cli
 from qaskey import cli
 from qaskey import families as fam
 from qaskey import relations as rel
+from qaskey import runner
 
 SRC = Path(cli.__file__).resolve().parents[1]
 
@@ -89,15 +90,15 @@ def test_memory_stays_flat_across_a_share(monkeypatch):
     tasks = [(cli.identities_for(fam.BIGQ, "all"), spec)
              for spec in fam.sample_specs(fam.BIGQ, 6, 1, n_max=11)]
     blocks = []
-    point = cli._verify_point
+    point = runner._verify_point
 
     def counted(*a):
         reports = point(*a)
         blocks.append(sys.getallocatedblocks())
         return reports
 
-    monkeypatch.setattr(cli, "_verify_point", counted)
-    outcomes = cli._verify_share(tasks, 11, args)
+    monkeypatch.setattr(runner, "_verify_point", counted)
+    outcomes = runner._verify_share(tasks, 11, args)
     assert [exc for _, _, exc in outcomes] == [None] * 6
     assert blocks[5] - blocks[1] < 1200
 
@@ -114,16 +115,16 @@ def test_share_leaves_nothing_frozen(monkeypatch, enabled, fault):
             raise fault
         return []
 
-    monkeypatch.setattr(cli, "_verify_point", point)
+    monkeypatch.setattr(runner, "_verify_point", point)
     was = gc.isenabled()
     (gc.enable if enabled else gc.disable)()
     try:
         tasks = [(["eq28"], spec) for spec in POINTS]
         if isinstance(fault, Exception):
-            assert [exc for _, _, exc in cli._verify_share(tasks, 11, None)] == [None, None, fault]
+            assert [exc for _, _, exc in runner._verify_share(tasks, 11, None)] == [None, None, fault]
         else:
             with pytest.raises(KeyboardInterrupt):
-                cli._verify_share(tasks, 11, None)
+                runner._verify_share(tasks, 11, None)
         assert gc.get_freeze_count() == 0 and gc.isenabled() is enabled
     finally:
         (gc.enable if was else gc.disable)()

@@ -15,6 +15,7 @@ import pytest
 
 from qaskey import cli
 from qaskey import families as fam
+from qaskey import registry
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCH = ROOT / "benchmarks"
@@ -86,13 +87,13 @@ def points():
 
 
 @pytest.mark.parametrize("key", [key for key, (_, check) in cli.IDENTITIES.items()
-                                 if check.domain in cli.PER_DEGREE])
+                                 if check.domain in registry.PER_DEGREE])
 def test_per_degree_check_rejects_degrees_off_its_point(points, key):
     # n = -1 would read p_{-1} and lam_{-1}, the top entries; n_max + 1 runs
     # past the stored data
     families, check = cli.IDENTITIES[key]
     args = cli.make_parser().parse_args(["verify"])
-    fd, _ = cli.DOMAINS[check.domain](points[families[0]], args)
+    fd, _ = registry.DOMAINS[check.domain](points[families[0]], args)
     for n in (-1, fd.n_max + 1):
         with pytest.raises(ValueError, match=key):
             check.run(fd, [n])

@@ -4,6 +4,7 @@ import pytest
 
 from qaskey import displays
 from qaskey import families as fam
+from qaskey import operator_checks as opc
 from qaskey import relations as rel
 from qaskey.laurent import XPoly
 
@@ -111,10 +112,10 @@ class TestPointOperators:
         ns = range(0, 5)
         for check in (rel.check_structure, explicit, LOWERING, RAISING,
                       rel.display_check("eq76"), rel.display_check("eq77"),
-                      rel.check_bangerezako, rel.check_bispectral, rel.check_eigen):
+                      rel.check_bangerezako, rel.check_bispectral, opc.check_eigen):
             assert check(fd, ns).passed, check
-        for check in (rel.check_commutator, rel.check_d_from_l, rel.check_skew_l,
-                      rel.check_sym_d):
+        for check in (opc.check_commutator, opc.check_d_from_l, opc.check_skew_l,
+                      opc.check_sym_d):
             assert check(fd, 4).passed, check.__name__
         assert built == ["family_L", "family_D"]
         for key, inputs in applied.items():
@@ -246,38 +247,38 @@ class TestCqUltraWeb:
 class TestSpectral:
     def test_eigen(self, fds):
         for fd in fds.values():
-            assert rel.check_eigen(fd, range(0, 7)).passed, fd.family
+            assert opc.check_eigen(fd, range(0, 7)).passed, fd.family
 
     def test_gamma_lambda(self, fds):
         for fd in fds.values():
-            assert rel.check_gamma_lambda(fd, range(0, 7)).passed, fd.family
+            assert opc.check_gamma_lambda(fd, range(0, 7)).passed, fd.family
 
     def test_commutator_matrix(self, fds):
         for fd in fds.values():
-            assert rel.check_commutator(fd, 8).passed, fd.family
+            assert opc.check_commutator(fd, 8).passed, fd.family
 
     def test_d_from_l(self, fds):
         for fd in fds.values():
             if fd.family == fam.BIGQ:
                 continue
-            rep = rel.check_d_from_l(fd, 8)
+            rep = opc.check_d_from_l(fd, 8)
             assert rep.passed, fd.family
             assert rep.notes["identity_multiple"] == "0"
 
     def test_string(self):
-        assert rel.check_string_jacobi(JAC, 8).passed
-        assert rel.check_string_jacobi(JAC0, 8).passed
+        assert opc.check_string_jacobi(JAC, 8).passed
+        assert opc.check_string_jacobi(JAC0, 8).passed
 
     def test_residual_tables(self, fds):
         for fd in fds.values():
-            assert rel.check_skew_l(fd, 6).passed, fd.family
-            assert rel.check_sym_d(fd, 6).passed, fd.family
-            assert rel.check_sym_x(fd, 6).passed, fd.family
+            assert opc.check_skew_l(fd, 6).passed, fd.family
+            assert opc.check_sym_d(fd, 6).passed, fd.family
+            assert opc.check_sym_x(fd, 6).passed, fd.family
 
     def test_orthogonality_and_dual(self, fds):
         for fd in fds.values():
-            assert rel.check_orthogonality(fd, 6).passed, fd.family
-            assert rel.check_dual_path(fd, 6).passed, fd.family
+            assert opc.check_orthogonality(fd, 6).passed, fd.family
+            assert opc.check_dual_path(fd, 6).passed, fd.family
 
 
 @pytest.mark.parametrize("alpha,beta", [(0, 0), (F(-1, 2), F(-1, 2)), (1, 2), (F(1, 2), 0)])
@@ -370,8 +371,8 @@ class TestNegativeControls:
             (rel.display_check("eq76"), aw, "slope"), (rel.display_check("eq76"), aw, "rhs"),
             (rel.display_check("eq77"), aw, "rhs"),
             (rel.check_bispectral, aw, "lambda"),
-            (rel.check_eigen, cqu, "lambda"),
-            (rel.check_gamma_lambda, bigq, "gamma"),
+            (opc.check_eigen, cqu, "lambda"),
+            (opc.check_gamma_lambda, bigq, "gamma"),
             (rel.display_check("eq02"), jac, "middle"),
             (rel.check_coefficient_match, aw, "plus"),
         ]
@@ -385,13 +386,13 @@ class TestNegativeControls:
             assert not rep.passed, which
 
     def test_operator_checkers(self, fds):
-        assert not rel.check_commutator(fds[fam.AW], 4, perturb="normalization").passed
-        assert not rel.check_d_from_l(fds[fam.AW], 4, perturb="normalization").passed
-        assert not rel.check_string_jacobi(JAC, 4, perturb="shape").passed
+        assert not opc.check_commutator(fds[fam.AW], 4, perturb="normalization").passed
+        assert not opc.check_d_from_l(fds[fam.AW], 4, perturb="normalization").passed
+        assert not opc.check_string_jacobi(JAC, 4, perturb="shape").passed
         assert not rel.check_sklyanin(AW, F(2), 4, perturb="shift").passed
         aw = fds[fam.AW]
-        assert not rel.check_skew_l(aw, 4, perturb="op").passed
-        assert not rel.check_sym_d(aw, 4, perturb="op").passed
-        assert not rel.check_sym_x(aw, 4, perturb="op").passed
-        assert not rel.check_orthogonality(aw, 4, perturb="h").passed
-        assert not rel.check_dual_path(aw, 4, perturb="A0").passed
+        assert not opc.check_skew_l(aw, 4, perturb="op").passed
+        assert not opc.check_sym_d(aw, 4, perturb="op").passed
+        assert not opc.check_sym_x(aw, 4, perturb="op").passed
+        assert not opc.check_orthogonality(aw, 4, perturb="h").passed
+        assert not opc.check_dual_path(aw, 4, perturb="A0").passed
