@@ -143,14 +143,20 @@ def _check_ranges(*bounds) -> None:
 
 
 def _output_files(args) -> list:
-    """(flag, path) of each output that goes to a file: the report unless
-    it is ``-`` (stdout), the CSV if given and not ``-``.  Both cannot go
-    to stdout, as their lines would interleave."""
+    """(flag, path) of each output that goes to a file: limits' table, and
+    verify's report, unless ``-`` (stdout), and its CSV if given and not
+    ``-``.  The report and the CSV cannot both go to stdout, as their lines
+    would interleave, nor to one file, which the CSV would overwrite."""
+    if args.command == "limits":
+        return [] if args.out == "-" else [("--out", args.out)]
     if args.report == "-" and args.csv == "-":
         raise ValueError("--csv -: the report already goes to stdout (--report -); "
                          "give one of them a file")
     files = [] if args.report == "-" else [("--report", args.report)]
     if args.csv not in ("", "-"):
+        if files and os.path.realpath(args.csv) == os.path.realpath(args.report):
+            raise ValueError(f"--csv {args.csv}: the report already goes to that file "
+                             f"(--report {args.report}); give the CSV another path")
         files.append(("--csv", args.csv))
     return files
 
@@ -278,6 +284,7 @@ def run_limits(args) -> int:
         limit = lim.limit_aw_to_bigq
         point = {k: _parse_fraction(getattr(args, k), f"--{k}") for k in "abcq"}
         ks = range(args.k_min, args.k_min + args.eps_steps)
+    _check_outputs(args)
     try:
         # each limit takes its point, n and its range of k, in that order
         rows = limit(*point.values(), args.n, ks)

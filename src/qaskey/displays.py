@@ -6,28 +6,34 @@ eq18, eq26, eq59, eq54 and eq40 give eq28's gamma_n A_n and
 -gamma_(n-1) C_n on one family each (:data:`STRUCTURE`); eq76 and eq77
 the Askey-Wilson lowering and raising slope and rhs, whose combinations
 are eq31's and eq32's coefficients; eq02 the classical expansion of
-(1-x^2) P_n' = L P_n + ((alpha-beta) + (alpha+beta+2) x)/2 P_n.  A row
-holds all its check needs: its left side (the map applied to p_n: the
-point's L, or (1-x^2) P' on eq02's row) and its terms, which place its
-coefficients in the three-term relation; :func:`qaskey.relations.display_check` is the
-one checker of every row.
+(1-x^2) P_n' = L P_n + ((alpha-beta) + (alpha+beta+2) x)/2 P_n; eq51,
+eq52, eq53, eq55 and qdiff2 (:data:`WEB`) the continuous q-ultraspherical
+web, each with the one coefficient rhs.  A row holds all its check needs:
+its left side (the map applied to p_n: the point's L, (1-x^2) P' on
+eq02's row, or its operator in :func:`qaskey.operators.cqultra_web` on
+the web's) and its terms, which place its coefficients in the three-term
+relation; :func:`qaskey.relations.display_check` is the one checker of
+every row.  The web's rows abbreviate no gamma/A/B/C data: their generic
+is None, and :func:`rows_for`, coeff-match's layout, skips them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from operator import attrgetter
+from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
 from .families import AW, BIGQ, CQJ, CQU, FAMILIES, JACOBI, FamilySpec
 from .laurent import XPoly
+from .operators import cqultra_web
 
 
 class Display(NamedTuple):
     families: tuple          # the command-line family names it covers
     names: tuple             # the coefficients' names, which are also its perturb slots
     closed: Callable         # (spec, n) -> the closed forms, in the order of names
-    generic: Callable        # (fd, n) -> the combination each one abbreviates
+    generic: Callable | None  # (fd, n) -> the combination each one abbreviates, or None
     terms: Callable          # (fd, n, *coefficients) -> (plus, mid, minus), mid = (m_0, m_1, ...)
     lhs: Callable = attrgetter("L")  # fd -> the map applied to p_n
 
@@ -150,6 +156,23 @@ def _pm(fd, n, plus, minus):
     return plus, (), minus
 
 
+def _cqu(spec: FamilySpec, n: int) -> SimpleNamespace:
+    """t, q, qn = q^(n/2), qin = q^(-n/2), up = 1 - q^(n+1) and
+    down = 1 - t^2 q^(n-1) at degree n of a q-ultraspherical point."""
+    t, q, qh = spec.params["t"], spec.q, spec.qpow(Fraction(1, 2))
+    return SimpleNamespace(t=t, q=q, qn=qh ** n, qin=qh ** (-n), up=1 - q ** (n + 1),
+                           down=1 - t * t * q ** (n - 1))
+
+
+def _web(key: str, closed, terms) -> Display:
+    """The q-ultraspherical row ``key``: closed(w) is its rhs and
+    terms(w, rhs) its terms, w = :func:`_cqu` at n; its left side is
+    ``cqultra_web(spec)[key]``."""
+    return Display((CQU,), ("rhs",), lambda spec, n: (closed(_cqu(spec, n)),), None,
+                   lambda fd, n, rhs: terms(_cqu(fd.spec, n), rhs),
+                   lambda fd: cqultra_web(fd.spec)[key])
+
+
 #: every display by identity key; coeff-match reads a family's rows in this order
 DISPLAYS = {
     "eq18": Display((AW,), ("plus", "minus"), _eq18, eq28, _pm),
@@ -166,16 +189,32 @@ DISPLAYS = {
     "eq02": Display((JACOBI,), ("plus", "middle", "minus"), _eq02, _classic,
                     lambda fd, n, plus, mid, minus: (plus, (mid,), minus),
                     _one_minus_x2_derivative),
+    # the continuous q-ultraspherical web: eq51 and eq52 add
+    # q^(-n/2) (z + 1/z) C_n = 2 q^(-n/2) x C_n to the operator, and
+    # qdiff2's weight (1 - z^2)(1 - z^-2) is 4 - 4 x^2
+    "eq51": _web("eq51", lambda w: w.qin - w.t * w.t * w.qn / w.q,
+                 lambda w, rhs: (0, (0, -2 * w.qin), rhs)),
+    "eq52": _web("eq52", lambda w: w.qin - w.qn * w.q,
+                 lambda w, rhs: (rhs, (0, -2 * w.qin), 0)),
+    "eq53": _web("eq53", lambda w: w.qin * w.up, lambda w, rhs: (rhs, (), -w.qin * w.down)),
+    "eq55": _web("eq55", lambda w: (w.qin + w.t * w.qn) / (1 - w.t * w.qn * w.qn),
+                 lambda w, rhs: (rhs * w.up, (), rhs * w.down)),
+    "qdiff2": _web("qdiff2", lambda w: w.qin + w.t * w.qn,
+                   lambda w, rhs: (0, (4 * rhs, 0, -4 * rhs), 0)),
 }
 
 #: the displays of eq28's coefficients, one per family
 STRUCTURE = tuple(key for key, d in DISPLAYS.items() if d.generic is eq28)
 
+#: the q-ultraspherical displays, whose coefficients abbreviate no family data
+WEB = tuple(key for key, d in DISPLAYS.items() if d.generic is None)
+
 
 def rows_for(family: str) -> list:
-    """The (key, display) rows on a point of ``family``, in table order; a
-    point's family shares its :data:`~qaskey.families.FAMILIES` row with
-    its command-line name."""
+    """The (key, display) rows on a point of ``family`` that abbreviate its
+    data (generic not None), in table order; a point's family shares its
+    :data:`~qaskey.families.FAMILIES` row with its command-line name."""
     row = FAMILIES[family]
-    return [(k, d) for k, d in DISPLAYS.items() if any(FAMILIES[f] is row for f in d.families)]
+    return [(k, d) for k, d in DISPLAYS.items()
+            if d.generic is not None and any(FAMILIES[f] is row for f in d.families)]
 

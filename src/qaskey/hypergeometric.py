@@ -1,19 +1,21 @@
 """The hypergeometric sums of the families and their closed-form coefficients.
 
 Every family is built from its hypergeometric sum, for every degree
-0..N in one pass per point: the Askey-Wilson 4phi3, the big q-Jacobi
-3phi2 and the Jacobi 2F1 form their n-free term polynomials
-(az, a/z; q)_k, (x; q)_k or ((1-x)/2)^k and the n-free part of each term
-ratio once (the q-sums read every power of q from one table), and sum
-each p_n as one integer combination of those shared rows
-(:func:`aw_polynomials`, :func:`bigq_polynomials`,
-:func:`jacobi_polynomials`).  Prefactors, norms and recurrence
-coefficients are running products over n.
+0..N in one pass per point by the one terminating-series builder,
+:func:`_series`: the Askey-Wilson 4phi3, the big q-Jacobi 3phi2 and the
+Jacobi 2F1 (:func:`aw_polynomials`, :func:`bigq_polynomials`,
+:func:`jacobi_polynomials`) each give it their n-free term polynomials
+(az, a/z; q)_k, (x; q)_k or ((1-x)/2)^k, the n-free and n-dependent
+parts of the term ratio and their prefactors, and it sums each p_n as
+one integer combination of the shared rows; the q-sums read every power
+of q from one table.  Prefactors, norms and recurrence coefficients are
+running products over n.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 
 from .laurent import SymLaurentPoly, XPoly, combine
 from .specs import FamilySpec, cqjacobi_aw_spec
@@ -23,32 +25,33 @@ from .specs import FamilySpec, cqjacobi_aw_spec
 # hypergeometric constructions
 # ----------------------------------------------------------------------
 
-# Every degree 0..hi of a family is built in one pass per point.  A
-# terminating series p_n = pref_n sum_{k<=n} r_k(n) t_k has a term ratio
-# that splits as r_k(n) = N_k(n) D_k, with D_k free of n.  The term
-# polynomials t_k and the D_k are formed once per point, and every p_n is
-# one laurent.combine over the integer numerators of the t_k.
-
 def _q_table(q: Fraction, lo: int, hi: int) -> dict:
     """q**e for lo <= e <= hi."""
     return {e: q ** e for e in range(lo, hi + 1)}
 
 
-def _shared_rows(terms, ds) -> tuple:
-    """The numerators of the term polynomials t_k and each D_k divided by
-    its t_k's denominator."""
-    return [t.nums for t in terms], [dv / t.den for t, dv in zip(terms, ds)]
-
-
-def _terminating_sum(cls, pref: Fraction, steps, dk, rows):
-    """The ``cls`` polynomial pref * sum_{k=0..n} N_k dk[k] rows[k] with
-    N_k = prod_{j<k} steps[j] and n = len(steps), as one combine."""
-    r = pref
-    coeffs = [r * dk[0]]
-    for k, f in enumerate(steps, 1):
-        r *= f
-        coeffs.append(r * dk[k])
-    return combine(cls, coeffs, rows)
+def _series(cls, hi: int, factor, ratio, prefs, step) -> list:
+    """The terminating series p_n = prefs[n] sum_{k<=n} N_k(n) D_k t_k as
+    ``cls`` polynomials for n = 0..hi, where the term ratio splits into the
+    n-free t_k = t_(k-1) factor(k) and D_k = D_(k-1) ratio(k), and
+    N_k(n) = prod_{j<k} step(n, j) (t_0 = D_0 = 1).  The t_k and D_k are
+    formed once per point, and each p_n is one laurent.combine over the
+    integer numerators of the t_k."""
+    term, dv = cls([Fraction(1)]), Fraction(1)
+    rows, dk = [term.nums], [dv]
+    for k in range(1, hi + 1):
+        term, dv = term * factor(k), dv * ratio(k)
+        rows.append(term.nums)
+        dk.append(dv / term.den)
+    out = []
+    for n in range(hi + 1):
+        r = prefs[n]
+        coeffs = [r * dk[0]]
+        for j in range(n):
+            r *= step(n, j)
+            coeffs.append(r * dk[j + 1])
+        out.append(combine(cls, coeffs, rows))
+    return out
 
 
 def _aw_tables(a, b, c, d, q, hi: int) -> tuple:
@@ -72,25 +75,16 @@ def _aw_phi43s(hi: int, a: Fraction, qp, w, g, scale=None) -> list:
     N_k(n) = prod_{j<k} (1-q^(j-n))(1-abcd q^(n-1+j)).
     """
     q = qp[1]
-    term = SymLaurentPoly([Fraction(1)])
-    terms, ds, dv = [term], [Fraction(1)], Fraction(1)
-    for k in range(1, hi + 1):
-        j = k - 1
-        dv = dv * q / (g[j] * (1 - qp[k]))
-        aj = a * qp[j]
-        term = term * SymLaurentPoly([1 + aj * aj, -aj])
-        terms.append(term)
-        ds.append(dv)
-    rows, dk = _shared_rows(terms, ds)
     u = {e: 1 - qp[e] for e in range(-hi, 0)}
-    out, pref = [], Fraction(1)
-    for n in range(hi + 1):
-        if n:
-            pref = pref * g[n - 1] / a
-        steps = [u[j - n] * w[n - 1 + j] for j in range(n)]
-        lead = pref * scale[n] if scale else pref
-        out.append(_terminating_sum(SymLaurentPoly, lead, steps, dk, rows))
-    return out
+
+    def factor(k):
+        aj = a * qp[k - 1]
+        return SymLaurentPoly([1 + aj * aj, -aj])
+
+    prefs = accumulate(range(1, hi + 1), lambda p, n: p * g[n - 1] / a, initial=Fraction(1))
+    return _series(SymLaurentPoly, hi, factor, lambda k: q / (g[k - 1] * (1 - qp[k])),
+                   [p * f for p, f in zip(prefs, scale)] if scale else list(prefs),
+                   lambda n, j: u[j - n] * w[n - 1 + j])
 
 
 def aw_polynomials(hi: int, spec: FamilySpec, scale=None) -> list:
@@ -109,22 +103,12 @@ def bigq_polynomials(hi: int, spec: FamilySpec) -> list:
     """
     a, b, c, q = (spec.params[k] for k in "abcq")
     qp = _q_table(q, -hi, 2 * hi)
-    term = XPoly([Fraction(1)])
-    terms, ds, dv = [term], [Fraction(1)], Fraction(1)
-    for k in range(1, hi + 1):
-        dv = dv * q / ((1 - a * qp[k]) * (1 + c * qp[k]) * (1 - qp[k]))
-        term = term * XPoly([1, -qp[k - 1]])
-        terms.append(term)
-        ds.append(dv)
-    rows, dk = _shared_rows(terms, ds)
     u = {e: 1 - qp[e] for e in range(-hi, 0)}
     ab = a * b
     w = {e: 1 - ab * qp[e] for e in range(1, 2 * hi + 1)}
-    out = []
-    for n in range(hi + 1):
-        steps = [u[j - n] * w[n + 1 + j] for j in range(n)]
-        out.append(_terminating_sum(XPoly, Fraction(1), steps, dk, rows))
-    return out
+    return _series(XPoly, hi, lambda k: XPoly([1, -qp[k - 1]]),
+                   lambda k: q / ((1 - a * qp[k]) * (1 + c * qp[k]) * (1 - qp[k])),
+                   [Fraction(1)] * (hi + 1), lambda n, j: u[j - n] * w[n + 1 + j])
 
 
 def jacobi_polynomials(hi: int, spec: FamilySpec) -> list:
@@ -137,22 +121,10 @@ def jacobi_polynomials(hi: int, spec: FamilySpec) -> list:
     """
     al, be = spec.params["alpha"], spec.params["beta"]
     half = XPoly([Fraction(1, 2), Fraction(-1, 2)])
-    term = XPoly([Fraction(1)])
-    terms, ds, dv = [term], [Fraction(1)], Fraction(1)
-    for k in range(1, hi + 1):
-        dv = dv / ((al + k) * k)
-        term = term * half
-        terms.append(term)
-        ds.append(dv)
-    rows, dk = _shared_rows(terms, ds)
     ab1 = al + be + 1
-    out, pref = [], Fraction(1)
-    for n in range(hi + 1):
-        if n:
-            pref = pref * (al + n) / n
-        steps = [(ab1 + (n + j)) * (j - n) for j in range(n)]
-        out.append(_terminating_sum(XPoly, pref, steps, dk, rows))
-    return out
+    prefs = accumulate(range(1, hi + 1), lambda p, n: p * (al + n) / n, initial=Fraction(1))
+    return _series(XPoly, hi, lambda k: half, lambda k: 1 / ((al + k) * k), list(prefs),
+                   lambda n, j: (ab1 + (n + j)) * (j - n))
 
 
 def cqjacobi_scale(hi: int, spec: FamilySpec, embedding: int = 49) -> list:

@@ -15,7 +15,7 @@ from typing import Callable, NamedTuple
 
 from . import families as fam
 from .families import AW, BIGQ, CLI_FAMILIES, CQJ, CQU, JACOBI as JAC
-from .displays import DISPLAYS, STRUCTURE
+from .displays import DISPLAYS, STRUCTURE, WEB
 from . import operator_checks as opc
 from . import relations as rel
 
@@ -70,8 +70,10 @@ class Check(NamedTuple):
         return self.run(*DOMAINS[self.domain](fd, args))
 
 
-def _cqultra(which):
-    return lambda fd, ns, perturb=None: rel.check_cqultra_relation(fd, ns, which, perturb)
+def _row(key):
+    """The families and check of the display row ``key``, its names its slots."""
+    d = DISPLAYS[key]
+    return d.families, Check(rel.display_check(key), "1..n_max", d.names)
 
 
 def _sklyanin(fd, max_deg, perturb=None):
@@ -95,22 +97,21 @@ def _string(fd, max_deg, perturb=None):
 IDENTITIES = {
     "eq28": (CLI_FAMILIES, Check(rel.check_structure, "1..n_max", ("plus", "minus"))),
     # eq28's closed form on each family: eq18, eq26, eq59, eq54, eq40
-    **{key: (DISPLAYS[key].families, Check(rel.display_check(key), "1..n_max",
-                                           DISPLAYS[key].names)) for key in STRUCTURE},
+    **{key: _row(key) for key in STRUCTURE},
     "eq59t": ((CQJ,), Check(rel.check_structure_tilde, "1..n_max", ("plus", "minus"))),
     "eq02": ((JAC,), Check(rel.display_check("eq02"), "1..n_max", ("middle", "plus"))),
     "eq31": (CLI_FAMILIES, Check(rel.display_check("eq76", "eq31", generic=True), "1..n_max",
                                  ("rhs", "slope"))),
     "eq32": (CLI_FAMILIES, Check(rel.display_check("eq77", "eq32", generic=True), "1..n_max",
                                  ("rhs", "slope"))),
-    "eq76": ((AW,), Check(rel.display_check("eq76"), "1..n_max", ("slope", "rhs"))),
-    "eq77": ((AW,), Check(rel.display_check("eq77"), "1..n_max", ("slope", "rhs"))),
+    "eq76": _row("eq76"),
+    "eq77": _row("eq77"),
     "bangerezako": ((AW,), Check(rel.check_bangerezako, "1..n_max", ("lambda",))),
     "eq71": (CLI_FAMILIES, Check(rel.check_bispectral, "0..n_max", ("lambda",))),
     "eq73": ((AW,), Check(rel.residual_q_bispectral, "q^2 re-anchor", ("lambda",), info=True)),
     "sklyanin": ((AW,), Check(_sklyanin, "min(degree_cap, 8)", ("shift",))),
-    **{which: ((CQU,), Check(_cqultra(which), "1..n_max", ("rhs",)))
-       for which in ("eq51", "eq52", "eq53", "eq55", "qdiff2")},
+    # the q-ultraspherical web: eq51, eq52, eq53, eq55, qdiff2
+    **{key: _row(key) for key in WEB},
     "combo54": ((CQU,), Check(rel.check_cqultra_combination, "1..n_max", ("u",))),
     "eq53-nonskew": ((CQU,), Check(rel.check_cqultra_nonskew, "min(8, n_max)", ("op",))),
     # one run of the chain reports both; run_verify runs it once per point

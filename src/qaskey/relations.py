@@ -18,7 +18,9 @@ The closed forms of the paper's displays are not written here: each is a
 row of :data:`qaskey.displays.DISPLAYS`, which names its left side too,
 and :func:`display_check` is the one checker of every row: the structure
 relation's closed forms on each family, the Askey-Wilson lowering and
-raising relations (closed or generic) and eq02.
+raising relations (closed or generic), eq02 and the continuous
+q-ultraspherical web (eq51, eq52, eq53, eq55, qdiff2), whose eq55 and
+eq53 rows :func:`check_cqultra_combination` reads as well.
 
 The second-order q-difference equation is derived from the data, not
 stated, by the solver in :mod:`qaskey.qdiff`; this module keeps the two
@@ -36,7 +38,7 @@ slots, are listed once, in :data:`qaskey.registry.IDENTITIES`.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache
 from typing import Callable, Iterable, NamedTuple
 
 from . import operators as ops
@@ -310,39 +312,9 @@ def check_sklyanin(spec: FamilySpec, e: Fraction, max_deg: int, perturb=None) ->
 # the continuous q-ultraspherical web
 # ----------------------------------------------------------------------
 
-def _cqu_coeffs(fd: FamilyData, which: str, n: int, perturb=None):
-    """The coefficients of one q-ultraspherical display, whose left side
-    is ``ops.cqultra_web(fd.spec)[which]``; the slot is rhs."""
-    t, q = fd.spec.params["t"], fd.spec.q
-    qh = fd.spec.qpow(Fraction(1, 2))
-    qn, qin = qh ** n, qh ** (-n)                  # q^(n/2), q^(-n/2)
-    up, down = 1 - q ** (n + 1), 1 - t * t * q ** (n - 1)
-    # eq51 and eq52 add q^(-n/2) (z + 1/z) C_n = 2 q^(-n/2) x C_n to the operator
-    if which == "eq51":
-        return 0, (0, -2 * qin), _p1(qin - t * t * qn / q, perturb, "rhs")
-    if which == "eq52":
-        return _p1(qin - qn * q, perturb, "rhs"), (0, -2 * qin), 0
-    if which == "eq53":
-        return _p1(qin * up, perturb, "rhs"), (), -qin * down
-    if which == "eq55":
-        coef = _p1((qin + t * qn) / (1 - t * q ** n), perturb, "rhs")
-        return coef * up, (), coef * down
-    if which == "qdiff2":     # the weight (1 - z^2)(1 - z^-2) is 4 - 4 x^2
-        coef = _p1(qin + t * qn, perturb, "rhs")
-        return 0, (4 * coef, 0, -4 * coef), 0
-    raise ValueError(which)
-
-
-def check_cqultra_relation(fd: FamilyData, ns: Iterable[int], which: str,
-                           perturb=None) -> VerificationReport:
-    """One of the lowering/raising/structure relations eq51/eq52/eq53/eq55
-    or the second-order q-difference formula qdiff2."""
-    return _relation(which, fd, ns, perturb, ops.cqultra_web(fd.spec)[which],
-                     partial(_cqu_coeffs, fd, which))
-
-
 def check_cqultra_combination(fd: FamilyData, ns: Iterable[int], perturb=None) -> VerificationReport:
-    """eq54 as an exact linear combination of eq55 and eq53.
+    """eq54 as an exact linear combination of eq55 and eq53, the
+    coefficients of both read from their display rows.
 
     The constants are fixed by computation: with p = q^(1/2),
     eq54 = (p-1)/2 * eq55 - (p+1)/2 * eq53, both at the operator level
@@ -355,6 +327,7 @@ def check_cqultra_combination(fd: FamilyData, ns: Iterable[int], perturb=None) -
     u, v = (p - 1) / 2, -(p + 1) / 2
     u = _p1(u, perturb, "u")
     web = ops.cqultra_web(fd.spec)
+    eq55, eq53 = _display("eq55", fd), _display("eq53", fd)
     entries = []
     printed_ok = True
     for n in _degrees("combo54", fd, ns):
@@ -363,8 +336,8 @@ def check_cqultra_combination(fd: FamilyData, ns: Iterable[int], perturb=None) -
         entries.append(_entry(n, lhs54 - lhs55.scale(u) - lhs53.scale(v)))
         # right-hand sides must combine with the same constants
         r54p, r54m = DISPLAYS["eq54"].closed(fd.spec, n)
-        p55, _, m55 = _cqu_coeffs(fd, "eq55", n)
-        p53, _, m53 = _cqu_coeffs(fd, "eq53", n)
+        p55, _, m55 = eq55(n, None)
+        p53, _, m53 = eq53(n, None)
         entries.append(_entry(n, r54p - (u * p55 + v * p53)))
         entries.append(_entry(n, r54m - (u * m55 + v * m53)))
         if lhs54 == lhs55.scale((q - 1) / 2) + lhs53.scale((q + 1) / 2):

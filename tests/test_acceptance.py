@@ -148,7 +148,7 @@ class TestCriterion6UltrasphericalWeb:
         reports = []
         for fd in grids[fam.CQU]:
             for which in ("eq51", "eq52", "eq53", "eq55", "qdiff2"):
-                reports.append(rel.check_cqultra_relation(fd, NS, which))
+                reports.append(rel.display_check(which)(fd, NS))
             combo = rel.check_cqultra_combination(fd, NS)
             reports.append(combo)
             # constants fixed by computation: (sqrt(q)-1)/2 and -(sqrt(q)+1)/2;

@@ -120,6 +120,20 @@ class TestVerify:
         assert f"error: {flag} {paths[flag]}: {reason}" in capsys.readouterr().err
         assert not any(p.is_file() for p in paths.values())
 
+    @pytest.mark.parametrize("spelling", ["r.json", "sub/../r.json"], ids=["same", "dotdot"])
+    def test_csv_onto_the_report_rejected(self, spelling, tmp_path, capsys, monkeypatch):
+        # the CSV would overwrite the report; the paths are compared resolved
+        def no_point(*_):
+            raise AssertionError("a point ran before the output paths were checked")
+
+        monkeypatch.setattr(runner, "_verify_point", no_point)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        assert run(["verify", "--family", "jacobi", "--identity", "all", "--samples", "2",
+                    "--report", "r.json", "--csv", spelling]) == 2
+        assert capsys.readouterr().err.startswith(f"error: --csv {spelling}: ")
+        assert not (tmp_path / "r.json").exists()
+
     def test_csv_dash_is_stdout(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         rep, csvp = tmp_path / "r.json", tmp_path / "s.csv"
@@ -470,6 +484,21 @@ class TestLimitsCommand:
         assert run(["limits", *argv, "--out", str(out)]) == 2
         assert flag in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("target,reason", [("missing/t.csv", "No such file or directory"),
+                                               (".", "Is a directory")])
+    def test_unwritable_out_names_the_flag(self, target, reason, tmp_path, capsys, monkeypatch):
+        # found as verify finds an unwritable output, before the table is computed
+        from qaskey import limits as lim
+
+        def no_table(*_):
+            raise AssertionError("the table was computed before --out was checked")
+
+        monkeypatch.setattr(lim, "limit_cqjacobi_to_jacobi", no_table)
+        out = tmp_path / target
+        assert run(["limits", "--which", "cqjacobi-to-jacobi", "--out", str(out)]) == 2
+        assert f"error: --out {out}: {reason}" in capsys.readouterr().err
+        assert not (tmp_path / "missing").exists()
 
     @pytest.mark.parametrize("flag", ["--a", "--q"])
     def test_zero_denominator_names_the_flag(self, flag, tmp_path, capsys):

@@ -1,8 +1,8 @@
 """``displays.DISPLAYS`` is the one table of the paper's closed-form
 displays: its keys are registry keys with the same families, the
-explicit structure rows of the registry come from it, each row's check
-applies the row's own left side, and coeff-match reads a family's rows
-in table order."""
+explicit structure and q-ultraspherical rows of the registry come from
+it, each row's check applies the row's own left side and coefficients,
+and coeff-match reads a family's rows in table order."""
 
 import pytest
 
@@ -60,6 +60,25 @@ def test_a_rows_left_side_is_what_its_check_applies(first_points, monkeypatch):
     assert not rel.display_check("eq76", "eq31", generic=True)(fd, [1, 2]).passed
     assert cli.IDENTITIES["eq77"][1].run(fd, [1, 2])[0].passed
     assert cli.IDENTITIES["eq28"][1].run(fd, [1, 2])[0].passed
+
+
+def test_a_web_rows_coefficient_and_left_side_are_what_its_check_reads(first_points,
+                                                                     monkeypatch):
+    # eq55 with its closed rhs moved by 1 fails, and so does combo54, which
+    # reads eq55's row; eq54 reads its own row and holds.  eq51 with twice
+    # its operator on the left fails
+    fd = first_points[fam.CQU]
+    row = displays.DISPLAYS["eq55"]
+    monkeypatch.setitem(displays.DISPLAYS, "eq55", row._replace(
+        closed=lambda spec, n: row.slotted(row.closed(spec, n), "rhs")))
+    assert not cli.IDENTITIES["eq55"][1].run(fd, [1, 2])[0].passed
+    assert not cli.IDENTITIES["combo54"][1].run(fd, [1, 2])[0].passed
+    assert cli.IDENTITIES["eq54"][1].run(fd, [1, 2])[0].passed
+    row = displays.DISPLAYS["eq51"]
+    monkeypatch.setitem(displays.DISPLAYS, "eq51", row._replace(
+        lhs=lambda fd: lambda p: row.lhs(fd)(p).scale(2)))
+    assert not cli.IDENTITIES["eq51"][1].run(fd, [1, 2])[0].passed
+    assert cli.IDENTITIES["eq52"][1].run(fd, [1, 2])[0].passed
 
 
 def test_point_family_shares_its_command_line_rows():

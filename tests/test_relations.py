@@ -47,7 +47,7 @@ def test_eq59_display_is_not_the_family_data(monkeypatch):
 
 
 def _cqu_relation(which):
-    return lambda fd, ns: rel.check_cqultra_relation(fd, ns, which)
+    return lambda fd, ns: rel.display_check(which)(fd, ns)
 
 
 def explicit(fd, ns, perturb=None):
@@ -214,13 +214,13 @@ class TestSklyanin:
 class TestCqUltraWeb:
     @pytest.mark.parametrize("which", ["eq51", "eq52", "eq53", "eq55", "qdiff2"])
     def test_relations(self, fds, which):
-        assert rel.check_cqultra_relation(fds[fam.CQU], NS, which).passed
+        assert rel.display_check(which)(fds[fam.CQU], NS).passed
 
     def test_eq52_coefficient_at_n0(self, fds):
         fd = fds[fam.CQU]
         q = fd.spec.q
         # the raising coefficient at n = 0 is 1 - q, consistent with C_1
-        rep = rel.check_cqultra_relation(fd, [0, 1], "eq52")
+        rep = rel.display_check("eq52")(fd, [0, 1])
         assert rep.passed
         assert (1 - q) * fd.A[0] * 2 == (1 - q ** 1) / (1 - fd.spec.params["t"] * q ** 0) * (1 - q)
 
@@ -382,7 +382,7 @@ class TestNegativeControls:
 
     def test_cqu_relations(self, fds):
         for which in ("eq51", "eq52", "eq53", "eq55", "qdiff2"):
-            rep = rel.check_cqultra_relation(fds[fam.CQU], [2], which, perturb="rhs")
+            rep = rel.display_check(which)(fds[fam.CQU], [2], perturb="rhs")
             assert not rep.passed, which
 
     def test_operator_checkers(self, fds):
