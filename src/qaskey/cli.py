@@ -38,7 +38,7 @@ from . import families as fam
 from .families import CLI_FAMILIES
 # IDENTITIES is bound here too: the benchmark's tracer patches the
 # registry through cli.IDENTITIES, which must be the registry's own dict
-from .registry import IDENTITIES, identities_for
+from .registry import IDENTITIES, identities_for, reanchored_spec
 from .report import build_report, dump_csv, dump_report, summary_lines
 from .runner import _verify_forked
 
@@ -162,12 +162,12 @@ def _output_files(args) -> list:
 
 
 def _check_outputs(args) -> None:
-    """A ValueError naming the flag where an output file's directory is
-    missing or not writable, or the path is a directory.  Nothing is
-    created or truncated."""
+    """A ValueError naming the flag where an output path is empty, its
+    directory is missing or not writable, or the path is a directory.
+    Nothing is created or truncated."""
     for flag, path in _output_files(args):
         parent = os.path.dirname(path) or "."
-        if not os.path.isdir(parent):
+        if not path or not os.path.isdir(parent):
             code = errno.ENOENT
         elif not os.access(parent, os.W_OK):
             code = errno.EACCES
@@ -228,6 +228,11 @@ def run_verify(args, jobs: int = 1) -> int:
         try:
             if args.params:
                 specs = [spec_from_params(family, params, build_n)]
+                if "eq73" in idents:
+                    try:
+                        fam.validate_spec(*reanchored_spec(specs[0], args.n_max))
+                    except fam.InadmissibleParameters as exc:
+                        raise ValueError(f"--params: eq73 runs at q^2, where {exc}") from exc
             else:
                 specs = fam.sample_specs(family, args.samples, args.seed,
                                          n_max=build_n)

@@ -25,10 +25,10 @@ Each family is one row of :data:`FAMILIES`: parameter names, constructor,
 sampler draw, admissibility check and builder.
 
 Each FamilyData also owns the point's operators L and D, its derived
-second-order q-difference equation, the expansions of x^k in its basis
-and the Gram matrix <x^i, x^j> of its monomials, each built on first use
-(the last two only as far as a check reads) and dropped with the
-FamilyData, so every check at one point shares them.
+second-order q-difference equation, big q-Jacobi's chain, the expansions
+of x^k in its basis and the Gram matrix <x^i, x^j> of its monomials,
+each built on first use (the last two only as far as a check reads) and
+dropped with the FamilyData, so every check at one point shares them.
 
 The expansions grow through the three-term recurrence read off the top
 coefficients of x p_n, the whole relation checked exactly, never
@@ -135,6 +135,13 @@ class FamilyData(_FamilyFields):
         ``qdiff`` is loaded with ``relations`` when ``qaskey`` is, not here."""
         from . import relations
         return relations.derive_second_order_qdiff(self)
+
+    @cached_property
+    def chain(self) -> tuple:
+        """Big q-Jacobi's eq42/eq41 chain at this point, called by its
+        ``relations`` name as :attr:`qdiff` is (:func:`relations.reduce_bigq_chain`)."""
+        from . import relations
+        return relations.reduce_bigq_chain(self)
 
     # The basis change to the family and the pairing of monomials: grown on
     # first use only as far as a check reads, and dropped with the point.

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from . import operators as ops
-from .families import (AW, BIGQ, CQJ49, CQU, JACOBI, FamilyData, FamilySpec,
+from .families import (AW, BIGQ, CQJ49, CQU, JACOBI, FamilyData,
                        recurrence_from_expansion, _polys_from_recurrence, cqjacobi_polynomials)
 from .inner_product import skew_symmetry_residual, symmetry_residual
 from .laurent import XPoly
@@ -74,17 +74,15 @@ def check_d_from_l(fd: FamilyData, max_deg: int, perturb=None) -> VerificationRe
     return _close("d-from-l", fd, entries, identity_multiple=str(const))
 
 
-def check_string_jacobi(spec: FamilySpec, max_deg: int, perturb=None) -> VerificationReport:
-    """[X, L] acts as multiplication by -(1-x^2); the sign is the
-    computed one (the display fixes only the shape 1 - x^2)."""
-    L = ops.jacobi_L(spec)
-    X = ops.op_x("x")
-    comm = ops.commutator(X, L)
+def check_string_jacobi(fd: FamilyData, max_deg: int, perturb=None) -> VerificationReport:
+    """[X, L] acts as multiplication by -(1-x^2) for the point's L; the
+    sign is the computed one (the display fixes only the shape 1 - x^2)."""
+    comm = ops.commutator(ops.op_x("x"), fd.L)
     mult = XPoly([-1, 0, 1])
     if perturb == "shape":
         mult = mult + XPoly([1])
-    return _close("string", spec, [_entry(j, comm(XPoly.x_power(j)) - mult.shift_x(j))
-                                   for j in range(max_deg + 1)])
+    return _close("string", fd, [_entry(j, comm(XPoly.x_power(j)) - mult.shift_x(j))
+                                 for j in range(max_deg + 1)])
 
 
 def check_skew_l(fd: FamilyData, max_deg: int, perturb=None) -> VerificationReport:

@@ -10,7 +10,6 @@ family's keys, in registry order.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from . import families as fam
@@ -20,19 +19,23 @@ from . import operator_checks as opc
 from . import relations as rel
 
 
+def reanchored_spec(spec, n_max) -> tuple:
+    """eq73's point and the degree it is built to: the quadruple of the
+    Askey-Wilson ``spec`` with q' = q^2, since an exact q^(1/2) needs an
+    even base exponent, built to min(n_max, 6)."""
+    p = spec.params
+    return fam.aw_spec(p["a"], p["b"], p["c"], p["d"], s=p["q"], m=2), min(n_max, 6)
+
+
 def _reanchored(fd, args):
-    """eq73's domain: n = 0 .. min(n_max, 6) - 1 at the sampled quadruple
-    with q' = q^2, since an exact q^(1/2) needs an even base exponent."""
-    p = fd.spec.params
-    spec2 = fam.aw_spec(p["a"], p["b"], p["c"], p["d"], s=p["q"], m=2)
-    fd2 = fam.build_family(spec2, min(args.n_max, 6))
+    """eq73's domain: n = 0 .. min(n_max, 6) - 1 at :func:`reanchored_spec`."""
+    fd2 = fam.build_family(*reanchored_spec(fd.spec, args.n_max))
     return fd2, range(0, fd2.n_max)
 
 
 #: degree domains: each maps a point and the flags to the point a check
 #: runs on and its degrees -- a range of n for a per-degree check, one top
-#: degree for an operator- or basis-level check, None for a check that
-#: reads every stored degree of the point itself
+#: degree for an operator- or basis-level check
 DOMAINS = {
     "1..n_max": lambda fd, a: (fd, range(1, a.n_max + 1)),
     "0..n_max": lambda fd, a: (fd, range(0, a.n_max + 1)),
@@ -41,11 +44,11 @@ DOMAINS = {
     "min(degree_cap, 8)": lambda fd, a: (fd, min(a.degree_cap, 8)),
     "min(8, n_max)": lambda fd, a: (fd, min(8, a.n_max)),
     "q^2 re-anchor": _reanchored,
-    "every stored n": lambda fd, a: (fd, None),
+    "every stored n": lambda fd, a: (fd, range(fd.n_max + 1)),
 }
 
 #: the domains of the checks that take a range of degrees n
-PER_DEGREE = ("1..n_max", "0..n_max", "q^2 re-anchor")
+PER_DEGREE = ("1..n_max", "0..n_max", "q^2 re-anchor", "every stored n")
 
 
 class Check(NamedTuple):
@@ -53,8 +56,8 @@ class Check(NamedTuple):
     (the negative-control mutations ``fn`` accepts) and whether its
     reports are informational (recorded, never asserted).
 
-    ``fn(fd, degrees, perturb)`` returns one report or a tuple of them;
-    the record called with (fd, args) runs it over its domain.
+    ``fn(fd, degrees, perturb)`` returns the one report of its identity at
+    the point; the record called with (fd, args) runs it over its domain.
     """
 
     fn: Callable
@@ -62,11 +65,10 @@ class Check(NamedTuple):
     slots: tuple
     info: bool = False
 
-    def run(self, fd, degrees, perturb=None) -> list:
-        out = self.fn(fd, degrees, perturb)
-        return list(out) if isinstance(out, tuple) else [out]
+    def run(self, fd, degrees, perturb=None):
+        return self.fn(fd, degrees, perturb)
 
-    def __call__(self, fd, args) -> list:
+    def __call__(self, fd, args):
         return self.run(*DOMAINS[self.domain](fd, args))
 
 
@@ -74,23 +76,6 @@ def _row(key):
     """The families and check of the display row ``key``, its names its slots."""
     d = DISPLAYS[key]
     return d.families, Check(rel.display_check(key), "1..n_max", d.names)
-
-
-def _sklyanin(fd, max_deg, perturb=None):
-    return rel.check_sklyanin(fd.spec, Fraction(2), max_deg, perturb)
-
-
-def _qdiff_derive(fd, _, perturb=None):
-    return rel.check_qdiff_recovery(fd, fd.lam, perturb)
-
-
-def _chain(fd, ns, perturb=None):
-    # looked up on each call, as the benchmark's tracer patches it by name
-    return rel.reduce_bigq_chain(fd, ns, perturb)
-
-
-def _string(fd, max_deg, perturb=None):
-    return opc.check_string_jacobi(fd.spec, max_deg, perturb)
 
 
 #: every identity key: (families, Check)
@@ -109,21 +94,22 @@ IDENTITIES = {
     "bangerezako": ((AW,), Check(rel.check_bangerezako, "1..n_max", ("lambda",))),
     "eq71": (CLI_FAMILIES, Check(rel.check_bispectral, "0..n_max", ("lambda",))),
     "eq73": ((AW,), Check(rel.residual_q_bispectral, "q^2 re-anchor", ("lambda",), info=True)),
-    "sklyanin": ((AW,), Check(_sklyanin, "min(degree_cap, 8)", ("shift",))),
+    "sklyanin": ((AW,), Check(rel.check_sklyanin, "min(degree_cap, 8)", ("shift",))),
     # the q-ultraspherical web: eq51, eq52, eq53, eq55, qdiff2
     **{key: _row(key) for key in WEB},
     "combo54": ((CQU,), Check(rel.check_cqultra_combination, "1..n_max", ("u",))),
     "eq53-nonskew": ((CQU,), Check(rel.check_cqultra_nonskew, "min(8, n_max)", ("op",))),
-    # one run of the chain reports both; run_verify runs it once per point
-    "eq42": ((BIGQ,), Check(_chain, "1..n_max", ("alpha",))),
-    "eq41": ((BIGQ,), Check(_chain, "1..n_max", ("a-tilde",))),
-    "qdiff-derive": ((AW, BIGQ), Check(_qdiff_derive, "every stored n", ("reference",))),
+    # the two steps of the chain, which each point builds once (FamilyData.chain)
+    "eq42": ((BIGQ,), Check(rel.check_eq42, "1..n_max", ("alpha",))),
+    "eq41": ((BIGQ,), Check(rel.check_eq41, "1..n_max", ("a-tilde",))),
+    "qdiff-derive": ((AW, BIGQ), Check(rel.check_qdiff_recovery, "every stored n",
+                                       ("reference",))),
     "coeff-match": (CLI_FAMILIES, Check(rel.check_coefficient_match, "1..n_max", ("plus",))),
     "eigen": (CLI_FAMILIES, Check(opc.check_eigen, "0..n_max", ("lambda",))),
     "gamma-lambda": (CLI_FAMILIES, Check(opc.check_gamma_lambda, "0..n_max", ("gamma",))),
     "commutator": (CLI_FAMILIES, Check(opc.check_commutator, "degree_cap", ("normalization",))),
     "d-from-l": ((AW, JAC, CQJ, CQU), Check(opc.check_d_from_l, "degree_cap", ("normalization",))),
-    "string": ((JAC,), Check(_string, "degree_cap", ("shape",))),
+    "string": ((JAC,), Check(opc.check_string_jacobi, "degree_cap", ("shape",))),
     "skew-l": (CLI_FAMILIES, Check(opc.check_skew_l, "min(10, n_max)", ("op",))),
     "sym-d": (CLI_FAMILIES, Check(opc.check_sym_d, "min(10, n_max)", ("op",))),
     "sym-x": (CLI_FAMILIES, Check(opc.check_sym_x, "min(10, n_max)", ("op",))),

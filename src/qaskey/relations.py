@@ -23,9 +23,10 @@ q-ultraspherical web (eq51, eq52, eq53, eq55, qdiff2), whose eq55 and
 eq53 rows :func:`check_cqultra_combination` reads as well.
 
 The second-order q-difference equation is derived from the data, not
-stated, by the solver in :mod:`qaskey.qdiff`; this module keeps the two
-checks that read it (:func:`check_qdiff_recovery`, :func:`reduce_bigq_chain`)
-and re-exports its entry point and its two errors.
+stated, by the solver in :mod:`qaskey.qdiff`; this module keeps what
+reads it, :func:`check_qdiff_recovery` and the big q-Jacobi chain
+(:func:`reduce_bigq_chain`, checked by :func:`check_eq42` and
+:func:`check_eq41`), and re-exports its entry point and its two errors.
 
 The spectral and operator-level checks (eigen, commutator, the
 (skew-)symmetries, orthogonality, dual-path, ...) are in
@@ -43,7 +44,7 @@ from typing import Callable, Iterable, NamedTuple
 
 from . import operators as ops
 from .displays import DISPLAYS, cqjacobi_gamma, eq28, rows_for
-from .families import FamilyData, FamilySpec, aw_spec, cqjacobi_aw_spec
+from .families import FamilyData, aw_spec, cqjacobi_aw_spec
 from .inner_product import skew_symmetry_residual
 from .laurent import LaurentPoly, XPoly, Z_MINUS_ZINV
 # read through this module: runner.CHECK_ERRORS names the two errors here, and
@@ -110,13 +111,12 @@ def _entry(n, resid) -> ResidualEntry:
     return ResidualEntry(n, False, top, resid.coeffs)
 
 
-def _close(identity_id, fd_or_spec, entries, info=False, **notes) -> VerificationReport:
+def _close(identity_id, fd: FamilyData, entries, info=False, **notes) -> VerificationReport:
     """The report of ``entries``; its params are the point's own mapping,
     so every report of one point shares it, and its notes are None where
     the check gives none."""
-    spec = fd_or_spec.spec if isinstance(fd_or_spec, FamilyData) else fd_or_spec
     status = "info" if info else ("pass" if all(e.zero for e in entries) else "fail")
-    return VerificationReport(identity_id, spec.family, spec.params,
+    return VerificationReport(identity_id, fd.family, fd.spec.params,
                               list(entries), status, notes or None)
 
 
@@ -293,19 +293,21 @@ def residual_q_bispectral(fd: FamilyData, ns: Iterable[int], perturb=None) -> Ve
 # Sklyanin quasi-commutation
 # ----------------------------------------------------------------------
 
-def check_sklyanin(spec: FamilySpec, e: Fraction, max_deg: int, perturb=None) -> VerificationReport:
-    """L_{a,b,ce,d/e} L_{qa,qb,c/q,d/q} = L_{a,b,c,d} L_{qa,qb,ce/q,d/(eq)};
-    the slot shift builds the left side with e + 1."""
+def check_sklyanin(fd: FamilyData, max_deg: int, perturb=None,
+                   e: Fraction = Fraction(2)) -> VerificationReport:
+    """L_{a,b,ce,d/e} L_{qa,qb,c/q,d/q} = L_{a,b,c,d} L_{qa,qb,ce/q,d/(eq)}
+    at the point's a, b, c, d; the slot shift builds the left side with e + 1."""
     if e == 0:
         raise ValueError("the shift parameter e must be nonzero")
+    spec = fd.spec
     a, b, c, d, q = (spec.params[k] for k in "abcdq")
     el = _p1(e, perturb, "shift")
     lhs = ops.compose(ops.aw_L(aw_spec(a, b, c * el, d / el, q=q)),
                       ops.aw_L(aw_spec(q * a, q * b, c / q, d / q, q=q)))
     rhs = ops.compose(ops.aw_L(spec),
                       ops.aw_L(aw_spec(q * a, q * b, c * e / q, d / (e * q), q=q)))
-    return _close("sklyanin", spec, [_entry(j, lhs.column(j) - rhs.column(j))
-                                     for j in range(max_deg + 1)], e=str(el))
+    return _close("sklyanin", fd, [_entry(j, lhs.column(j) - rhs.column(j))
+                                   for j in range(max_deg + 1)], e=str(el))
 
 
 # ----------------------------------------------------------------------
@@ -363,23 +365,24 @@ def check_cqultra_nonskew(fd: FamilyData, max_deg: int, perturb=None) -> Verific
 # the derived q-difference equation: recovery and the reduction chain
 # ----------------------------------------------------------------------
 
-def check_qdiff_recovery(fd: FamilyData, reference_lambdas, perturb=None) -> VerificationReport:
+def check_qdiff_recovery(fd: FamilyData, ns: Iterable[int], perturb=None) -> VerificationReport:
     """The derived equation's eigenvalues must be proportional to the
-    reference ones: lam_n ref_1 = ref_n at every stored n (lam_1 = 1).
-    Uses the point's derived equation, :attr:`FamilyData.qdiff`."""
-    lam, ref = fd.qdiff.lambdas, reference_lambdas
+    point's own: lam_n lam'_1 = lam'_n at each n of ns, for the derived
+    lam (lam_1 = 1) and the point's lam'.  Uses the point's derived
+    equation, :attr:`FamilyData.qdiff`."""
+    ns = _degrees("qdiff-derive", fd, ns)
+    lam, ref = fd.qdiff.lambdas, fd.lam
     return _close("qdiff-derive", fd, [
         _entry(n, lam[n] * ref[1] - (_p1(ref[n], perturb, "reference") if n == 2 else ref[n]))
-        for n in range(fd.n_max + 1)])
+        for n in ns])
 
 
-def reduce_bigq_chain(fd: FamilyData, ns: Iterable[int], perturb=None) -> tuple:
+def reduce_bigq_chain(fd: FamilyData) -> tuple:
     """The two-step rewrite of the big q-Jacobi structure relation into
     the (x-1)(bx+c) D_q form, eliminating p_n(x/q) with the derived
-    q-difference equation and then x p_n with the recurrence.
-
-    Returns (eq42 report, eq41 report).  Uses the point's derived
-    equation, :attr:`FamilyData.qdiff`.
+    q-difference equation (:attr:`FamilyData.qdiff`) and then x p_n with
+    the recurrence: (lhs, table), the operator p -> (x-1)(bx+c) D_q p and
+    n -> eq42's (plus, (beta, delta), minus), both shared by eq42 and eq41.
     """
     spec = fd.spec
     a, b, c, q = (spec.params[k] for k in "abcq")
@@ -407,17 +410,24 @@ def reduce_bigq_chain(fd: FamilyData, ns: Iterable[int], perturb=None) -> tuple:
         plus, minus = DISPLAYS["eq40"].closed(spec, n)
         return plus / kappa, (affine.coeff(0) / kappa, affine.coeff(1) / kappa), minus / kappa
 
-    def eq42(n, pt):
-        plus, mid, minus = table42(n)
-        return _p1(plus, pt, "alpha"), mid, minus
+    lhs = ops.PolyOperator(lambda p: shape * q_derivative(p, q), "x", 1, "(x-1)(bx+c)D_q")
+    return lhs, table42
 
-    def eq41(n, pt):
-        # x p_n = A_n p_{n+1} + B_n p_n + C_n p_{n-1} removes eq42's delta x
-        plus, (beta, delta), minus = table42(n)
+
+def check_eq42(fd: FamilyData, ns: Iterable[int], perturb=None) -> VerificationReport:
+    """The chain's first step: eq40 over kappa, with the middle beta + delta x."""
+    lhs, table = fd.chain
+    return _relation("eq42", fd, ns, perturb, lhs,
+                     lambda n, pt: (_p1(table(n)[0], pt, "alpha"), *table(n)[1:]))
+
+
+def check_eq41(fd: FamilyData, ns: Iterable[int], perturb=None) -> VerificationReport:
+    """The second step: x p_n = A_n p_{n+1} + B_n p_n + C_n p_{n-1}
+    removes eq42's delta x."""
+    lhs, table = fd.chain
+
+    def coeffs(n, pt):
+        plus, (beta, delta), minus = table(n)
         return (_p1(plus + delta * fd.A[n], pt, "a-tilde"), (beta + delta * fd.B[n],),
                 minus + delta * fd.C[n])
-
-    pairs = list(_residuals("the eq42/eq41 chain", fd, ns, perturb,
-                            lambda p: shape * q_derivative(p, q), eq42, eq41))
-    return (_close("eq42", fd, [_entry(n, r) for n, r in pairs[0::2]]),
-            _close("eq41", fd, [_entry(n, r) for n, r in pairs[1::2]]))
+    return _relation("eq41", fd, ns, perturb, lhs, coeffs)

@@ -26,7 +26,7 @@ CHECK_ERRORS = (rel.NoSolution, rel.VerificationFailure, NonzeroRemainder,
                 fam.ExpansionError)
 
 
-def _run_identity(ident: str, fd, args) -> list:
+def _run_identity(ident: str, fd, args) -> rel.VerificationReport:
     _, runner = IDENTITIES[ident]
     try:
         return runner(fd, args)
@@ -34,26 +34,14 @@ def _run_identity(ident: str, fd, args) -> list:
         text = f"{type(exc).__name__}: {exc}"
         point = ",".join(f"{k}={v}" for k, v in fd.spec.params.items())
         print(f"error: {ident} on {fd.family} at {point}: {text}", file=sys.stderr)
-        return [rel.VerificationReport(ident, fd.family, fd.spec.params,
-                                       [rel.ResidualEntry(None, False)], "fail",
-                                       {"error": text})]
+        return rel.VerificationReport(ident, fd.family, fd.spec.params,
+                                      [rel.ResidualEntry(None, False)], "fail", {"error": text})
 
 
 def _verify_point(idents, spec, build_n, args) -> list:
-    """The report of each identity in ``idents`` at one point.  A runner
-    may report several identities (the eq42/eq41 chain); one already
-    reported at the point is not run again."""
+    """The report of each identity in ``idents`` at one point."""
     fd = fam.build_family(spec, build_n)
-    done = set()
-    reports = []
-    for ident in idents:
-        if ident in done:
-            continue
-        for rep in _run_identity(ident, fd, args):
-            done.add(rep.identity_id)
-            if rep.identity_id in idents:
-                reports.append(rep)
-    return reports
+    return [_run_identity(ident, fd, args) for ident in idents]
 
 
 def _verify_share(tasks, build_n, args) -> list:

@@ -104,9 +104,14 @@ class TestVerify:
         # neither output is left behind, as on any other exit 2
         assert not any(p.exists() for p in paths.values())
 
-    @pytest.mark.parametrize("flag", ["--report", "--csv"])
-    @pytest.mark.parametrize("target,reason", [("missing/out", "No such file or directory"),
-                                               (".", "Is a directory")])
+    # an empty --csv asks for no CSV, so the empty path is a --report case only
+    @pytest.mark.parametrize("target,reason,flag", [
+        *((target, reason, flag)
+          for target, reason in [("missing/out", "No such file or directory"),
+                                 (".", "Is a directory")]
+          for flag in ("--report", "--csv")),
+        ("", "No such file or directory", "--report"),
+    ])
     def test_unwritable_output_found_before_any_point(self, flag, target, reason, tmp_path,
                                                       capsys, monkeypatch):
         def no_point(*_):
@@ -114,11 +119,11 @@ class TestVerify:
 
         monkeypatch.setattr(runner, "_verify_point", no_point)
         paths = {"--report": tmp_path / "r.json", "--csv": tmp_path / "s.csv"}
-        paths[flag] = tmp_path / target
+        paths[flag] = tmp_path / target if target else ""
         assert run(["verify", "--family", "jacobi", "--identity", "eq26", "--samples", "1",
                     "--report", str(paths["--report"]), "--csv", str(paths["--csv"])]) == 2
         assert f"error: {flag} {paths[flag]}: {reason}" in capsys.readouterr().err
-        assert not any(p.is_file() for p in paths.values())
+        assert not any(p and p.is_file() for p in paths.values())
 
     @pytest.mark.parametrize("spelling", ["r.json", "sub/../r.json"], ids=["same", "dotdot"])
     def test_csv_onto_the_report_rejected(self, spelling, tmp_path, capsys, monkeypatch):
@@ -250,6 +255,38 @@ class TestVerify:
         assert err.startswith("error: --params: ") and reason in err
         assert not rep.exists()
 
+    def test_params_refused_at_eq73s_q_squared_point_names_the_flag(self, tmp_path, capsys):
+        # admissible at q (ab = q^-24 lies past k <= 22), but eq73's rebuild at
+        # q' = q^2 to degree 6 reads ab = q'^-12: refused before any point runs
+        point = "a=4096,b=4096,c=1/3,d=1/5,q=1/2"
+        rep = tmp_path / "r.json"
+        assert run(["verify", "--family", "askey-wilson", "--identity", "all",
+                    "--params", point, "--no-timestamp", "--report", str(rep)]) == 2
+        assert capsys.readouterr().err == ("error: --params: eq73 runs at q^2, where "
+                                           "product 16777216 is an inverse power of q\n")
+        assert not rep.exists()
+        assert run(["verify", "--family", "askey-wilson", "--identity", "eq18",
+                    "--params", point, "--no-timestamp", "--report", str(rep)]) == 0
+
+    def test_raising_chain_fails_both_its_checks(self, tmp_path, capsys, monkeypatch):
+        # the point does not keep a raise: eq41 builds the chain again and
+        # fails too, after eq42, and every other identity is reported
+        def raising(*_):
+            raise rel.VerificationFailure("no chain here")
+
+        monkeypatch.setattr(rel, "reduce_bigq_chain", raising)
+        rep = tmp_path / "r.json"
+        assert run(["verify", "--family", "big-q-jacobi", "--identity", "all", "--samples", "1",
+                    "--seed", "1", "--n-max", "3", "--degree-cap", "4", "--no-timestamp",
+                    "--report", str(rep)]) == 1
+        rows = json.loads(rep.read_text())["results"]
+        failed = [(r["identity_id"], r["n"]) for r in rows if r["status"] != "pass"]
+        assert sorted(failed) == [("eq41", None), ("eq42", None)]
+        assert {r["identity_id"] for r in rows} == set(cli.identities_for(fam.BIGQ, "all"))
+        errors = capsys.readouterr().err.splitlines()
+        assert [line.split()[1] for line in errors] == ["eq42", "eq41"]
+        assert all(line.endswith("VerificationFailure: no chain here") for line in errors)
+
     def test_raising_checker_is_a_recorded_failure(self, tmp_path, capsys, monkeypatch):
         no_solution_in_qdiff_derive(monkeypatch)
         rep = tmp_path / "r.json"
@@ -282,13 +319,13 @@ class TestVerify:
         fd = fam.build_family(spec, 5)
         _, runner = cli.IDENTITIES["qdiff-derive"]
         args = cli.make_parser().parse_args(["verify"])
-        assert [r.status for r in runner(fd, args)] == ["pass"]
+        assert runner(fd, args).status == "pass"
         lam = list(fd.lam)
         lam[3] += 1
         bad = fd._replace(lam=tuple(lam))
-        reports = runner(bad, args)
-        assert [r.status for r in reports] == ["fail"]
-        assert [e.n for e in reports[0].entries if not e.zero] == [3]
+        report = runner(bad, args)
+        assert report.status == "fail"
+        assert [e.n for e in report.entries if not e.zero] == [3]
 
     @pytest.mark.parametrize("family", fam.CLI_FAMILIES)
     def test_point_leaves_no_cyclic_garbage(self, family):
@@ -303,6 +340,19 @@ class TestVerify:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+@pytest.mark.parametrize("family", fam.CLI_FAMILIES)
+def test_an_identity_alone_reports_its_report_of_all(family):
+    # a check reads the point's shared data (its operators, derived
+    # equation, chain and Gram matrix) the same whichever checks ran first
+    spec = fam.sample_specs(family, 1, seed=1, n_max=4)[0]
+    args = cli.make_parser().parse_args(["verify", "--n-max", "3", "--degree-cap", "4"])
+    idents = cli.identities_for(family, "all")
+    together = runner._verify_point(idents, spec, 4, args)
+    assert [r.identity_id for r in together] == idents
+    for key, report in zip(idents, together):
+        assert runner._verify_point([key], spec, 4, args) == [report], key
 
 
 @pytest.fixture(scope="module", params=fam.CLI_FAMILIES)
@@ -338,7 +388,7 @@ class TestPointMemory:
         spec, _ = point_reports
         _, check = cli.IDENTITIES["eq28"]
         fd = fam.build_family(spec, 5)
-        [rep] = check.run(fd, range(1, 5), "plus")
+        rep = check.run(fd, range(1, 5), "plus")
         assert rep.status == "fail" and len(rep.entries) == 4
         for e in rep.entries:
             assert not e.zero and e.coeffs and e is not rel._zero(e.n)
@@ -486,7 +536,8 @@ class TestLimitsCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize("target,reason", [("missing/t.csv", "No such file or directory"),
-                                               (".", "Is a directory")])
+                                               (".", "Is a directory"),
+                                               ("", "No such file or directory")])
     def test_unwritable_out_names_the_flag(self, target, reason, tmp_path, capsys, monkeypatch):
         # found as verify finds an unwritable output, before the table is computed
         from qaskey import limits as lim
@@ -495,7 +546,7 @@ class TestLimitsCommand:
             raise AssertionError("the table was computed before --out was checked")
 
         monkeypatch.setattr(lim, "limit_cqjacobi_to_jacobi", no_table)
-        out = tmp_path / target
+        out = tmp_path / target if target else ""
         assert run(["limits", "--which", "cqjacobi-to-jacobi", "--out", str(out)]) == 2
         assert f"error: --out {out}: {reason}" in capsys.readouterr().err
         assert not (tmp_path / "missing").exists()

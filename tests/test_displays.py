@@ -46,8 +46,8 @@ def test_every_row_checks_under_its_own_key(first_points, key):
     # passes at the first seed-1 point of each of its families
     families, check = cli.IDENTITIES[key]
     for family in families:
-        reps = check.run(first_points[fam.CQJ49 if family == fam.CQJ else family], [1, 2])
-        assert [(r.identity_id, r.passed) for r in reps] == [(key, True)], family
+        rep = check.run(first_points[fam.CQJ49 if family == fam.CQJ else family], [1, 2])
+        assert (rep.identity_id, rep.passed) == (key, True), family
 
 
 def test_a_rows_left_side_is_what_its_check_applies(first_points, monkeypatch):
@@ -56,10 +56,10 @@ def test_a_rows_left_side_is_what_its_check_applies(first_points, monkeypatch):
     row = displays.DISPLAYS["eq76"]
     monkeypatch.setitem(displays.DISPLAYS, "eq76", row._replace(
         lhs=lambda fd: lambda p: row.lhs(fd)(p).scale(2)))
-    assert not cli.IDENTITIES["eq76"][1].run(fd, [1, 2])[0].passed
+    assert not cli.IDENTITIES["eq76"][1].run(fd, [1, 2]).passed
     assert not rel.display_check("eq76", "eq31", generic=True)(fd, [1, 2]).passed
-    assert cli.IDENTITIES["eq77"][1].run(fd, [1, 2])[0].passed
-    assert cli.IDENTITIES["eq28"][1].run(fd, [1, 2])[0].passed
+    assert cli.IDENTITIES["eq77"][1].run(fd, [1, 2]).passed
+    assert cli.IDENTITIES["eq28"][1].run(fd, [1, 2]).passed
 
 
 def test_a_web_rows_coefficient_and_left_side_are_what_its_check_reads(first_points,
@@ -71,14 +71,14 @@ def test_a_web_rows_coefficient_and_left_side_are_what_its_check_reads(first_poi
     row = displays.DISPLAYS["eq55"]
     monkeypatch.setitem(displays.DISPLAYS, "eq55", row._replace(
         closed=lambda spec, n: row.slotted(row.closed(spec, n), "rhs")))
-    assert not cli.IDENTITIES["eq55"][1].run(fd, [1, 2])[0].passed
-    assert not cli.IDENTITIES["combo54"][1].run(fd, [1, 2])[0].passed
-    assert cli.IDENTITIES["eq54"][1].run(fd, [1, 2])[0].passed
+    assert not cli.IDENTITIES["eq55"][1].run(fd, [1, 2]).passed
+    assert not cli.IDENTITIES["combo54"][1].run(fd, [1, 2]).passed
+    assert cli.IDENTITIES["eq54"][1].run(fd, [1, 2]).passed
     row = displays.DISPLAYS["eq51"]
     monkeypatch.setitem(displays.DISPLAYS, "eq51", row._replace(
         lhs=lambda fd: lambda p: row.lhs(fd)(p).scale(2)))
-    assert not cli.IDENTITIES["eq51"][1].run(fd, [1, 2])[0].passed
-    assert cli.IDENTITIES["eq52"][1].run(fd, [1, 2])[0].passed
+    assert not cli.IDENTITIES["eq51"][1].run(fd, [1, 2]).passed
+    assert cli.IDENTITIES["eq52"][1].run(fd, [1, 2]).passed
 
 
 def test_point_family_shares_its_command_line_rows():

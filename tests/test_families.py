@@ -244,8 +244,7 @@ def test_the_basis_change_is_sized_by_what_the_checks_read(family):
     spec = fam.sample_specs(family, 1, seed=7, n_max=41)[0]
     fd = fam.build_family(spec, 41)
     for ident in cli.identities_for(family, "all"):
-        for rep in cli.IDENTITIES[ident][1](fd, args):
-            assert rep.status != "fail", (ident, family)
+        assert cli.IDENTITIES[ident][1](fd, args).status != "fail", (ident, family)
     # big q-Jacobi's build reads every row for its A, B and C and keeps them
     read = fd.n_max + 1 if family == fam.BIGQ else 11
     assert len(fd.x_rows) == 12 and sorted(fd.recurrence_rows) == list(range(read))

@@ -61,10 +61,6 @@ def test_traced_run_times_every_identity(tmp_path):
              "--no-timestamp", "--report", str(tmp_path / "r.json")]
     with tracer:
         assert cli.main(["verify", "--family", "all", "--identity", "all", *flags]) == 0
-        # --identity all reports eq41 from the eq42 run of the chain and does
-        # not call eq41's runner; asked for alone, eq41 calls it
-        assert cli.main(["verify", "--family", "big-q-jacobi", "--identity", "eq41",
-                         *flags]) == 0
     assert tracer.missing == set()
     calls = {name: c for name, (c, _, _) in tracer.self_times().items()}
     assert [key for key in cli.IDENTITIES if not calls.get(f"relations.{key}")] == []

@@ -74,8 +74,8 @@ N0_CHECKS = {
     "eq02": (rel.display_check("eq02"), fam.JACOBI),
     **{w: (_cqu_relation(w), fam.CQU) for w in ("eq51", "eq52", "eq53", "eq55", "qdiff2")},
     "combo54": (rel.check_cqultra_combination, fam.CQU),
-    "eq42": (lambda fd, ns: rel.reduce_bigq_chain(fd, ns)[0], fam.BIGQ),
-    "eq41": (lambda fd, ns: rel.reduce_bigq_chain(fd, ns)[1], fam.BIGQ),
+    "eq42": (rel.check_eq42, fam.BIGQ),
+    "eq41": (rel.check_eq41, fam.BIGQ),
 }
 FAMILIES = (fam.AW, fam.JACOBI, fam.CQJ49, fam.CQU, fam.BIGQ)
 
@@ -199,16 +199,16 @@ class TestBispectral:
 
 
 class TestSklyanin:
-    def test_three_shift_values(self):
+    def test_three_shift_values(self, fds):
         for e in (F(2), F(3), F(1, 2)):
-            assert rel.check_sklyanin(AW, e, 8).passed
+            assert rel.check_sklyanin(fds[fam.AW], 8, e=e).passed
 
-    def test_e_one_trivial(self):
-        assert rel.check_sklyanin(AW, F(1), 6).passed
+    def test_e_one_trivial(self, fds):
+        assert rel.check_sklyanin(fds[fam.AW], 6, e=F(1)).passed
 
-    def test_zero_shift_rejected(self):
+    def test_zero_shift_rejected(self, fds):
         with pytest.raises(ValueError):
-            rel.check_sklyanin(AW, F(0), 4)
+            rel.check_sklyanin(fds[fam.AW], 4, e=F(0))
 
 
 class TestCqUltraWeb:
@@ -265,9 +265,9 @@ class TestSpectral:
             assert rep.passed, fd.family
             assert rep.notes["identity_multiple"] == "0"
 
-    def test_string(self):
-        assert opc.check_string_jacobi(JAC, 8).passed
-        assert opc.check_string_jacobi(JAC0, 8).passed
+    def test_string(self, fds, leg_fd):
+        assert opc.check_string_jacobi(fds[fam.JACOBI], 8).passed
+        assert opc.check_string_jacobi(leg_fd, 8).passed
 
     def test_residual_tables(self, fds):
         for fd in fds.values():
@@ -317,14 +317,15 @@ class TestDeriveQDiff:
         a, b, c, d, q = (AW.params[k] for k in "abcdq")
         ref = [(q ** (-n) - 1) * (1 - a * b * c * d * q ** (n - 1))
                for n in range(fd.n_max + 1)]
-        assert rel.check_qdiff_recovery(fd, ref).passed
+        assert rel.check_qdiff_recovery(fd._replace(lam=tuple(ref)), range(fd.n_max + 1)).passed
 
     def test_aw_recovery_mutation(self, fds):
         fd = fds[fam.AW]
         a, b, c, d, q = (AW.params[k] for k in "abcdq")
         ref = [(q ** (-n) - 1) * (1 - a * b * c * d * q ** (n - 1))
                for n in range(fd.n_max + 1)]
-        assert not rel.check_qdiff_recovery(fd, ref, perturb="reference").passed
+        assert not rel.check_qdiff_recovery(fd._replace(lam=tuple(ref)), range(fd.n_max + 1),
+                                            perturb="reference").passed
 
     def test_bigq_succeeds(self, fds):
         qd = rel.derive_second_order_qdiff(fds[fam.BIGQ])
@@ -341,17 +342,17 @@ class TestDeriveQDiff:
 
 class TestBigQChain:
     def test_chain_residuals(self, fds):
-        r42, r41 = rel.reduce_bigq_chain(fds[fam.BIGQ], NS)
+        r42, r41 = rel.check_eq42(fds[fam.BIGQ], NS), rel.check_eq41(fds[fam.BIGQ], NS)
         assert r42.passed and r41.passed
 
     def test_boundary(self, fds):
-        r42, r41 = rel.reduce_bigq_chain(fds[fam.BIGQ], [0])
+        r42, r41 = rel.check_eq42(fds[fam.BIGQ], [0]), rel.check_eq41(fds[fam.BIGQ], [0])
         assert r42.passed and r41.passed
 
     def test_mutations(self, fds):
-        _, r41 = rel.reduce_bigq_chain(fds[fam.BIGQ], [2], perturb="a-tilde")
+        r41 = rel.check_eq41(fds[fam.BIGQ], [2], perturb="a-tilde")
         assert not r41.passed
-        r42, _ = rel.reduce_bigq_chain(fds[fam.BIGQ], [2], perturb="alpha")
+        r42 = rel.check_eq42(fds[fam.BIGQ], [2], perturb="alpha")
         assert not r42.passed
 
 
@@ -388,8 +389,8 @@ class TestNegativeControls:
     def test_operator_checkers(self, fds):
         assert not opc.check_commutator(fds[fam.AW], 4, perturb="normalization").passed
         assert not opc.check_d_from_l(fds[fam.AW], 4, perturb="normalization").passed
-        assert not opc.check_string_jacobi(JAC, 4, perturb="shape").passed
-        assert not rel.check_sklyanin(AW, F(2), 4, perturb="shift").passed
+        assert not opc.check_string_jacobi(fds[fam.JACOBI], 4, perturb="shape").passed
+        assert not rel.check_sklyanin(fds[fam.AW], 4, perturb="shift", e=F(2)).passed
         aw = fds[fam.AW]
         assert not opc.check_skew_l(aw, 4, perturb="op").passed
         assert not opc.check_sym_d(aw, 4, perturb="op").passed
